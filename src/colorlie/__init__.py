@@ -14,9 +14,9 @@ The layers, bottom to top:
 * :mod:`colorlie.cli` -- the ``colorlie`` command.
 """
 
-from .field import Field, field_make
+from .field import Field
 from .linalg import Mat, Echelon
-from .groups import (GradedGroup, Bicharacter, color_sign, bichar_validate,
+from .groups import (GradedGroup, Bicharacter, bichar_validate,
                      trivial_bicharacter, super_bicharacter)
 from .algebra import (ColorAlgebra, TriangularData, make_gl, validate_algebra,
                       jordan_decompose, standardize_character, CharacterStd,
@@ -35,18 +35,18 @@ from .repmod import (PowerClass, PCharacter, pchar_zero, pchar_from_standard,
                      module_isomorphism, sweep_rows)
 from .errors import (ColorLieError, NonPrime, BadCharacteristic,
                      ReducibleModulus, NeedsExtension, ZeroEntry,
-                     UndefinedAtQ, EmptyAlgebra, NoMatrixRealization,
-                     NotZeroDegree, NotStandard, MixedSpecs, TooLarge,
-                     NotWeightZero, NoOrderingFound, BadWeight, ChiOnDelta,
-                     ChiOnNplus, DoubledRoot, OddElement, NotUnipotent,
-                     NotScalar, SpecError)
+                     EmptyAlgebra, NoMatrixRealization, NotZeroDegree,
+                     NotStandard, MixedSpecs, TooLarge, NotWeightZero,
+                     NoOrderingFound, BadWeight, ChiOnDelta, ChiOnNplus,
+                     DoubledRoot, OddElement, NotUnipotent, NotScalar,
+                     InvariantError, SpecError)
 from .cli import cli_main
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "field_make", "Mat", "Echelon",
-    "GradedGroup", "Bicharacter", "color_sign", "bichar_validate",
+    "Field", "Mat", "Echelon",
+    "GradedGroup", "Bicharacter", "bichar_validate",
     "trivial_bicharacter", "super_bicharacter",
     "ColorAlgebra", "TriangularData", "make_gl", "validate_algebra",
     "jordan_decompose", "standardize_character", "CharacterStd",
@@ -62,9 +62,9 @@ __all__ = [
     "f_via_hc", "extract_kappa", "unipotent_socle", "regular_module",
     "simple_quotient", "module_isomorphism", "sweep_rows",
     "ColorLieError", "NonPrime", "BadCharacteristic", "ReducibleModulus",
-    "NeedsExtension", "ZeroEntry", "UndefinedAtQ", "EmptyAlgebra",
-    "NoMatrixRealization", "NotZeroDegree", "NotStandard", "MixedSpecs",
-    "TooLarge", "NotWeightZero", "NoOrderingFound", "BadWeight",
-    "ChiOnDelta", "ChiOnNplus", "DoubledRoot", "OddElement", "NotUnipotent",
-    "NotScalar", "SpecError", "cli_main",
+    "NeedsExtension", "ZeroEntry", "EmptyAlgebra", "NoMatrixRealization",
+    "NotZeroDegree", "NotStandard", "MixedSpecs", "TooLarge",
+    "NotWeightZero", "NoOrderingFound", "BadWeight", "ChiOnDelta",
+    "ChiOnNplus", "DoubledRoot", "OddElement", "NotUnipotent", "NotScalar",
+    "InvariantError", "SpecError", "cli_main",
 ]

@@ -527,10 +527,8 @@ def _filtration_basis(F, N):
     for _ in range(n):
         P = P @ N
         ker = P.nullspace()
-        for c in range(ker.shape[1]):
-            v = ker.a[:, c, :]
-            if E.insert(v.copy()):
-                cols.append([ker.entry(r, c) for r in range(n)])
+        taken = E.insert(ker.a.swapaxes(0, 1))
+        cols += ker.to_codes().T[taken].tolist()
         if len(cols) == n:
             break
     return Mat.from_codes(F, cols).T

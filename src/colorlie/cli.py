@@ -25,7 +25,8 @@ Unknown keys anywhere in the file are rejected.  Recognized options:
 oracle, seed, max_dim, singular_cutoff, samples, enumerate, levi.
 
 Exit codes: 0 success, 1 a validation or agreement check failed, 2 bad
-input.  Errors print one JSON object on stderr carrying the stable machine
+input, 3 a broken internal invariant (a fault in colorlie, not in the
+input).  Errors print one JSON object on stderr carrying the stable machine
 code of the exception class.
 """
 
@@ -34,17 +35,16 @@ import csv
 import json
 import os
 import sys
-import time
 
 from .algebra import ColorAlgebra, make_gl, standardize_character, validate_algebra
 from .envelope import (chi_reduce, frobenius_gram, harish_chandra,
                        nf_monomial, uchi_basis)
-from .errors import ColorLieError, NotStandard, SpecError, TooLarge
+from .errors import (ColorLieError, InvariantError, NotStandard, SpecError,
+                     TooLarge)
 from .field import Field
 from .groups import Bicharacter, GradedGroup, trivial_bicharacter
-from .repmod import (PCharacter, PowerClass, admissible_lambdas, f_closed,
-                     f_via_hc, fp_order, is_simple, pchar_zero, root_datum,
-                     verma_build)
+from .repmod import (PCharacter, PowerClass, fp_order, is_simple, pchar_zero,
+                     root_datum, sweep_rows, verma_build)
 
 DEFAULT_MAX_DIM = 2000
 
@@ -384,39 +384,19 @@ def _cmd_sweep(args):
     oracle = args.oracle
     if oracle is None:
         oracle = bool(options.get("oracle", True))
-    seed = _resolve_seed(args, options)
-    max_dim = _resolve_max_dim(args, options)
-    cutoff = int(options.get("singular_cutoff", 3))
-    samples = int(options.get("samples", 40))
-
-    rows = []
-    simple_count = 0
-    disagreements = 0
-    for lam in admissible_lambdas(spec):
-        if any(lam[n] != c for n, c in fixed.items()):
-            continue
-        t0 = time.perf_counter()
-        fc = f_closed(spec, trip, lam)
-        fh, _rev = f_via_hc(spec, trip, lam)
-        agree = (fc == 0) == (fh == 0)
-        verdict = None
-        if oracle:
-            M = verma_build(spec, trip, weight=lam, check=False,
-                            max_dim=max_dim)
-            v = is_simple(M, max_enumerate=cutoff, samples=samples,
-                          seed=seed)
-            verdict = "simple" if v["simple"] else "not-simple"
-            simple_count += v["simple"]
-            agree = agree and ((fc == 0) == (not v["simple"]))
-        ms = (time.perf_counter() - t0) * 1000.0
-        disagreements += not agree
-        rows.append({"lambda": [F.to_wire(c) for c in lam],
-                     "f_closed": F.to_wire(fc), "f_hc": F.to_wire(fh),
-                     "oracle": verdict, "agree": agree, "ms": round(ms, 3)})
-
+    rows = sweep_rows(spec, trip, oracle=oracle,
+                      max_dim=_resolve_max_dim(args, options),
+                      max_enumerate=int(options.get("singular_cutoff", 3)),
+                      samples=int(options.get("samples", 40)),
+                      seed=_resolve_seed(args, options), fix=fixed)
+    rows = [{"lambda": [F.to_wire(c) for c in r["lambda"]],
+             "f_closed": F.to_wire(r["f_closed"]),
+             "f_hc": F.to_wire(r["f_hc"]), "oracle": r["oracle"],
+             "agree": r["agree"], "ms": r["ms"]} for r in rows]
+    disagreements = sum(not r["agree"] for r in rows)
+    simple = sum(r["oracle"] == "simple" for r in rows) if oracle else None
     report = {"rows": rows,
-              "summary": {"rows": len(rows),
-                          "simple": simple_count if oracle else None,
+              "summary": {"rows": len(rows), "simple": simple,
                           "disagreements": disagreements}}
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     if args.out:
@@ -484,6 +464,9 @@ def cli_main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        _fail(exc.code, str(exc), **exc.detail)
+        return 3
     except ColorLieError as exc:
         _fail(exc.code, str(exc), **exc.detail)
         return 2

@@ -40,12 +40,6 @@ class ZeroEntry(ColorLieError):
     code = "zero_entry"
 
 
-class UndefinedAtQ(ColorLieError):
-    # Kept for the declared contract of quantum_binomial.  The polynomial
-    # evaluation used there is total, so this is never raised in practice.
-    code = "undefined_at_q"
-
-
 class EmptyAlgebra(ColorLieError):
     code = "empty_algebra"
 
@@ -106,6 +100,12 @@ class NotScalar(ColorLieError):
     """The p-power operator of a decomposable module is not a scalar."""
 
     code = "not_scalar"
+
+
+class InvariantError(ColorLieError):
+    """An internal invariant failed: a fault in colorlie, not in its input."""
+
+    code = "invariant_error"
 
 
 class SpecError(ColorLieError):

@@ -278,27 +278,6 @@ class Field:
     def array_to_codes(self, arr):
         return (arr * np.array(self._powers)).sum(axis=-1).astype(np.int64)
 
-    @property
-    def mul_tensor(self):
-        """T[i, j, l]: digit l of x^i * x^j mod modulus."""
-        t = getattr(self, "_mul_tensor", None)
-        if t is None:
-            k = self.k
-            t = np.zeros((k, k, k), dtype=np.int64)
-            for i in range(k):
-                for j in range(k):
-                    prod = _pmulmod([0] * i + [1], [0] * j + [1],
-                                    list(self.modulus), self.p)
-                    prod += [0] * (k - len(prod))
-                    t[i, j, :] = prod[:k]
-            self._mul_tensor = t
-        return t
-
-    def digit_matrix(self, a):
-        """(k, k) matrix M with digits(a*b) = digits(b) @ M mod p."""
-        return np.tensordot(np.array(self.to_digits(a)), self.mul_tensor,
-                            axes=(0, 0)) % self.p
-
     # -- polynomial utilities over this field (little-endian code lists) ---
 
     def poly_trim(self, f):
@@ -440,7 +419,3 @@ def pow_code(F, a, e):
         e >>= 1
     return result
 
-
-def field_make(p, k=1, modulus=None):
-    """Construct F_{p^k}, finding a deterministic modulus when none is given."""
-    return Field(p, k, modulus)

@@ -136,10 +136,6 @@ class Bicharacter:
         return hash((self.group, self.F, self.table))
 
 
-def color_sign(eps, a, b):
-    return eps.value(a, b)
-
-
 def bichar_validate(group, field, table):
     """Build + validate; returns (bicharacter, report, (gamma_plus, gamma_minus))."""
     eps = Bicharacter(group, field, table)

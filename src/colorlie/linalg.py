@@ -1,16 +1,60 @@
 """Dense exact linear algebra over F_{p^k}.
 
 Matrices hold their entries as numpy digit arrays of shape (rows, cols, k),
-one base-p digit vector per entry.  All reductions (rref, rank, kernel,
-solve, inverse) are plain Gaussian elimination with vectorized row updates;
-everything is deterministic: the pivot is always the first nonzero entry.
+one base-p digit vector per entry.  Every product of such arrays goes
+through `_mul`, and every reduction (rref, rank, kernel, solve, inverse and
+the incremental `Echelon`) through the one Gaussian elimination step
+`_eliminate`; everything is deterministic: the pivot is always the first
+nonzero entry.
 """
 
 import numpy as np
 
 
-def _digits_nonzero(arr):
-    return arr.any(axis=-1)
+def _mul(F, A, B, op):
+    """Product of two F_q digit arrays under the bilinear numpy op.
+
+    The op runs on each pair of base-p digit planes, A[..., i] with
+    B[..., j]; the results are summed by degree i + j, reduced mod p and the
+    degrees >= k folded back down with the little-endian monic modulus.
+    np.matmul runs through float64 BLAS, exact because each accumulated sum
+    stays below (p-1)^2 * inner-dim * k << 2^53; other ops (np.multiply,
+    np.multiply.outer) run in int64."""
+    p, k = F.p, F.k
+    A, B = np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0)
+    if op is np.matmul:
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        B = np.ascontiguousarray(B, dtype=np.float64)
+    conv = [None] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod = op(A[i], B[j])
+            d = i + j
+            conv[d] = prod if conv[d] is None else conv[d] + prod
+    for d in range(2 * k - 1):
+        conv[d] = conv[d].astype(np.int64, copy=False)
+        conv[d] %= p
+    for d in range(2 * k - 2, k - 1, -1):
+        for j in range(k):
+            m = F.modulus[j]
+            if m:
+                conv[d - k + j] = (conv[d - k + j] - m * conv[d]) % p
+    return np.stack(conv[:k], axis=-1)
+
+
+def _eliminate(F, a, row, col):
+    """One Gauss-Jordan step in place on the (r, c, k) digit array a: scale
+    row to a unit pivot at col, then clear col in every other row.  Entries
+    of row left of col must be zero."""
+    inv = F.to_digits(F.inv(int(F.array_to_codes(a[row, col]))))
+    a[row, col:] = _mul(F, a[row, col:], np.array(inv), np.multiply)
+    rows = np.flatnonzero(a[:, col].any(axis=-1))
+    rows = rows[rows != row]
+    if rows.size:
+        sub = a[rows, col:]
+        sub -= _mul(F, a[rows, col], a[row, col:], np.multiply.outer)
+        sub %= F.p
+        a[rows, col:] = sub
 
 
 class Mat:
@@ -79,33 +123,11 @@ class Mat:
         return Mat(self.F, (-self.a) % self.F.p)
 
     def __matmul__(self, other):
-        F = self.F
-        A, B = self.a, other.a
-        if A.shape[1] == 0 or not A.size or not B.size:
-            return Mat(F, np.zeros((A.shape[0], B.shape[1], F.k), dtype=np.int64))
-        # digit-block products through float64 BLAS; exact because each
-        # accumulated sum stays below (p-1)^2 * inner-dim * k << 2^53
-        Af = A.astype(np.float64)
-        Bf = B.astype(np.float64)
-        conv = [None] * (2 * F.k - 1)
-        for i in range(F.k):
-            for j in range(F.k):
-                prod = Af[:, :, i] @ Bf[:, :, j]
-                d = i + j
-                conv[d] = prod if conv[d] is None else conv[d] + prod
-        conv = [np.rint(c).astype(np.int64) % F.p for c in conv]
-        # fold degrees >= k back down with the little-endian monic modulus
-        for d in range(2 * F.k - 2, F.k - 1, -1):
-            top = conv[d]
-            for j in range(F.k):
-                m = F.modulus[j]
-                if m:
-                    conv[d - F.k + j] = (conv[d - F.k + j] - m * top) % F.p
-        return Mat(F, np.stack(conv[:F.k], axis=-1))
+        return Mat(self.F, _mul(self.F, self.a, other.a, np.matmul))
 
     def scale(self, code):
-        M = self.F.digit_matrix(code)
-        return Mat(self.F, (self.a @ M) % self.F.p)
+        digits = np.array(self.F.to_digits(code))
+        return Mat(self.F, _mul(self.F, self.a, digits, np.multiply))
 
     @property
     def T(self):
@@ -136,31 +158,23 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        F = self.F
         a = self.a.copy()
         r, c, _ = a.shape
-        T = F.mul_tensor
         pivots = []
         row = 0
         for col in range(c):
             if row >= r:
                 break
-            nz = np.nonzero(_digits_nonzero(a[row:, col]))[0]
+            nz = np.flatnonzero(a[row:, col].any(axis=-1))
             if nz.size == 0:
                 continue
             piv = row + int(nz[0])
             if piv != row:
                 a[[row, piv]] = a[[piv, row]]
-            inv = F.inv(int(F.array_to_codes(a[row, col])))
-            a[row] = (a[row] @ F.digit_matrix(inv)) % F.p
-            # eliminate the column everywhere else in one shot
-            factors = a[:, col, :].copy()
-            factors[row] = 0
-            upd = np.einsum("ni,cj,ijl->ncl", factors, a[row], T) % F.p
-            a = (a - upd) % F.p
+            _eliminate(self.F, a, row, col)
             pivots.append(col)
             row += 1
-        return Mat(F, a), pivots
+        return Mat(self.F, a), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -169,28 +183,24 @@ class Mat:
         """Columns of the returned matrix form a kernel basis (c x nullity)."""
         F = self.F
         R, pivots = self.rref()
-        r, c = self.shape
-        free = [j for j in range(c) if j not in pivots]
+        c = self.shape[1]
+        taken = set(pivots)
+        free = [j for j in range(c) if j not in taken]
         out = np.zeros((c, len(free), F.k), dtype=np.int64)
-        for idx, j in enumerate(free):
-            out[j, idx, 0] = 1
-            for ri, pc in enumerate(pivots):
-                out[pc, idx] = (-R.a[ri, j]) % F.p
+        out[free, np.arange(len(free)), 0] = 1
+        out[pivots] = (-R.a[:len(pivots), free]) % F.p
         return Mat(F, out)
 
     def solve(self, b):
         """One solution x of self @ x = b (b a Mat with matching rows), or None."""
         F = self.F
-        r, c = self.shape
+        c = self.shape[1]
         aug = Mat(F, np.concatenate([self.a, b.a], axis=1))
         R, pivots = aug.rref()
-        for ri in range(len(pivots)):
-            if pivots[ri] >= c:
-                return None  # inconsistent
+        if pivots and pivots[-1] >= c:
+            return None  # inconsistent
         x = np.zeros((c, b.shape[1], F.k), dtype=np.int64)
-        for ri, pc in enumerate(pivots):
-            if pc < c:
-                x[pc] = R.a[ri, c:]
+        x[pivots] = R.a[:len(pivots), c:]
         return Mat(F, x)
 
     def inv(self):
@@ -248,71 +258,52 @@ def _matvec_codes(F, M, v):
     return [_dot(F, row, v) for row in M]
 
 
-# -- digit-vector helpers used by module code --------------------------------
-
-def vec_from_codes(F, codes):
-    return F.codes_to_array(np.asarray(codes, dtype=np.int64).reshape(1, -1))[0]
-
-
-def vec_is_zero(v):
-    return not v.any()
-
-
-def vec_scale(F, v, code):
-    return (v @ F.digit_matrix(code)) % F.p
-
-
-def vec_add(F, u, v):
-    return (u + v) % F.p
-
-
-def vec_sub(F, u, v):
-    return (u - v) % F.p
-
-
 class Echelon:
-    """Incremental row space in reduced echelon form (for spin-up closures)."""
+    """Incremental row space in reduced echelon form (for spin-up closures).
+
+    The basis is one (rank, width, k) digit array R with unit pivots, R[t]
+    having its pivot at column pivots[t], in insertion order."""
 
     def __init__(self, F, width):
         self.F = F
         self.width = width
-        self.rows = {}  # pivot index -> (width, k) digit array with unit pivot
+        self.R = np.zeros((0, width, F.k), dtype=np.int64)
+        self.pivots = []
 
-    def reduce(self, v):
+    def reduce(self, B):
+        """A vector (width, k) or a block of rows (m, width, k) minus its
+        components along the basis: B - B[..., pivots] @ R."""
         F = self.F
-        v = v % F.p
-        for piv, row in self.rows.items():
-            c = v[piv]
-            if c.any():
-                v = (v - (row @ F.digit_matrix(int(F.array_to_codes(c))))) % F.p
-        return v
+        B = np.asarray(B) % F.p
+        if not self.pivots:
+            return B
+        return (B - _mul(F, B[..., self.pivots, :], self.R, np.matmul)) % F.p
 
-    def insert(self, v):
-        """Reduce v; if independent, add it and return True."""
-        F = self.F
-        v = self.reduce(v)
-        nz = np.nonzero(v.any(axis=-1))[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        code = int(F.array_to_codes(v[piv]))
-        v = (v @ F.digit_matrix(F.inv(code))) % F.p
-        # back-substitute into existing rows
-        for other_piv in list(self.rows):
-            row = self.rows[other_piv]
-            c = row[piv]
-            if c.any():
-                self.rows[other_piv] = (row - (v @ F.digit_matrix(
-                    int(F.array_to_codes(c))))) % F.p
-        self.rows[piv] = v
-        return True
+    def insert(self, B):
+        """Add the rows of the block B (a single vector is a block of one)
+        that are independent of the basis and of the rows of B before them;
+        returns the indices of the accepted rows."""
+        B = np.asarray(B)
+        if B.ndim == 2:
+            B = B[None]
+        n = len(self.pivots)
+        a = np.concatenate([self.R, self.reduce(B)])
+        taken = []
+        for t in range(len(B)):
+            nz = np.flatnonzero(a[n + t].any(axis=-1))
+            if nz.size:
+                _eliminate(self.F, a, n + t, int(nz[0]))
+                taken.append(t)
+                self.pivots.append(int(nz[0]))
+        self.R = a[list(range(n)) + [n + t for t in taken]]
+        return taken
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def contains(self, v):
         return not self.reduce(v).any()
 
     def basis(self):
-        return [self.rows[p] for p in sorted(self.rows)]
+        return list(self.R[np.argsort(self.pivots)])

@@ -13,6 +13,7 @@ singular-vector simplicity test and its closed-form counterpart.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +22,10 @@ from .algebra import bracket_eval, pmap_eval
 from .envelope import (chi_reduce, engine_for, harish_chandra,
                        monomial_degree, nf_letter, nf_one, uchi_basis)
 from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
-                     MixedSpecs, NoMatrixRealization, NoOrderingFound,
-                     NotScalar, NotStandard, NotUnipotent, OddElement,
-                     TooLarge)
-from .linalg import Echelon, Mat, vec_add, vec_from_codes, vec_scale, vec_sub
+                     InvariantError, MixedSpecs, NoMatrixRealization,
+                     NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
+                     OddElement, TooLarge)
+from .linalg import Echelon, Mat
 
 
 class PowerClass:
@@ -800,26 +801,25 @@ def _unit_lines(F, d):
             yield (0,) * lead + (1,) + tail
 
 
-def _spin_dim(F, mats, v, stop=None):
-    """Dimension of the submodule generated by v (early exit at stop).
+def _spin(F, mats, v, stop=None):
+    """Echelon basis of the submodule generated by v (early exit once its
+    dimension reaches stop).
 
     Breadth-first closure; each layer is hit with every letter in one
-    batched product rather than one matvec per vector."""
+    batched product, and each letter's image block is inserted at once."""
     ech = Echelon(F, v.shape[0])
     ech.insert(v)
-    layer = [v]
-    while layer:
-        block = Mat(F, np.stack(layer, axis=1))
-        layer = []
+    layer = v[:, None]
+    while layer.shape[1]:
+        block = Mat(F, layer)
+        found = []
         for Mx in mats:
             out = (Mx @ block).a
-            for t in range(out.shape[1]):
-                u = out[:, t]
-                if ech.insert(u):
-                    if stop is not None and ech.dim >= stop:
-                        return ech.dim
-                    layer.append(u)
-    return ech.dim
+            found.append(out[:, ech.insert(out.swapaxes(0, 1))])
+            if stop is not None and ech.dim >= stop:
+                return ech
+        layer = np.concatenate(found, axis=1)
+    return ech
 
 
 def is_simple(M, max_enumerate=3, samples=40, seed=0):
@@ -849,15 +849,13 @@ def is_simple(M, max_enumerate=3, samples=40, seed=0):
             method = "randomized"
             combos = ([rng.randrange(F.q) for _ in range(d)]
                       for _ in range(samples))
+        S = Mat(F, np.stack(vecs))
         for coeffs in combos:
-            v = np.zeros((M.dim, F.k), dtype=np.int64)
-            for c, vec in zip(coeffs, vecs):
-                if c:
-                    v = vec_add(F, v, vec_scale(F, vec, c))
+            v = (Mat.from_codes(F, [coeffs]) @ S).a[0]
             if not v.any():
                 continue
             lines += 1
-            if _spin_dim(F, mats, v, stop=M.dim) < M.dim:
+            if _spin(F, mats, v, stop=M.dim).dim < M.dim:
                 return {"simple": False, "method": method, "lines": lines,
                         "weight": [int(c) for c in w],
                         "witness": [int(c) for c in F.array_to_codes(
@@ -954,7 +952,8 @@ def f_via_hc(spec, triple, lam):
                 rev = rev.mul(nf_letter(A, f, spec))
         reversal = _proportional(F, fwd.terms, rev.terms)
         if reversal is None:
-            raise ValueError("extreme lowering products are not proportional")
+            raise InvariantError("extreme lowering products are not "
+                                 "proportional")
         cache[triple.deltas] = ent = (gamma.terms, reversal)
     gterms, reversal = ent
     cpos = {h: n for n, h in enumerate(tri.cartan)}
@@ -970,15 +969,6 @@ def f_via_hc(spec, triple, lam):
 
 # -- the p-power scalar -----------------------------------------------------------
 
-def _group_order(g, d):
-    n = 1
-    x = d
-    while x != g.zero:
-        x = g.add(x, d)
-        n += 1
-    return n
-
-
 def extract_kappa(M, i):
     """Scalar value of (rho(x)^p - rho(x^[p]))^s on the module, s the order
     of p * deg(x) in the grading group; NotScalar when the power operator
@@ -987,7 +977,7 @@ def extract_kappa(M, i):
     F = A.F
     if not A.is_even(i):
         raise OddElement("the p-power scalar needs an even basis element")
-    s = _group_order(A.group, A.group.scale(F.p, A.degree(i)))
+    s = A.group.order(A.group.scale(F.p, A.degree(i)))
     Z = M.action[i].pow_int(F.p)
     for t, c in A.pmap.get(i, {}).items():
         Z = Z - M.action[t].scale(c)
@@ -1019,18 +1009,17 @@ def _require_unipotent(algebra):
     prev = None
     layer = [{i: F.one} for i in range(algebra.dim)]
     while layer:
-        ech = Echelon(F, algebra.dim)
-        nxt = []
+        brackets = []
         for x in layer:
             for j in range(algebra.dim):
                 z = bracket_eval(algebra, {j: F.one}, x)
-                if not z:
-                    continue
-                codes = [0] * algebra.dim
-                for t, c in z.items():
-                    codes[t] = c
-                if ech.insert(vec_from_codes(F, codes)):
-                    nxt.append(z)
+                if z:
+                    brackets.append(z)
+        codes = np.zeros((len(brackets), algebra.dim), dtype=np.int64)
+        for row, z in zip(codes, brackets):
+            row[list(z)] = list(z.values())
+        taken = Echelon(F, algebra.dim).insert(F.codes_to_array(codes))
+        nxt = [brackets[t] for t in taken]
         if prev is not None and len(nxt) >= prev:
             raise NotUnipotent("the lower central series does not vanish")
         prev = len(nxt)
@@ -1091,7 +1080,7 @@ def unipotent_socle(algebra, max_dim=2000):
     vr = rk.a[:, 0]
     ratio = _vec_ratio(F, vl, vr)
     if ratio is None:
-        raise ValueError("left and right socles differ")
+        raise InvariantError("left and right socles differ")
     codes = lambda v: [int(x) for x in
                        F.array_to_codes(v.reshape(1, count, F.k))[0]]
     return {"dimension": count, "monomials": mons, "left": codes(vl),
@@ -1148,23 +1137,11 @@ def simple_quotient(spec, seed=0, max_dim=2000):
             v[t] = F.to_digits(rng.randrange(F.q))
     mats = [reg["action"][i] for i in range(A.dim)]
 
-    span = Echelon(F, count)
-    span.insert(v)
-    queue = [v]
-    while queue:
-        w = queue.pop()
-        for Mx in mats:
-            u = Mx.matvec(w)
-            if span.insert(u):
-                queue.append(u)
+    span = _spin(F, mats, v)
+    W = Mat(F, np.stack(span.basis(), axis=1))
     rad = Echelon(F, count)
-    for w in span.basis():
-        for i, Mx in enumerate(mats):
-            u = Mx.matvec(w)
-            c = spec.chi.value(i)
-            if c:
-                u = vec_sub(F, u, vec_scale(F, w, c))
-            rad.insert(u)
+    for i, Mx in enumerate(mats):
+        rad.insert((Mx @ W - W.scale(spec.chi.value(i))).a.swapaxes(0, 1))
     if span.dim - rad.dim != 1:
         raise ValueError("cyclic head is not a line (%d over %d)"
                          % (span.dim, rad.dim))
@@ -1224,10 +1201,8 @@ def module_isomorphism(algebra, M1, M2):
     rng = random.Random(0)
     candidates = [K.a[:, t] for t in range(K.shape[1])]
     for _ in range(20 if K.shape[1] > 1 else 0):
-        w = np.zeros((nc, F.k), dtype=np.int64)
-        for t in range(K.shape[1]):
-            w = vec_add(F, w, vec_scale(F, K.a[:, t], rng.randrange(F.q)))
-        candidates.append(w)
+        coeffs = [[rng.randrange(F.q)] for _ in range(K.shape[1])]
+        candidates.append((K @ Mat.from_codes(F, coeffs)).a[:, 0])
     for vec in candidates:
         arr = np.zeros((d2, d1, F.k), dtype=np.int64)
         for t, (u2, u1) in enumerate(coords):
@@ -1244,12 +1219,17 @@ def module_isomorphism(algebra, M1, M2):
 # -- weight sweeps ----------------------------------------------------------------
 
 def sweep_rows(spec, triple, oracle=True, check=False, max_dim=2000,
-               max_enumerate=3, samples=40, seed=0):
+               max_enumerate=3, samples=40, seed=0, fix=None):
     """One row per admissible weight: both routes to the simplicity value,
-    the optional brute-force verdict, and the agreement flag (vanishing
-    loci and verdict must all line up)."""
+    the optional brute-force verdict, the agreement flag (vanishing loci
+    and verdict must all line up) and the row's wall time in ms.  fix
+    ({Cartan position: code}) keeps only the weights with those values."""
+    fix = fix or {}
     rows = []
     for lam in admissible_lambdas(spec):
+        if any(lam[n] != c for n, c in fix.items()):
+            continue
+        t0 = time.perf_counter()
         fc = f_closed(spec, triple, lam)
         fh, _rev = f_via_hc(spec, triple, lam)
         row = {"lambda": [int(c) for c in lam], "f_closed": fc, "f_hc": fh}
@@ -1264,5 +1244,6 @@ def sweep_rows(spec, triple, oracle=True, check=False, max_dim=2000,
         else:
             row["oracle"] = None
         row["agree"] = agree
+        row["ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
         rows.append(row)
     return rows

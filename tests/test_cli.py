@@ -3,6 +3,7 @@
 import json
 import os
 
+from colorlie import repmod
 from colorlie.cli import cli_main, load_spec
 from colorlie.envelope import chi_reduce
 from colorlie.repmod import module_from_wire, pchar_zero
@@ -199,6 +200,16 @@ def test_input_errors(capsys, tmp_path):
 
     rc, _, _ = run(capsys, "no-such-command", spec("gl2.json"))
     assert rc == 2
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    # the two extreme lowering products of gl(2) are proportional; make
+    # the comparison fail as a fault in the program would
+    monkeypatch.setattr(repmod, "_proportional", lambda F, t1, t2: None)
+    rc, _, err = run(capsys, "sweep", spec("gl2.json"), "--chi", "zero",
+                     "--no-oracle")
+    assert rc == 3
+    assert json.loads(err)["error"]["code"] == "invariant_error"
 
 
 def test_max_dim_guard(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie.errors import BadCharacteristic, NonPrime, ReducibleModulus
-from colorlie.field import Field, field_make
+from colorlie.field import Field
 
 
 def brute_irreducible(f, p):
@@ -29,13 +29,13 @@ def brute_irreducible(f, p):
 
 
 def test_field_make_prime_field():
-    F = field_make(5, 1, None)
+    F = Field(5, 1, None)
     assert (F.p, F.k, F.q) == (5, 1, 5)
     assert list(F.modulus) == [0, 1]  # the polynomial x
 
 
 def test_field_make_quadratic_deterministic():
-    F = field_make(5, 2)
+    F = Field(5, 2)
     # oracle: first monic irreducible quadratic in little-endian lex order
     expected = None
     for code in range(25):
@@ -48,13 +48,13 @@ def test_field_make_quadratic_deterministic():
 
 def test_field_make_rejects_bad_input():
     with pytest.raises(NonPrime):
-        field_make(4)
+        Field(4)
     with pytest.raises(BadCharacteristic):
-        field_make(3)
+        Field(3)
     with pytest.raises(ReducibleModulus):
-        field_make(5, 2, [0, 0, 1])  # x^2 is reducible
+        Field(5, 2, [0, 0, 1])  # x^2 is reducible
     with pytest.raises(ReducibleModulus):
-        field_make(5, 2, [1, 2])  # wrong degree
+        Field(5, 2, [1, 2])  # wrong degree
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (5, 2), (7, 2), (5, 3)])

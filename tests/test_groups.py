@@ -4,7 +4,7 @@ import pytest
 
 from colorlie.errors import ZeroEntry
 from colorlie.groups import (Bicharacter, GradedGroup, bichar_validate,
-                             color_sign, super_bicharacter, trivial_bicharacter)
+                             super_bicharacter, trivial_bicharacter)
 
 
 def test_group_arithmetic():
@@ -27,7 +27,7 @@ def test_super_bicharacter_valid_split(F5):
     assert eps.validate() == []
     plus, minus = eps.split()
     assert plus == [(0,)] and minus == [(1,)]
-    assert color_sign(eps, (1,), (1,)) == F5.neg(F5.one)
+    assert eps.value((1,), (1,)) == F5.neg(F5.one)
 
 
 def test_invalid_super_table(F5):
@@ -55,8 +55,8 @@ def test_biadditive_extension_z4(F5):
     # eps(1,1) = 2, an order-4 root of unity mod 5: eps(2,3) = 2^6 = 4
     G = GradedGroup([4])
     eps = Bicharacter(G, F5, [[2]])
-    assert color_sign(eps, (2,), (3,)) == 4
-    assert all(color_sign(eps, a, G.zero) == F5.one for a in G.elements())
+    assert eps.value((2,), (3,)) == 4
+    assert all(eps.value(a, G.zero) == F5.one for a in G.elements())
     # not a color bicharacter though: antisymmetry fails on the generator
     assert any(kind == "antisymmetry" for kind, _, _ in eps.validate())
 

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie.field import Field
-from colorlie.linalg import Echelon, Mat, vec_from_codes
+from colorlie.linalg import Echelon, Mat
 
 
 F5 = Field(5)
+F7 = Field(7)
 F25 = Field(5, 2)
+F125 = Field(5, 3)  # k = 3: the only case where the modulus fold takes two steps
+FIELDS = (F5, F7, F25, F125)
 
 
 def rand_mat(F, r, c, rng):
@@ -23,7 +26,7 @@ def rand_mat(F, r, c, rng):
 def test_identity_and_matmul():
     import random
     rng = random.Random(1)
-    for F in (F5, F25):
+    for F in FIELDS:
         A = rand_mat(F, 3, 4, rng)
         I3 = Mat.identity(F, 3)
         I4 = Mat.identity(F, 4)
@@ -35,7 +38,7 @@ def test_identity_and_matmul():
 def test_matmul_against_schoolbook():
     import random
     rng = random.Random(2)
-    for F in (F5, F25):
+    for F in FIELDS:
         A = rand_mat(F, 2, 3, rng)
         B = rand_mat(F, 3, 2, rng)
         C = A @ B
@@ -50,7 +53,7 @@ def test_matmul_against_schoolbook():
 def test_scale_matches_entrywise():
     import random
     rng = random.Random(3)
-    for F in (F5, F25):
+    for F in FIELDS:
         A = rand_mat(F, 3, 3, rng)
         for c in (F.zero, F.one, 2, F.q - 1):
             B = A.scale(c)
@@ -85,7 +88,7 @@ def test_pow_int():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_rank_nullity_and_kernel(r, c, rng):
-    for F in (F5, F25):
+    for F in FIELDS:
         A = rand_mat(F, r, c, rng)
         N = A.nullspace()
         assert A.rank() + N.shape[1] == c
@@ -109,7 +112,7 @@ def test_rref_shape_and_determinism():
 def test_solve_verified_and_inconsistent():
     import random
     rng = random.Random(5)
-    for F in (F5, F25):
+    for F in FIELDS:
         for _ in range(10):
             A = rand_mat(F, 3, 4, rng)
             x = rand_mat(F, 4, 2, rng)
@@ -123,7 +126,7 @@ def test_solve_verified_and_inconsistent():
 def test_inverse():
     import random
     rng = random.Random(6)
-    for F in (F5, F25):
+    for F in FIELDS:
         found = 0
         while found < 5:
             A = rand_mat(F, 3, 3, rng)
@@ -200,13 +203,12 @@ def test_echelon_tracks_rank():
         rows = [[rng.randrange(F.q) for _ in range(6)] for _ in range(8)]
         E = Echelon(F, 6)
         for row in rows:
-            E.insert(vec_from_codes(F, row))
+            E.insert(F.codes_to_array([row])[0])
         assert E.dim == Mat.from_codes(F, rows).rank()
         # a random combination of inserted rows is contained, not inserted
-        combo = np.zeros((6, F.k), dtype=np.int64)
-        for row in rows[:3]:
-            c = rng.randrange(F.q)
-            combo = (combo + vec_from_codes(F, row) @ F.digit_matrix(c)) % F.p
+        coeffs = [rng.randrange(F.q) for _ in rows[:3]]
+        combo = (Mat.from_codes(F, [coeffs])
+                 @ Mat.from_codes(F, rows[:3])).a[0]
         assert E.contains(combo)
         assert not E.insert(combo.copy())
 
@@ -217,9 +219,38 @@ def test_echelon_rows_stay_reduced():
     rng = random.Random(10)
     E = Echelon(F, 5)
     for _ in range(7):
-        E.insert(vec_from_codes(F, [rng.randrange(F.q) for _ in range(5)]))
-    pivots = sorted(E.rows)
-    for piv in pivots:
-        for other, row in E.rows.items():
-            expect = F.one if other == piv else F.zero
-            assert int(F.array_to_codes(row[piv])) == expect
+        E.insert(F.codes_to_array([[rng.randrange(F.q) for _ in range(5)]])[0])
+    for t, piv in enumerate(E.pivots):
+        for other in range(E.dim):
+            expect = F.one if other == t else F.zero
+            assert int(F.array_to_codes(E.R[other, piv])) == expect
+
+
+def test_echelon_block_insert_matches_single_inserts():
+    import random
+    rng = random.Random(11)
+    for F in FIELDS:
+        for _ in range(10):
+            width = rng.randrange(1, 7)
+            seed_rows = [[rng.randrange(F.q) for _ in range(width)]
+                         for _ in range(rng.randrange(3))]
+            rows = [[rng.randrange(F.q) for _ in range(width)]
+                    for _ in range(rng.randrange(1, 8))]
+            # dependent rows, repeats and zero rows inside the block
+            rows.append([0] * width)
+            rows.append(rows[0])
+            coeffs = [rng.randrange(F.q) for _ in rows]
+            rows.append(list((Mat.from_codes(F, [coeffs])
+                              @ Mat.from_codes(F, rows)).to_codes()[0]))
+            rng.shuffle(rows)
+            one, block = Echelon(F, width), Echelon(F, width)
+            for row in seed_rows:
+                one.insert(F.codes_to_array([row])[0])
+            if seed_rows:
+                block.insert(F.codes_to_array(seed_rows))
+            taken = [t for t, row in enumerate(rows)
+                     if one.insert(F.codes_to_array([row])[0])]
+            assert block.insert(F.codes_to_array(rows)) == taken
+            assert block.dim == one.dim
+            assert all(np.array_equal(u, v)
+                       for u, v in zip(block.basis(), one.basis()))

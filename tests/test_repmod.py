@@ -455,7 +455,8 @@ def test_sweep_gl2_zero_chi():
     assert len(simple) == 5
     for lam in simple:
         assert (lam[0] - lam[1]) % 5 == 4
-    assert sorted(rows[0]) == ["agree", "f_closed", "f_hc", "lambda", "oracle"]
+    assert sorted(rows[0]) == ["agree", "f_closed", "f_hc", "lambda", "ms",
+                               "oracle"]
 
 
 def test_sweep_gl11_zero_chi():
