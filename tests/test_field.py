@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,3 +154,57 @@ def test_splitting_degree_irreducible_cubic(F5):
     f = [1, 1, 0, 1]
     assert F5.poly_roots(f) == []
     assert F5.splitting_degree(f) == 3
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (5, 3, [1, 1, 0, 1]),
+    (7, 3, [2, 0, 0, 1]),
+    (5, 5, [1, 4, 0, 0, 0, 1]),
+])
+def test_modulus_pinned(p, k, modulus):
+    assert list(Field(p, k).modulus) == modulus
+
+
+def schoolbook_mul(a, b, p, modulus):
+    """Oracle: product of two codes as digit polynomials, reduced by long
+    division by the monic little-endian modulus."""
+    k = len(modulus) - 1
+    da = [(a // p ** i) % p for i in range(k)]
+    db = [(b // p ** i) % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        for i in range(k + 1):
+            prod[d - k + i] = (prod[d - k + i] - c * modulus[i]) % p
+    return sum(prod[i] * p ** i for i in range(k))
+
+
+def schoolbook_pow(a, e, p, modulus):
+    r = 1
+    for _ in range(e):
+        r = schoolbook_mul(r, a, p, modulus)
+    return r
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (7, 3), (5, 5)])
+def test_arithmetic_matches_schoolbook(p, k):
+    # F_3125 lies above LUT_LIMIT, so it runs the table-less branch
+    F = Field(p, k)
+    mod, q = list(F.modulus), F.q
+    rng = random.Random(p * 100 + k)
+    for _ in range(40):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert F.mul(a, b) == schoolbook_mul(a, b, p, mod)
+        assert F.add(a, F.neg(a)) == 0
+        assert F.neg(a) == sum(((-((a // p ** i) % p)) % p) * p ** i
+                               for i in range(k))
+        e = rng.randrange(2 * p)
+        assert F.pow(a, e) == schoolbook_pow(a, e, p, mod)
+        if a:
+            inv = F.inv(a)
+            assert schoolbook_mul(a, inv, p, mod) == 1
+            assert F.pow(a, -e) == schoolbook_pow(inv, e, p, mod)
+    assert F.pow(2, q - 1) == 1

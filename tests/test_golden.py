@@ -36,6 +36,7 @@ CASES = {
     "standardize_gl2_f25": (["standardize", "gl2_f25.json"],
                             {"values": [[0, [1, 1]], [1, [0, 1]],
                                         [2, [2, 0]]]}),
+    "frobenius_borel2": (["frobenius", "borel2.json"], None),
     "frobenius_gl11": (["frobenius", "gl11.json"], None),
     "frobenius_z25_class": (["frobenius", "z25_class.json"], None),
 }
