@@ -11,13 +11,14 @@ The layers, bottom to top:
   normal-form arithmetic, Frobenius form, Harish-Chandra projection.
 * :mod:`colorlie.repmod` -- induced modules, simplicity tests (closed form,
   Harish-Chandra route, and brute-force oracle), parameter sweeps.
-* :mod:`colorlie.cli` -- the ``colorlie`` command.
+* :mod:`colorlie.cli` -- the ``colorlie`` command (imported on its own, not
+  by the package, so ``python -m colorlie.cli`` runs it cleanly).
 """
 
 from .field import Field
 from .linalg import Mat, Echelon
-from .groups import (GradedGroup, Bicharacter, bichar_validate,
-                     trivial_bicharacter, super_bicharacter)
+from .groups import (GradedGroup, Bicharacter, trivial_bicharacter,
+                     super_bicharacter)
 from .algebra import (ColorAlgebra, TriangularData, make_gl, validate_algebra,
                       jordan_decompose, standardize_character, CharacterStd,
                       levi_data, subalgebra)
@@ -40,13 +41,12 @@ from .errors import (ColorLieError, NonPrime, BadCharacteristic,
                      NoOrderingFound, BadWeight, ChiOnDelta, ChiOnNplus,
                      DoubledRoot, OddElement, NotUnipotent, NotScalar,
                      InvariantError, SpecError)
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Mat", "Echelon",
-    "GradedGroup", "Bicharacter", "bichar_validate",
+    "GradedGroup", "Bicharacter",
     "trivial_bicharacter", "super_bicharacter",
     "ColorAlgebra", "TriangularData", "make_gl", "validate_algebra",
     "jordan_decompose", "standardize_character", "CharacterStd",
@@ -66,5 +66,5 @@ __all__ = [
     "NotZeroDegree", "NotStandard", "MixedSpecs", "TooLarge",
     "NotWeightZero", "NoOrderingFound", "BadWeight", "ChiOnDelta",
     "ChiOnNplus", "DoubledRoot", "OddElement", "NotUnipotent", "NotScalar",
-    "InvariantError", "SpecError", "cli_main",
+    "InvariantError", "SpecError",
 ]

@@ -23,8 +23,8 @@ import itertools
 import sys
 from math import comb
 
-from .errors import (BadCharacteristic, MixedSpecs, NoMatrixRealization,
-                     NotStandard, NotWeightZero, OddElement, TooLarge)
+from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
+                     NotWeightZero, OddElement, TooLarge)
 from .linalg import Mat
 
 
@@ -73,8 +73,6 @@ class ReducedAlgebraSpec:
         if chi.algebra is not algebra:
             raise ValueError("p-character was built over a different algebra")
         F = algebra.F
-        if F.p < 3:
-            raise BadCharacteristic("normal-form rewriting needs p >= 3")
         self.algebra = algebra
         self.chi = chi
         p = F.p
@@ -443,13 +441,8 @@ def nf_from_element(alg, x, spec=None):
     return NormalElement(alg, spec, out)
 
 
-def nf_product(u, v, mode=None):
+def nf_product(u, v):
     u._ctx(v)
-    if mode is not None:
-        actual = "universal" if u.spec is None else "reduced"
-        if mode != actual:
-            raise ValueError("mode %r does not match the operands (%s)"
-                             % (mode, actual))
     eng = engine_for(u.alg, u.spec)
     return NormalElement(u.alg, u.spec, eng.product(u.terms, v.terms))
 

@@ -3,7 +3,10 @@
 Scalars are integer codes in [0, p^k): the little-endian base-p digits of a
 code are the coefficients of the residue polynomial modulo the stored
 irreducible modulus.  That digit vector is also the wire format used by the
-CLI.  Small fields get full add/mul lookup tables so bulk code stays cheap.
+CLI.  Small fields get full add/mul/neg/inv lookup tables so bulk code stays
+cheap.  `digit_product` is the one routine that multiplies arrays of digit
+vectors: it fills the multiplication table, multiplies scalars of fields too
+large for tables, and serves every product in the linear algebra layer.
 """
 
 import numpy as np
@@ -24,94 +27,35 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (little-endian int-coefficient lists)
-# ---------------------------------------------------------------------------
+def digit_product(F, A, B, op):
+    """Product of two F_q digit arrays under the bilinear numpy op.
 
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pmod(out, mod, p)
-
-
-def _pmod(f, mod, p):
-    f = list(f)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(f) > dm:
-        c = (f[-1] * inv_lead) % p
-        if c:
-            for i in range(dm + 1):
-                f[len(f) - 1 - dm + i] = (f[len(f) - 1 - dm + i] - c * mod[i]) % p
-        f.pop()
-    return _ptrim(f)
-
-
-def _ppowmod(f, e, mod, p):
-    result = [1]
-    base = _pmod(f, mod, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(f, g, p):
-    f, g = _ptrim(list(f)), _ptrim(list(g))
-    while g:
-        f, g = g, _pmod(f, g, p)
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [(c * inv) % p for c in f]
-    return f
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _ptrim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _irreducible_fp(f, p):
-    """Exact irreducibility of a monic degree-k polynomial over F_p."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    x = [0, 1]
-    # x^(p^k) == x mod f
-    t = x
-    for _ in range(k):
-        t = _ppowmod(t, p, f, p)
-    if _psub(t, x, p):
-        return False
-    # gcd(x^(p^(k/r)) - x, f) == 1 for every prime r | k
-    primes, kk, r = set(), k, 2
-    while kk > 1:
-        while kk % r == 0:
-            primes.add(r)
-            kk //= r
-        r += 1
-    for r in primes:
-        t = x
-        for _ in range(k // r):
-            t = _ppowmod(t, p, f, p)
-        if len(_pgcd(_psub(t, x, p), f, p)) != 1:
-            return False
-    return True
+    The op runs on each pair of base-p digit planes, A[..., i] with
+    B[..., j]; the results are summed by degree i + j, reduced mod p and the
+    degrees >= k folded back down with the little-endian monic modulus.
+    np.matmul runs through float64 BLAS, exact because each accumulated sum
+    stays below (p-1)^2 * inner-dim * k << 2^53; other ops (np.multiply,
+    np.multiply.outer) run in int64."""
+    p, k = F.p, F.k
+    A, B = np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0)
+    if op is np.matmul:
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        B = np.ascontiguousarray(B, dtype=np.float64)
+    conv = [None] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod = op(A[i], B[j])
+            d = i + j
+            conv[d] = prod if conv[d] is None else conv[d] + prod
+    for d in range(2 * k - 1):
+        conv[d] = conv[d].astype(np.int64, copy=False)
+        conv[d] %= p
+    for d in range(2 * k - 2, k - 1, -1):
+        for j in range(k):
+            m = F.modulus[j]
+            if m:
+                conv[d - k + j] = (conv[d - k + j] - m * conv[d]) % p
+    return np.stack(conv[:k], axis=-1)
 
 
 class Field:
@@ -133,7 +77,7 @@ class Field:
             modulus = [c % p for c in modulus]
             if len(modulus) != k + 1 or modulus[-1] == 0:
                 raise ReducibleModulus("modulus must be monic of degree exactly %d" % k)
-            if not _irreducible_fp(modulus, p):
+            if k > 1 and not Field(p).poly_irreducible(modulus):
                 raise ReducibleModulus("modulus %r is reducible over F_%d" % (modulus, p))
         self.modulus = tuple(modulus)
         self.zero = 0
@@ -145,9 +89,12 @@ class Field:
     def _find_modulus(p, k):
         # lexicographically first monic irreducible, scanning the little-endian
         # lower-coefficient vector as a base-p counter
+        if k == 1:
+            return [0, 1]
+        Fp = Field(p)
         for code in range(p ** k):
             f = [(code // p ** i) % p for i in range(k)] + [1]
-            if _irreducible_fp(f, p):
+            if Fp.poly_irreducible(f):
                 return f
         raise ReducibleModulus("no irreducible polynomial found")  # unreachable
 
@@ -177,41 +124,23 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        if q <= LUT_LIMIT:
-            codes = np.arange(q, dtype=np.int64)
-            digits = np.stack([(codes // pw) % p for pw in self._powers], axis=1)
-            add_digits = (digits[:, None, :] + digits[None, :, :]) % p
-            self._add = (add_digits * np.array(self._powers)).sum(axis=2).astype(np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self._mul_poly(a, b)
-                    mul[a, b] = v
-                    mul[b, a] = v
-            self._mul = mul
-            self._neg = self._add_inverse_table()
-            inv = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                inv[a] = int(pow_code(self, a, q - 2))
-            self._inv = inv
-        else:
+        q = self.q
+        if q > LUT_LIMIT:
             self._add = self._mul = self._neg = self._inv = None
-
-    def _add_inverse_table(self):
-        p = self.p
-        codes = np.arange(self.q, dtype=np.int64)
-        digits = np.stack([(codes // pw) % p for pw in self._powers], axis=1)
-        neg = (p - digits) % p
-        return (neg * np.array(self._powers)).sum(axis=1).astype(np.int64)
-
-    def _mul_poly(self, a, b):
-        p = self.p
-        fa = list(self.to_digits(a))
-        fb = list(self.to_digits(b))
-        prod = _pmulmod(_ptrim(fa), _ptrim(fb), list(self.modulus), p)
-        prod += [0] * (self.k - len(prod))
-        return self.from_digits(prod[: self.k])
+            return
+        digits = self.codes_to_array(np.arange(q))
+        # blocks of rows of about 2^16 cells keep the digit planes small
+        add = np.empty((q, q), dtype=np.int64)
+        mul = np.empty((q, q), dtype=np.int64)
+        step = max(1, 2 ** 16 // q)
+        for s in range(0, q, step):
+            rows = digits[s:s + step]
+            add[s:s + step] = self.array_to_codes((rows[:, None] + digits) % self.p)
+            mul[s:s + step] = self.array_to_codes(
+                digit_product(self, rows, digits, np.multiply.outer))
+        self._add, self._mul = add, mul
+        self._neg = np.argmax(add == 0, axis=1)
+        self._inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
 
     def add(self, a, b):
         if self._add is not None:
@@ -230,14 +159,15 @@ class Field:
     def mul(self, a, b):
         if self._mul is not None:
             return int(self._mul[a, b])
-        return self._mul_poly(a, b)
+        a, b = np.array(self.to_digits(a)), np.array(self.to_digits(b))
+        return int(self.array_to_codes(digit_product(self, a, b, np.multiply)))
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.q)
         if self._inv is not None:
             return int(self._inv[a])
-        return pow_code(self, a, self.q - 2)
+        return self.pow(a, self.q - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -245,8 +175,14 @@ class Field:
     def pow(self, a, e):
         e = int(e)
         if e < 0:
-            return pow_code(self, self.inv(a), -e)
-        return pow_code(self, a, e)
+            a, e = self.inv(a), -e
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -340,6 +276,23 @@ class Field:
             e >>= 1
         return result
 
+    def poly_irreducible(self, f):
+        """Rabin's test for a monic f of degree k >= 2 over this field:
+        x^(q^k) = x mod f, and gcd(x^(q^(k/r)) - x, f) = 1 for every prime
+        r dividing k."""
+        k = len(f) - 1
+
+        def frobenius_minus_x(n):  # x^(q^n) - x mod f
+            t = [0, 1]
+            for _ in range(n):
+                t = self.poly_powmod(t, self.q, f)
+            return self.poly_add(t, [0, self.neg(1)])
+
+        if frobenius_minus_x(k):
+            return False
+        return all(len(self.poly_gcd(frobenius_minus_x(k // r), f)) == 1
+                   for r in range(2, k + 1) if k % r == 0 and _is_prime(r))
+
     def poly_eval(self, f, x):
         acc = 0
         for c in reversed(f):
@@ -383,12 +336,11 @@ class Field:
             return self.splitting_degree(h)
         f = self.poly_divmod(f, self.poly_gcd(f, d))[0]
         degree = 1
-        x = [0, 1]
-        t = x
+        t = [0, 1]
         deg = 1
         while len(f) > 1:
             t = self.poly_powmod(t, self.q, f)
-            diff = self.poly_add(t, self.poly_scale(x, self.neg(1)))
+            diff = self.poly_add(t, [0, self.neg(1)])
             g = self.poly_gcd(f, diff)
             if len(g) > 1:
                 degree = lcm(degree, deg)
@@ -406,16 +358,4 @@ class Field:
 
     def __repr__(self):
         return "Field(p=%d, k=%d, modulus=%s)" % (self.p, self.k, list(self.modulus))
-
-
-def pow_code(F, a, e):
-    result = F.one
-    base = a
-    e = int(e)
-    while e:
-        if e & 1:
-            result = F.mul(result, base)
-        base = F.mul(base, base)
-        e >>= 1
-    return result
 

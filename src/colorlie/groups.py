@@ -136,14 +136,6 @@ class Bicharacter:
         return hash((self.group, self.F, self.table))
 
 
-def bichar_validate(group, field, table):
-    """Build + validate; returns (bicharacter, report, (gamma_plus, gamma_minus))."""
-    eps = Bicharacter(group, field, table)
-    report = eps.validate()
-    split = eps.split() if not report else (None, None)
-    return eps, report, split
-
-
 def trivial_bicharacter(group, field):
     one = field.one
     table = [[one] * group.rank for _ in range(group.rank)]

@@ -2,44 +2,15 @@
 
 Matrices hold their entries as numpy digit arrays of shape (rows, cols, k),
 one base-p digit vector per entry.  Every product of such arrays goes
-through `_mul`, and every reduction (rref, rank, kernel, solve, inverse and
-the incremental `Echelon`) through the one Gaussian elimination step
-`_eliminate`; everything is deterministic: the pivot is always the first
+through `field.digit_product`, and every reduction (rref, rank, kernel,
+solve, inverse and the incremental `Echelon`) through the one Gaussian
+elimination step `_eliminate`; everything is deterministic: the pivot is always the first
 nonzero entry.
 """
 
 import numpy as np
 
-
-def _mul(F, A, B, op):
-    """Product of two F_q digit arrays under the bilinear numpy op.
-
-    The op runs on each pair of base-p digit planes, A[..., i] with
-    B[..., j]; the results are summed by degree i + j, reduced mod p and the
-    degrees >= k folded back down with the little-endian monic modulus.
-    np.matmul runs through float64 BLAS, exact because each accumulated sum
-    stays below (p-1)^2 * inner-dim * k << 2^53; other ops (np.multiply,
-    np.multiply.outer) run in int64."""
-    p, k = F.p, F.k
-    A, B = np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0)
-    if op is np.matmul:
-        A = np.ascontiguousarray(A, dtype=np.float64)
-        B = np.ascontiguousarray(B, dtype=np.float64)
-    conv = [None] * (2 * k - 1)
-    for i in range(k):
-        for j in range(k):
-            prod = op(A[i], B[j])
-            d = i + j
-            conv[d] = prod if conv[d] is None else conv[d] + prod
-    for d in range(2 * k - 1):
-        conv[d] = conv[d].astype(np.int64, copy=False)
-        conv[d] %= p
-    for d in range(2 * k - 2, k - 1, -1):
-        for j in range(k):
-            m = F.modulus[j]
-            if m:
-                conv[d - k + j] = (conv[d - k + j] - m * conv[d]) % p
-    return np.stack(conv[:k], axis=-1)
+from .field import digit_product
 
 
 def _eliminate(F, a, row, col):
@@ -47,12 +18,12 @@ def _eliminate(F, a, row, col):
     row to a unit pivot at col, then clear col in every other row.  Entries
     of row left of col must be zero."""
     inv = F.to_digits(F.inv(int(F.array_to_codes(a[row, col]))))
-    a[row, col:] = _mul(F, a[row, col:], np.array(inv), np.multiply)
+    a[row, col:] = digit_product(F, a[row, col:], np.array(inv), np.multiply)
     rows = np.flatnonzero(a[:, col].any(axis=-1))
     rows = rows[rows != row]
     if rows.size:
         sub = a[rows, col:]
-        sub -= _mul(F, a[rows, col], a[row, col:], np.multiply.outer)
+        sub -= digit_product(F, a[rows, col], a[row, col:], np.multiply.outer)
         sub %= F.p
         a[rows, col:] = sub
 
@@ -123,11 +94,11 @@ class Mat:
         return Mat(self.F, (-self.a) % self.F.p)
 
     def __matmul__(self, other):
-        return Mat(self.F, _mul(self.F, self.a, other.a, np.matmul))
+        return Mat(self.F, digit_product(self.F, self.a, other.a, np.matmul))
 
     def scale(self, code):
         digits = np.array(self.F.to_digits(code))
-        return Mat(self.F, _mul(self.F, self.a, digits, np.multiply))
+        return Mat(self.F, digit_product(self.F, self.a, digits, np.multiply))
 
     @property
     def T(self):
@@ -277,7 +248,7 @@ class Echelon:
         B = np.asarray(B) % F.p
         if not self.pivots:
             return B
-        return (B - _mul(F, B[..., self.pivots, :], self.R, np.matmul)) % F.p
+        return (B - digit_product(F, B[..., self.pivots, :], self.R, np.matmul)) % F.p
 
     def insert(self, B):
         """Add the rows of the block B (a single vector is a block of one)

@@ -1052,23 +1052,15 @@ def unipotent_socle(algebra, max_dim=2000):
     _require_unipotent(algebra)
     F = algebra.F
     spec = chi_reduce(algebra, pchar_zero(algebra))
-    count, it = uchi_basis(spec)
-    if count > max_dim:
-        raise TooLarge("reduced dimension %d exceeds the cutoff %d"
-                       % (count, max_dim), dimension=count, cutoff=max_dim)
-    mons = list(it)
+    reg = regular_module(spec, max_dim)
+    count, mons = reg["dim"], reg["monomials"]
     pos = {m: t for t, m in enumerate(mons)}
     eng = engine_for(algebra, spec)
     n = algebra.dim
-    L = np.zeros((n * count, count, F.k), dtype=np.int64)
+    L = np.concatenate([reg["action"][i].a for i in range(n)])
     R = np.zeros((n * count, count, F.k), dtype=np.int64)
     for cidx, m in enumerate(mons):
-        tm = {m: F.one}
         for i in range(n):
-            mono = [0] * n
-            mono[i] = 1
-            for m2, c in eng.product({tuple(mono): F.one}, tm).items():
-                L[i * count + pos[m2], cidx] = F.to_digits(c)
             for m2, c in eng.times_letter(m, i).items():
                 R[i * count + pos[m2], cidx] = F.to_digits(c)
     lk = Mat(F, L).nullspace()

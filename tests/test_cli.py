@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import colorlie
 from colorlie import repmod
 from colorlie.cli import cli_main, load_spec
 from colorlie.envelope import chi_reduce
@@ -236,3 +239,15 @@ def test_sweep_restriction_errors(capsys, tmp_path):
                          "--no-oracle")
         assert rc == 2
         assert json.loads(err)["error"]["code"] == "spec_error"
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # the package must not import colorlie.cli, or runpy warns that the
+    # module is already loaded before `python -m colorlie.cli` executes it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colorlie.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "colorlie.cli",
+         "--help"], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

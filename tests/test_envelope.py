@@ -124,9 +124,6 @@ def test_mixed_specs_rejected():
     spec = chi_reduce(A, pchar_zero(A))
     with pytest.raises(MixedSpecs):
         nf_letter(A, 0).mul(nf_letter(A, 0, spec))
-    with pytest.raises(ValueError):
-        nf_product(nf_letter(A, 0), nf_letter(A, 1), mode="reduced")
-    assert nf_product(nf_letter(A, 0), nf_letter(A, 1), mode="universal")
 
 
 # -- associativity and PBW independence ----------------------------------------

@@ -3,8 +3,8 @@
 import pytest
 
 from colorlie.errors import ZeroEntry
-from colorlie.groups import (Bicharacter, GradedGroup, bichar_validate,
-                             super_bicharacter, trivial_bicharacter)
+from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
+                             trivial_bicharacter)
 
 
 def test_group_arithmetic():
@@ -32,9 +32,8 @@ def test_super_bicharacter_valid_split(F5):
 
 def test_invalid_super_table(F5):
     G = GradedGroup([2])
-    eps, report, split = bichar_validate(G, F5, [[2]])
-    assert report  # eps(1,1)^2 = 4 != 1
-    assert split == (None, None)
+    eps = Bicharacter(G, F5, [[2]])
+    assert eps.validate()  # eps(1,1)^2 = 4 != 1
 
 
 def test_trivial_grading(F5):
@@ -73,8 +72,9 @@ def test_valid_bicharacter_properties(F5):
     # Z/4 x Z/2 with eps(g1,g1) = -1, eps(g1,g2) = -1, eps(g2,g2) = 1
     G = GradedGroup([4, 2])
     m1 = F5.neg(F5.one)
-    eps, report, (plus, minus) = bichar_validate(G, F5, [[m1, m1], [m1, 1]])
-    assert report == []
+    eps = Bicharacter(G, F5, [[m1, m1], [m1, 1]])
+    assert eps.validate() == []
+    plus, minus = eps.split()
     els = list(G.elements())
     for a in els:
         for b in els:
