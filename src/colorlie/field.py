@@ -75,7 +75,7 @@ class Field:
             modulus = self._find_modulus(p, k)
         else:
             modulus = [c % p for c in modulus]
-            if len(modulus) != k + 1 or modulus[-1] == 0:
+            if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ReducibleModulus("modulus must be monic of degree exactly %d" % k)
             if k > 1 and not Field(p).poly_irreducible(modulus):
                 raise ReducibleModulus("modulus %r is reducible over F_%d" % (modulus, p))

@@ -56,6 +56,8 @@ def test_field_make_rejects_bad_input():
         Field(5, 2, [0, 0, 1])  # x^2 is reducible
     with pytest.raises(ReducibleModulus):
         Field(5, 2, [1, 2])  # wrong degree
+    with pytest.raises(ReducibleModulus):
+        Field(5, 2, [1, 0, 2])  # irreducible but not monic
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (5, 2), (7, 2), (5, 3)])
