@@ -1,10 +1,13 @@
 """Induction orderings, induced modules, and the simplicity machinery."""
 
+import os
+
 import numpy as np
 import pytest
 
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
-from colorlie.envelope import chi_reduce
+from colorlie.cli import load_spec
+from colorlie.envelope import chi_reduce, harish_chandra, nf_letter, nf_one
 from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                              MixedSpecs, NoOrderingFound, NotScalar,
                              NotStandard, NotUnipotent, OddElement, TooLarge)
@@ -441,6 +444,62 @@ def test_f_zero_loci_agree_gl21():
         fh, _ = f_via_hc(spec, trip, lam)
         assert (fc == 0) == (want == 0)
         assert (fh == 0) == (want == 0)
+
+
+def _full_route(spec, triple):
+    """The Cartan read-off of the whole raising-then-lowering product
+    E_1^(c-1)...E_r^(c-1) F_r^(c-1)...F_1^(c-1), built letter by letter, and
+    the constant c with (F_1...F_r order) == c * (F_r...F_1 order)."""
+    A = spec.algebra
+    F = A.F
+    pairs = [A.triangular.pairs[t] for t in triple.deltas]
+    raising, lowering = [], []
+    for e, f, _H in pairs:
+        raising += [e] * (spec.caps[f] - 1)
+        lowering += [f] * (spec.caps[f] - 1)
+
+    def product(letters):
+        u = nf_one(A, spec)
+        for i in letters:
+            u = u.mul(nf_letter(A, i, spec))
+        return u
+
+    fwd, rev = product(lowering), product(lowering[::-1])
+    m = next(iter(rev.terms))
+    reversal = F.div(fwd.terms[m], rev.terms[m])
+    assert fwd.eq(rev.scale(reversal))
+    return harish_chandra(product(raising + lowering[::-1])).terms, reversal
+
+
+def _regss_gl3_f25():
+    # chi(e_11) = t, chi(e_22) = 2t, chi(e_33) = 0: every root functional
+    # is nonzero on chi
+    F = Field(5, 2, [3, 0, 1])
+    A = make_gl(trivial_bicharacter(GradedGroup([]), F), {(): 3})
+    chi = PCharacter(A, linear={A.index_of("e_11"): F.from_wire([0, 1]),
+                                A.index_of("e_22"): F.from_wire([0, 2])})
+    return chi_reduce(A, chi)
+
+
+def _spec_file(name):
+    bundle = load_spec(os.path.join(os.path.dirname(__file__), "specs", name))
+    return chi_reduce(bundle["algebra"], bundle["character"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zero_spec(gl2()),
+    lambda: zero_spec(gl11()),
+    lambda: zero_spec(gl21()),
+    lambda: _spec_file("gl2_f25.json"),
+    lambda: zero_spec(gl3()),
+    _regss_gl3_f25,
+], ids=["gl2", "gl11", "gl21", "gl2_f25", "gl3_f5", "gl3_f25_regss"])
+def test_f_via_hc_cache_matches_full_product(make):
+    spec = make()
+    trip = fp_order(spec.algebra)
+    lam = next(iter(admissible_lambdas(spec)))
+    f_via_hc(spec, trip, lam)
+    assert spec._hc_cache[trip.deltas] == _full_route(spec, trip)
 
 
 # -- weight sweeps -----------------------------------------------------------------
