@@ -20,7 +20,6 @@ so that induced modules can push non-induced letters to the right.
 """
 
 import itertools
-import sys
 from math import comb
 
 from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
@@ -120,7 +119,13 @@ def chi_reduce(algebra, chi):
 
 class _Engine:
     """Memoized right-multiplication by single letters.  The maps returned
-    by times_letter are owned by the cache: callers must not mutate them."""
+    by times_letter are owned by the cache: callers must not mutate them.
+
+    A reduction needs the normal forms of shorter products, and a chain of
+    commutations can be as long as the monomial.  _reduce is therefore a
+    generator that yields the (monomial, letter) keys it needs and receives
+    their normal forms; times_letter runs it on an explicit stack, so the
+    depth of a chain never reaches the interpreter's recursion limit."""
 
     def __init__(self, algebra, spec=None, order=None):
         self.A = algebra
@@ -139,8 +144,6 @@ class _Engine:
             self.rank[i] = pos
         self.one = self.F.embed(1)
         self._memo = {}
-        # letter-by-letter reduction recurses once per dropped inversion
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
     def letters(self, mono):
         """The letters of a normal monomial, in multiplication order."""
@@ -151,9 +154,26 @@ class _Engine:
     def times_letter(self, mono, j):
         """Normal form of (normal monomial) * e_j as a {monomial: code} map."""
         key = (mono, j)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        memo = self._memo
+        out = memo.get(key)
+        if out is not None:
+            return out
+        stack = [(key, self._reduce(mono, j))]
+        while stack:
+            key, gen = stack[-1]
+            try:
+                need = gen.send(out)
+            except StopIteration as done:
+                memo[key] = out = done.value
+                stack.pop()
+                continue
+            out = memo.get(need)
+            if out is None:
+                stack.append((need, self._reduce(*need)))
+        return out
+
+    def _reduce(self, mono, j):
+        """Generator behind times_letter: yields the keys it depends on."""
         A, F, rank = self.A, self.F, self.rank
         top = -1
         for i, a in enumerate(mono):
@@ -165,30 +185,28 @@ class _Engine:
             stripped = _dec(mono, top)
             sign = A.eps.value(A.degree(top), A.degree(j))
             out = {}
-            for m, c in self.times_letter(stripped, j).items():
+            for m, c in (yield stripped, j).items():
                 c = F.mul(c, sign)
-                for m2, c2 in self.times_letter(m, top).items():
+                for m2, c2 in (yield m, top).items():
                     _acc(F, out, m2, F.mul(c, c2))
             for k, ck in A.bracket(top, j).items():
-                for m2, c2 in self.times_letter(stripped, k).items():
+                for m2, c2 in (yield stripped, k).items():
                     _acc(F, out, m2, F.mul(ck, c2))
-        else:
-            b = _inc(mono, j)
-            if not A.is_even(j) and b[j] == 2:
-                # the square of an odd letter is half its self-bracket
-                half = F.inv(F.embed(2))
-                stripped = _dec(mono, j)
-                out = {}
-                for k, ck in A.bracket(j, j).items():
-                    ck = F.mul(half, ck)
-                    for m2, c2 in self.times_letter(stripped, k).items():
-                        _acc(F, out, m2, F.mul(ck, c2))
-            elif self.caps is not None and b[j] == self.caps[j]:
-                out = self._cap(_zero_at(mono, j), j)
-            else:
-                out = {b: self.one}
-        self._memo[key] = out
-        return out
+            return out
+        b = _inc(mono, j)
+        if not A.is_even(j) and b[j] == 2:
+            # the square of an odd letter is half its self-bracket
+            half = F.inv(F.embed(2))
+            stripped = _dec(mono, j)
+            out = {}
+            for k, ck in A.bracket(j, j).items():
+                ck = F.mul(half, ck)
+                for m2, c2 in (yield stripped, k).items():
+                    _acc(F, out, m2, F.mul(ck, c2))
+            return out
+        if self.caps is not None and b[j] == self.caps[j]:
+            return (yield from self._cap(_zero_at(mono, j), j))
+        return {b: self.one}
 
     def _cap(self, base, j):
         """Collapse a trailing run e_j^cap against the reduced relations;
@@ -211,15 +229,15 @@ class _Engine:
                     code = F.neg(code)
                 cur = start
                 for _ in range(p * r):
-                    cur = self._fold_letter(cur, j)
+                    cur = yield from self._fold(cur, {j: self.one})
                 for _ in range(s - r):
-                    cur = self._fold_element(cur, pj)
+                    cur = yield from self._fold(cur, pj)
                 for m, c in cur.items():
                     _acc(F, out, m, F.neg(F.mul(code, c)))
             return out
         out = {}
         for k, ck in A.pmap.get(j, {}).items():
-            for m2, c2 in self.times_letter(base, k).items():
+            for m2, c2 in (yield base, k).items():
                 _acc(F, out, m2, F.mul(ck, c2))
         lin = spec.linear_pow.get(j)
         if lin:
@@ -231,13 +249,25 @@ class _Engine:
                 code = F.pow(cf, p)
                 cur = start
                 for _ in range(p):
-                    cur = self._fold_letter(cur, cls.xi)
+                    cur = yield from self._fold(cur, {cls.xi: self.one})
                 for m, c in cur.items():
                     _acc(F, out, m, F.mul(code, c))
                 for k, ck in A.pmap.get(cls.xi, {}).items():
                     ck = F.mul(code, ck)
-                    for m2, c2 in self.times_letter(base, k).items():
+                    for m2, c2 in (yield base, k).items():
                         _acc(F, out, m2, F.neg(F.mul(ck, c2)))
+        return out
+
+    def _fold(self, vd, elem):
+        """vd * elem for an element {letter: code} of the algebra, as a
+        generator in the manner of _reduce."""
+        F = self.F
+        out = {}
+        for k, ck in elem.items():
+            for m, c in vd.items():
+                c = F.mul(c, ck)
+                for m2, c2 in (yield m, k).items():
+                    _acc(F, out, m2, F.mul(c, c2))
         return out
 
     def _fold_letter(self, vd, j):
@@ -246,16 +276,6 @@ class _Engine:
         for m, c in vd.items():
             for m2, c2 in self.times_letter(m, j).items():
                 _acc(F, out, m2, F.mul(c, c2))
-        return out
-
-    def _fold_element(self, vd, elem):
-        F = self.F
-        out = {}
-        for k, ck in elem.items():
-            for m, c in vd.items():
-                c = F.mul(c, ck)
-                for m2, c2 in self.times_letter(m, k).items():
-                    _acc(F, out, m2, F.mul(c, c2))
         return out
 
     def times_monomial(self, vd, mono):
@@ -573,6 +593,35 @@ def frobenius_gram(spec, max_dim=2000):
 
 # -- Cartan projection ----------------------------------------------------------
 
+def require_standard(spec):
+    """Triangular data of the spec's algebra, once the spec's character is
+    known to be standard semisimple: Cartan values only, no power classes.
+    The Cartan read-off and the route built on it are exact only then."""
+    A = spec.algebra
+    tri = A.triangular
+    if tri is None:
+        raise NoMatrixRealization("the Cartan read-off needs triangular data")
+    cartan = set(tri.cartan)
+    if spec.J or any(c and i not in cartan
+                     for i, c in spec.chi.linear.items()):
+        raise NotStandard("character must be standard semisimple "
+                          "(Cartan values only, no power classes)")
+    return tri
+
+
+def monomial_weight(A, mono):
+    """Integral Cartan weight of a monomial: sum of its letters' roots with
+    multiplicity (Cartan letters weigh nothing)."""
+    tri = A.triangular
+    tot = [0] * len(tri.cartan)
+    for i, a in enumerate(mono):
+        root = tri.roots.get(i) if a else None
+        if root is not None:
+            for k, r in enumerate(root):
+                tot[k] += a * r
+    return tuple(tot)
+
+
 def harish_chandra(u, spec=None, verify=True):
     """Cartan-exponent read-off of a weight-zero element of a reduced
     quotient with standard semisimple character.
@@ -587,37 +636,16 @@ def harish_chandra(u, spec=None, verify=True):
         raise MixedSpecs("element was built over a different reduced spec")
     spec = u.spec
     A = spec.algebra
-    tri = A.triangular
-    if tri is None:
-        raise NoMatrixRealization("harish_chandra needs triangular data")
-    chi = spec.chi
-    cartan = set(tri.cartan)
-    if spec.J or any(c and i not in cartan for i, c in chi.linear.items()):
-        raise NotStandard("character must be standard semisimple "
-                          "(Cartan values only, no power classes)")
-    F = A.F
-    p = F.p
-    m = len(tri.cartan)
-    posset = set(tri.pos)
-    negset = set(tri.neg)
+    tri = require_standard(spec)
+    p = A.F.p
     kept = {}
     for mono, c in u.terms.items():
-        tot = [0] * m
-        has_pos = has_neg = False
-        for i, a in enumerate(mono):
-            if not a:
-                continue
-            root = tri.roots.get(i)
-            if root is not None:
-                for k, r in enumerate(root):
-                    tot[k] += a * r
-            if i in posset:
-                has_pos = True
-            elif i in negset:
-                has_neg = True
+        tot = monomial_weight(A, mono)
         if any(x % p for x in tot):
             raise NotWeightZero("monomial %s has weight %r on the Cartan"
-                                % (_fmt_mono(A, mono), tuple(tot)))
+                                % (_fmt_mono(A, mono), tot))
+        has_pos = any(mono[i] for i in tri.pos)
+        has_neg = any(mono[i] for i in tri.neg)
         if not (has_pos or has_neg):
             kept[mono] = c
         elif verify and not (has_pos and has_neg):

@@ -19,12 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import bracket_eval, pmap_eval
-from .envelope import (chi_reduce, engine_for, harish_chandra,
-                       monomial_degree, nf_letter, nf_one, uchi_basis)
+from .envelope import (NormalElement, chi_reduce, engine_for, harish_chandra,
+                       monomial_degree, monomial_weight, nf_letter, nf_one,
+                       require_standard, uchi_basis)
 from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
-                     OddElement, TooLarge)
+                     NotWeightZero, OddElement, TooLarge)
 from .linalg import Echelon, Mat
 
 
@@ -916,15 +917,76 @@ def _proportional(F, t1, t2):
     return c
 
 
-def f_via_hc(spec, triple, lam):
-    """Cartan-projection route to the simplicity value: push the full
-    raising-then-lowering product through the Cartan read-off and evaluate
-    the resulting polynomial at the weight.  Returns (value, reversal)
-    where reversal is the constant relating the two extreme normal orders
-    of the lowering product."""
+def _word(spec, letters):
+    """The product of the given letters, left to right."""
+    A = spec.algebra
+    u = nf_one(A, spec)
+    for i in letters:
+        u = u.mul(nf_letter(A, i, spec))
+    return u
+
+
+def _cartan_terms(spec, triple):
+    """The cached (Cartan terms, reversal) pair of f_via_hc."""
     A = spec.algebra
     F = A.F
     tri = A.triangular
+    pos = set(tri.pos)
+    last = max(i for i in range(A.dim) if i not in pos)
+    if any(i < last for i in pos):
+        raise InvariantError("the Cartan route needs every positive letter "
+                             "after every other letter in the normal order")
+    raising, lowering = [], []
+    for t in triple.deltas:
+        e, f, _H = tri.pairs[t]
+        raising += [e] * (spec.caps[f] - 1)
+        lowering += [f] * (spec.caps[f] - 1)
+    rev = _word(spec, lowering[::-1])
+    reversal = _proportional(F, _word(spec, lowering).terms, rev.terms)
+    if reversal is None:
+        raise InvariantError("extreme lowering products are not "
+                             "proportional")
+    weight = (0,) * len(tri.cartan)
+    for f in lowering:
+        weight = tuple(a + b for a, b in zip(weight, tri.roots[f]))
+    u = rev
+    for e in reversed(raising):
+        u = nf_letter(A, e, spec).mul(u)
+        weight = tuple(a + b for a, b in zip(weight, tri.roots[e]))
+        kept = {}
+        for mono, c in u.terms.items():
+            w = monomial_weight(A, mono)
+            if w != weight:
+                raise NotWeightZero("term %r of a partial product of weight "
+                                    "%r has weight %r" % (mono, weight, w))
+            if not any(mono[i] for i in pos):
+                kept[mono] = c
+        u = NormalElement(A, spec, kept)
+    return harish_chandra(u).terms, reversal
+
+
+def f_via_hc(spec, triple, lam):
+    """Cartan-projection route to the simplicity value: the Cartan read-off
+    of u = E_1^(c-1)...E_r^(c-1) F_r^(c-1)...F_1^(c-1) (c the caps of the
+    induced roots), evaluated at the weight.  Returns (value, reversal)
+    where reversal is the constant relating the two extreme normal orders
+    of the lowering product.
+
+    u is never formed in full.  Starting from the lowering product, each
+    raising letter is multiplied on from the left, E_r first, and every term
+    that carries a positive letter is dropped at once.  This is exact: the
+    character is standard (checked up front), so it vanishes on n+ and
+    U_chi n+ is a left ideal; every positive letter comes after every other
+    letter in the normal order (checked too), so the normal forms of that
+    ideal are the terms with a positive letter.  Left multiplication keeps
+    the dropped part inside the ideal, where the read-off discards it
+    anyway.  Each partial product must be homogeneous of its integral
+    weight; a term of any other weight raises NotWeightZero, and the
+    read-off re-checks what is left.  The (terms, reversal) pair is cached
+    per induced-root tuple on the spec."""
+    A = spec.algebra
+    F = A.F
+    tri = require_standard(spec)
     _no_doubled(triple)
     lam = weight_tuple(A, lam)
     cache = getattr(spec, "_hc_cache", None)
@@ -932,29 +994,7 @@ def f_via_hc(spec, triple, lam):
         cache = spec._hc_cache = {}
     ent = cache.get(triple.deltas)
     if ent is None:
-        pairs = [tri.pairs[t] for t in triple.deltas]
-        caps = [spec.caps[f] for _e, f, _H in pairs]
-        u = nf_one(A, spec)
-        for (e, _f, _H), cap in zip(pairs, caps):
-            for _ in range(cap - 1):
-                u = u.mul(nf_letter(A, e, spec))
-        for (_e, f, _H), cap in reversed(list(zip(pairs, caps))):
-            for _ in range(cap - 1):
-                u = u.mul(nf_letter(A, f, spec))
-        gamma = harish_chandra(u)
-        fwd = nf_one(A, spec)
-        for (_e, f, _H), cap in zip(pairs, caps):
-            for _ in range(cap - 1):
-                fwd = fwd.mul(nf_letter(A, f, spec))
-        rev = nf_one(A, spec)
-        for (_e, f, _H), cap in reversed(list(zip(pairs, caps))):
-            for _ in range(cap - 1):
-                rev = rev.mul(nf_letter(A, f, spec))
-        reversal = _proportional(F, fwd.terms, rev.terms)
-        if reversal is None:
-            raise InvariantError("extreme lowering products are not "
-                                 "proportional")
-        cache[triple.deltas] = ent = (gamma.terms, reversal)
+        cache[triple.deltas] = ent = _cartan_terms(spec, triple)
     gterms, reversal = ent
     cpos = {h: n for n, h in enumerate(tri.cartan)}
     val = F.zero

@@ -2,11 +2,17 @@
 projection."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from math import comb
 
 import pytest
 
+import colorlie
 from colorlie.algebra import bracket_eval, make_gl, subalgebra, ColorAlgebra
 from colorlie.envelope import (NormalElement, central_check, chi_reduce,
                                engine_for, frobenius_gram, harish_chandra,
@@ -477,6 +483,38 @@ def test_gram_too_large():
     A = gl2()
     with pytest.raises(TooLarge):
         frobenius_gram(chi_reduce(A, pchar_zero(A)), max_dim=100)
+
+
+_CHAIN = """
+import json, sys
+before = sys.getrecursionlimit()
+from colorlie.algebra import ColorAlgebra
+from colorlie.envelope import nf_letter, nf_monomial
+from colorlie.field import Field
+from colorlie.groups import GradedGroup, trivial_bicharacter
+A = ColorAlgebra(trivial_bicharacter(GradedGroup([]), Field(5)),
+                 ["y", "x"], [(), ()], {(1, 0): {0: 1}})
+u = nf_monomial(A, (0, %d)).mul(nf_letter(A, 0))
+print(json.dumps([before, sys.getrecursionlimit(),
+                  [[list(m), c] for m, c in u.terms.items()]]))
+"""
+
+
+def test_engine_deep_commutation_chain_keeps_recursion_limit():
+    # [x, y] = y with y ordered first: x^n.y = y.(x + 1)^n commutes y past
+    # all n copies of x one at a time.  A fresh interpreter runs it with
+    # its default recursion limit, and the engine must not raise that limit.
+    n = 1500
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colorlie.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _CHAIN % n],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after, terms = json.loads(proc.stdout)
+    assert after == before
+    want = {(1, r): comb(n, r) % 5 for r in range(n + 1) if comb(n, r) % 5}
+    assert {tuple(m): c for m, c in terms} == want
 
 
 # -- Cartan projection ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Induction orderings, induced modules, and the simplicity machinery."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import chi_reduce, harish_chandra, nf_letter, nf_one
 from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
-                             MixedSpecs, NoOrderingFound, NotScalar,
-                             NotStandard, NotUnipotent, OddElement, TooLarge)
+                             InvariantError, MixedSpecs, NoOrderingFound,
+                             NotScalar, NotStandard, NotUnipotent, OddElement,
+                             TooLarge)
 from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
@@ -500,6 +502,67 @@ def test_f_via_hc_cache_matches_full_product(make):
     lam = next(iter(admissible_lambdas(spec)))
     f_via_hc(spec, trip, lam)
     assert spec._hc_cache[trip.deltas] == _full_route(spec, trip)
+
+
+def test_f_via_hc_cold_gl3_f7_under_10s():
+    A = make_gl(trivial_bicharacter(GradedGroup([]), Field(7)), {(): 3})
+    spec = zero_spec(A)
+    trip = fp_order(A)
+    t0 = time.monotonic()
+    f_via_hc(spec, trip, (0, 0, 0))
+    dt = time.monotonic() - t0
+    assert len(spec._hc_cache[trip.deltas][0]) == 245
+    assert dt < 10, dt
+
+
+def test_sweep_gl4_without_oracle():
+    A = make_gl(trivial_bicharacter(GradedGroup([]), F5), {(): 4})
+    rows = sweep_rows(zero_spec(A), fp_order(A), oracle=False)
+    assert len(rows) == 625
+    assert all(row["agree"] for row in rows)
+
+
+def test_f_via_hc_rejects_nonstandard_characters():
+    A = gl2()
+    trip = fp_order(A)
+    for name in ("e_12", "e_21"):
+        spec = chi_reduce(A, PCharacter(A, linear={A.index_of(name): 1}))
+        with pytest.raises(NotStandard):
+            f_via_hc(spec, trip, (0, 0))
+        assert not spec._engines    # refused before any product was formed
+    from colorlie.repmod import PowerClass
+    B = anti_gl3()
+    xi = next(i for i in range(B.dim) if B.is_even(i)
+              and B.degree(i) != B.group.zero)
+    cls = PowerClass(B.degree(xi), xi, {xi: F5.one}, 2)
+    spec = chi_reduce(B, PCharacter(B, fclasses=[cls]))
+    assert spec.J
+    with pytest.raises(NotStandard):
+        f_via_hc(spec, fp_order(B), (0, 0, 0))
+    assert not spec._engines
+
+
+def test_f_via_hc_needs_positive_letters_last():
+    # sl(2) with the raising letter first in the normal order: f.e lies in
+    # U n+ but has the normal form e.f - h, so dropping the terms that
+    # carry e would not be exact
+    eps = trivial_bicharacter(GradedGroup([]), F5)
+    tri = TriangularData(neg=[2], cartan=[1], pos=[0],
+                         roots={0: (2,), 2: (-2,)}, heights={0: 1, 2: 1},
+                         pairs={0: (0, 2, {1: 1})})
+    A = ColorAlgebra(eps, ["e", "h", "f"], [()] * 3,
+                     {(0, 2): {1: 1}, (1, 0): {0: 2}, (1, 2): {2: 3}},
+                     pmap={0: {}, 1: {1: 1}, 2: {}}, triangular=tri)
+
+    class Stub:
+        algebra = A
+        deltas = (0,)
+
+        def delta_roots(self):
+            return [(2,)]
+
+    with pytest.raises(InvariantError):
+        f_via_hc(zero_spec(A), Stub(), (0,))
 
 
 # -- weight sweeps -----------------------------------------------------------------
