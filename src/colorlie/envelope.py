@@ -124,8 +124,8 @@ class _Engine:
     A reduction needs the normal forms of shorter products, and a chain of
     commutations can be as long as the monomial.  _reduce is therefore a
     generator that yields the (monomial, letter) keys it needs and receives
-    their normal forms; times_letter runs it on an explicit stack, so the
-    depth of a chain never reaches the interpreter's recursion limit."""
+    their normal forms; _run drives it on an explicit stack, so the depth
+    of a chain never reaches the interpreter's recursion limit."""
 
     def __init__(self, algebra, spec=None, order=None):
         self.A = algebra
@@ -154,17 +154,25 @@ class _Engine:
     def times_letter(self, mono, j):
         """Normal form of (normal monomial) * e_j as a {monomial: code} map."""
         key = (mono, j)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._run(self._reduce(mono, j), key)
+        return out
+
+    def _run(self, gen, key=None):
+        """Drive a reduction generator to its result on an explicit stack,
+        memoizing the result of every keyed generator on it."""
         memo = self._memo
-        out = memo.get(key)
-        if out is not None:
-            return out
-        stack = [(key, self._reduce(mono, j))]
+        stack = [(key, gen)]
+        out = None
         while stack:
             key, gen = stack[-1]
             try:
                 need = gen.send(out)
             except StopIteration as done:
-                memo[key] = out = done.value
+                out = done.value
+                if key is not None:
+                    memo[key] = out
                 stack.pop()
                 continue
             out = memo.get(need)
@@ -259,8 +267,8 @@ class _Engine:
         return out
 
     def _fold(self, vd, elem):
-        """vd * elem for an element {letter: code} of the algebra, as a
-        generator in the manner of _reduce."""
+        """Generator for vd * elem, elem an algebra element {letter: code};
+        it yields keys as _reduce does."""
         F = self.F
         out = {}
         for k, ck in elem.items():
@@ -270,17 +278,9 @@ class _Engine:
                     _acc(F, out, m2, F.mul(c, c2))
         return out
 
-    def _fold_letter(self, vd, j):
-        F = self.F
-        out = {}
-        for m, c in vd.items():
-            for m2, c2 in self.times_letter(m, j).items():
-                _acc(F, out, m2, F.mul(c, c2))
-        return out
-
     def times_monomial(self, vd, mono):
         for j in self.letters(mono):
-            vd = self._fold_letter(vd, j)
+            vd = self._run(self._fold(vd, {j: self.one}))
         return vd
 
     def product(self, t1, t2):
