@@ -27,9 +27,12 @@ CASES = {
     "sweep_gl11": (["sweep", "gl11.json", "--chi", "zero"], None),
     "sweep_gl21": (["sweep", "gl21.json", "--chi", "zero"], None),
     "sweep_gl2_f25": (["sweep", "gl2_f25.json"], None),
+    "sweep_gl3_slice": (["sweep", "gl3_slice.json"], None),
     "verma_gl2_f5": (["verma", "gl2.json", "--chi", "zero",
                       "--lambda", "2,0"], None),
     "verma_gl2_f25": (["verma", "gl2_f25.json", "--lambda", "1;3,0;3"], None),
+    "verma_gl21": (["verma", "gl21.json", "--chi", "zero", "--lambda", "1,3,0"],
+                   None),
     "standardize_gl3": (["standardize", "gl3.json"],
                         {"values": [[0, [3]], [1, [2]], [2, [1]], [3, [1]],
                                     [4, [1]], [5, [2]]]}),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorlie.field import Field
+from colorlie.field import Field, digit_product
 from colorlie.linalg import Echelon, Mat
 
 
@@ -48,6 +48,35 @@ def test_matmul_against_schoolbook():
                 for m in range(3):
                     s = F.add(s, F.mul(A.entry(i, m), B.entry(m, j)))
                 assert C.entry(i, j) == s
+
+
+def test_digit_product_on_views_against_schoolbook():
+    # transposes, strided slices and single columns reach digit_product as
+    # non-contiguous views
+    import random
+    rng = random.Random(12)
+    for F in (F5, F25, F125):
+        A = rand_mat(F, 5, 4, rng)
+        B = rand_mat(F, 7, 6, rng)
+        a, b = A.to_codes(), B.to_codes()
+        # A.T (4 x 5) times the transpose of B's even rows, first 5 columns
+        left, right = A.T.a, B.a[::2, :5].swapaxes(0, 1)    # (4, 5), (5, 4)
+        got = F.array_to_codes(digit_product(F, left, right, np.matmul))
+        for i in range(4):
+            for j in range(4):
+                s = F.zero
+                for m in range(5):
+                    s = F.add(s, F.mul(a[m, i], b[2 * j, m]))
+                assert got[i, j] == s
+        col, row = A.a[:, 2], B.a[1:6, 4]                    # (5, k) each
+        got = F.array_to_codes(digit_product(F, col, row, np.multiply))
+        assert list(got) == [F.mul(a[m, 2], b[1 + m, 4]) for m in range(5)]
+        strided = B.a[0, ::2]                                # (3, k)
+        got = F.array_to_codes(digit_product(F, col, strided,
+                                             np.multiply.outer))
+        for i in range(5):
+            for j in range(3):
+                assert got[i, j] == F.mul(a[i, 2], b[0, 2 * j])
 
 
 def test_scale_matches_entrywise():

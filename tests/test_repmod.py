@@ -1,6 +1,8 @@
 """Induction orderings, induced modules, and the simplicity machinery."""
 
+import itertools
 import os
+import random
 import time
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
-from colorlie.envelope import chi_reduce, harish_chandra, nf_letter, nf_one
+from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
+                               nf_letter, nf_one)
 from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                              InvariantError, MixedSpecs, NoOrderingFound,
                              NotScalar, NotStandard, NotUnipotent, OddElement,
@@ -16,7 +19,7 @@ from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
 from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
-from colorlie.linalg import Mat
+from colorlie.linalg import Echelon, Mat
 from colorlie.repmod import (BaseModule, FPTriple, GradedModule, PCharacter,
                              admissible_lambdas, extract_kappa, f_closed,
                              f_via_hc, fp_order, is_simple,
@@ -395,6 +398,78 @@ def test_is_simple_gl2():
     assert bad["witness"] is not None and bad["weight"] is not None
 
 
+def _reference_is_simple(M, max_enumerate=3, samples=40, seed=0):
+    """is_simple's verdict with every singular line spun up one vector at a
+    time under every letter, for comparison with the library's closure."""
+    F = M.spec.algebra.F
+    by_weight = {}
+    for (w, _dg, _ht), vecs in singular_vectors(M).items():
+        by_weight.setdefault(w, []).extend(vecs)
+    rng = random.Random(seed)
+    method = "exhaustive"
+    lines = 0
+    for w in sorted(by_weight):
+        S = np.stack(by_weight[w])
+        d = len(S)
+        if d <= max_enumerate:
+            combos = [(0,) * lead + (1,) + tail for lead in range(d)
+                      for tail in itertools.product(range(F.q),
+                                                    repeat=d - lead - 1)]
+        else:
+            method = "randomized"
+            combos = [[rng.randrange(F.q) for _ in range(d)]
+                      for _ in range(samples)]
+        for coeffs in combos:
+            v = (Mat.from_codes(F, [coeffs]) @ Mat(F, S)).a[0]
+            if not v.any():
+                continue
+            lines += 1
+            ech = Echelon(F, M.dim)
+            ech.insert(v)
+            todo = [v]
+            while todo and ech.dim < M.dim:
+                u = todo.pop()
+                for i in sorted(M.action):
+                    img = M.action[i].matvec(u)
+                    if ech.insert(img):
+                        todo.append(img)
+            if ech.dim < M.dim:
+                return {"simple": False, "method": method, "lines": lines,
+                        "weight": [int(c) for c in w],
+                        "witness": [int(c) for c in F.array_to_codes(v)]}
+    return {"simple": True, "method": method, "lines": lines,
+            "weight": None, "witness": None}
+
+
+def test_is_simple_matches_full_letter_closure():
+    cases = []
+    spec = zero_spec(gl2())
+    cases += [(spec, lam) for lam in ((4, 0), (2, 0))]
+    for build in (gl11, gl21):
+        spec = zero_spec(build())
+        cases += [(spec, lam) for lam in admissible_lambdas(spec)
+                  if lam[-1] == 0]
+    spec = zero_spec(gl3())
+    cases += [(spec, lam) for lam in admissible_lambdas(spec)
+              if lam[1:] == (4, 0)]
+    spec = _regss_gl3_f25()
+    cases += [(spec, lam) for lam in admissible_lambdas(spec)[:2]]
+    verdicts = set()
+    for spec, lam in cases:
+        M = verma_build(spec, fp_order(spec.algebra), weight=lam)
+        got = is_simple(M)
+        assert got == _reference_is_simple(M), lam
+        verdicts.add(got["simple"])
+    assert verdicts == {True, False}
+    spec = zero_spec(gl2())
+    for lam in ((2, 0), (4, 0)):
+        M = verma_build(spec, fp_order(spec.algebra), weight=lam)
+        got = is_simple(M, max_enumerate=0, samples=5, seed=3)
+        assert got["method"] == "randomized"
+        assert got == _reference_is_simple(M, max_enumerate=0, samples=5,
+                                           seed=3)
+
+
 def test_is_simple_needs_vanishing_chi_on_raising():
     A = gl2()
     M = verma_build(zero_spec(A), fp_order(A), weight=(4, 0))
@@ -502,6 +577,56 @@ def test_f_via_hc_cache_matches_full_product(make):
     lam = next(iter(admissible_lambdas(spec)))
     f_via_hc(spec, trip, lam)
     assert spec._hc_cache[trip.deltas] == _full_route(spec, trip)
+
+
+def _entrywise_action(spec, triple, lam):
+    """Action codes of the line-base induced module, one entry at a time:
+    each letter times each f-monomial in the induction order, with every
+    remaining letter read off at the weight (Cartan letters) or at zero."""
+    A = spec.algebra
+    F = A.F
+    tri = A.triangular
+    f_letters = [tri.pairs[t][1] for t in triple.deltas]
+    rest = [i for i in range(A.dim) if i not in f_letters]
+    eng = engine_for(A, spec, order=f_letters + rest)
+    cpos = {h: n for n, h in enumerate(tri.cartan)}
+    value = {j: lam[cpos[j]] if j in cpos else 0 for j in rest}
+    amonos = list(itertools.product(*[range(spec.caps[j])
+                                      for j in f_letters]))
+    pos = {a: n for n, a in enumerate(amonos)}
+    out = {}
+    for i in range(A.dim):
+        codes = [[0] * len(amonos) for _ in amonos]
+        x = tuple(int(j == i) for j in range(A.dim))
+        for a in amonos:
+            mono = [0] * A.dim
+            for j, e in zip(f_letters, a):
+                mono[j] = e
+            for m2, c in eng.product({x: F.one}, {tuple(mono): F.one}).items():
+                for j in rest:
+                    c = F.mul(c, F.pow(value[j], m2[j]))
+                r = pos[tuple(m2[j] for j in f_letters)]
+                codes[r][pos[a]] = F.add(codes[r][pos[a]], c)
+        out[i] = codes
+    return out
+
+
+@pytest.mark.parametrize("make, lam", [
+    (lambda: zero_spec(gl3()), (1, 3, 0)),
+    (_regss_gl3_f25, None),
+    (lambda: zero_spec(gl21()), (1, 2, 4)),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21"])
+def test_verma_build_matches_entrywise_table(make, lam):
+    ref_spec, spec = make(), make()
+    if lam is None:
+        lam = admissible_lambdas(spec)[7]
+    want = _entrywise_action(ref_spec, fp_order(ref_spec.algebra), lam)
+    trip = fp_order(spec.algebra)
+    for _ in range(2):   # the second build reads the warm table
+        M = verma_build(spec, trip, weight=lam)
+        assert sorted(M.action) == sorted(want)
+        for i, codes in want.items():
+            assert M.action[i].to_codes().tolist() == codes, i
 
 
 def test_f_via_hc_cold_gl3_f7_under_10s():
