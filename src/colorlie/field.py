@@ -31,31 +31,38 @@ def digit_product(F, A, B, op):
     """Product of two F_q digit arrays under the bilinear numpy op.
 
     The op runs on each pair of base-p digit planes, A[..., i] with
-    B[..., j]; the results are summed by degree i + j, reduced mod p and the
-    degrees >= k folded back down with the little-endian monic modulus.
-    np.matmul runs through float64 BLAS, exact because each accumulated sum
-    stays below (p-1)^2 * inner-dim * k << 2^53; other ops (np.multiply,
+    B[..., j], read as views of the operands (which may themselves be
+    transposed, strided or sliced views); the results are summed by degree
+    i + j, the degrees >= k are folded back down with the little-endian
+    monic modulus, and the k low degrees are reduced mod p into the digit
+    planes of one new int64 array.  np.matmul runs through float64 BLAS on
+    operands cast to float64 once, exact because each accumulated sum stays
+    below (p-1)^2 * inner-dim * k << 2^53; other ops (np.multiply,
     np.multiply.outer) run in int64."""
     p, k = F.p, F.k
-    A, B = np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0)
     if op is np.matmul:
-        A = np.ascontiguousarray(A, dtype=np.float64)
-        B = np.ascontiguousarray(B, dtype=np.float64)
+        A = A.astype(np.float64)
+        B = B.astype(np.float64)
     conv = [None] * (2 * k - 1)
     for i in range(k):
         for j in range(k):
-            prod = op(A[i], B[j])
+            prod = op(A[..., i], B[..., j])
             d = i + j
-            conv[d] = prod if conv[d] is None else conv[d] + prod
-    for d in range(2 * k - 1):
-        conv[d] = conv[d].astype(np.int64, copy=False)
-        conv[d] %= p
+            if conv[d] is None:
+                conv[d] = prod
+            else:
+                conv[d] += prod
+    conv = [c.astype(np.int64, copy=False) for c in conv]
     for d in range(2 * k - 2, k - 1, -1):
+        high = conv[d] % p
         for j in range(k):
             m = F.modulus[j]
             if m:
-                conv[d - k + j] = (conv[d - k + j] - m * conv[d]) % p
-    return np.stack(conv[:k], axis=-1)
+                conv[d - k + j] -= m * high
+    out = np.empty(conv[0].shape + (k,), dtype=np.int64)
+    for d in range(k):
+        np.remainder(conv[d], p, out=out[..., d])
+    return out
 
 
 class Field:

@@ -615,7 +615,10 @@ def _entrywise_action(spec, triple, lam):
     (lambda: zero_spec(gl3()), (1, 3, 0)),
     (_regss_gl3_f25, None),
     (lambda: zero_spec(gl21()), (1, 2, 4)),
-], ids=["gl3_f5", "gl3_f25_regss", "gl21"])
+    (lambda: zero_spec(make_gl(trivial_bicharacter(GradedGroup([]),
+                                                   Field(7, 4)), {(): 2})),
+     (3, 1)),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "gl2_f2401"])
 def test_verma_build_matches_entrywise_table(make, lam):
     ref_spec, spec = make(), make()
     if lam is None:
