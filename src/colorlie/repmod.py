@@ -601,9 +601,7 @@ def _letter_table(eng, i, f_letters, rest_letters, amonos, apos):
             coeffs.append(c)
             exps.append([m2[j] for j in rest_letters])
     return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            F.codes_to_array(coeffs),
-            np.array(exps, dtype=np.int64).reshape(len(rows),
-                                                   len(rest_letters)))
+            F.codes_to_array(coeffs), np.array(exps, dtype=np.int64))
 
 
 def verma_build(spec, triple, weight=None, base=None, check=True,
