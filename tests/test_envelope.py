@@ -14,6 +14,7 @@ import pytest
 
 import colorlie
 from colorlie.algebra import bracket_eval, make_gl, subalgebra, ColorAlgebra
+from colorlie.cli import load_spec
 from colorlie.envelope import (NormalElement, central_check, chi_reduce,
                                engine_for, frobenius_gram, harish_chandra,
                                monomial_degree, nf_from_element, nf_letter,
@@ -23,6 +24,7 @@ from colorlie.errors import (MixedSpecs, NotStandard, NotWeightZero,
 from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
+from colorlie.linalg import Mat
 from colorlie.qbinom import quantum_binomial
 from colorlie.repmod import PCharacter, PowerClass, pchar_zero
 
@@ -477,6 +479,76 @@ def test_gram_nonzero_character_full_rank():
     chi = PCharacter(A, linear={A.index_of("e_11"): 1, A.index_of("e_22"): 3})
     res = frobenius_gram(chi_reduce(A, chi))
     assert res["dimension"] == 100 and res["nondegenerate"]
+
+
+def _file_spec(name):
+    bundle = load_spec(os.path.join(os.path.dirname(__file__), "specs", name))
+    A = bundle["algebra"]
+    return A, bundle["character"] or pchar_zero(A)
+
+
+def _top_coeff(eng, tau, mu, mv):
+    """mu(m_u, m_v) read off one full normal-form product."""
+    one = eng.one
+    return eng.product({mu: one}, {mv: one}).get(tau, 0)
+
+
+def _color_symmetric_pairwise(A, mons, codes):
+    """The pairing's color symmetry, one pair u <= v at a time."""
+    F = A.F
+    degs = [monomial_degree(A, m) for m in mons]
+    for u in range(len(mons)):
+        for v in range(u, len(mons)):
+            b = F.mul(A.eps.value(degs[u], degs[v]), codes[v][u])
+            if codes[u][v] != b:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name, symmetric", [
+    ("gl11.json", True),
+    ("borel2.json", False),
+    ("z25_class.json", True),  # class-generator cap p*s = 25: a long chain
+])
+def test_gram_matches_entrywise_top_coefficient(name, symmetric):
+    A, chi = _file_spec(name)
+    res = frobenius_gram(chi_reduce(A, chi))
+    spec = chi_reduce(A, chi)  # a fresh engine for the reference
+    eng = engine_for(A, spec)
+    mons = list(uchi_basis(spec)[1])
+    tau = tuple(c - 1 for c in spec.caps)
+    assert res["dimension"] == len(mons)
+    assert res["monomials"] == mons and res["tau"] == tau
+    want = [[_top_coeff(eng, tau, mu, mv) for mv in mons] for mu in mons]
+    assert res["gram"].to_codes().tolist() == want
+    rank = Mat.from_codes(A.F, want).rank()
+    assert res["rank"] == rank
+    assert res["nondegenerate"] == (rank == len(mons))
+    assert _color_symmetric_pairwise(A, mons, want) == symmetric
+    assert res["color_symmetric"] == symmetric
+
+
+def test_gram_sampled_against_top_coefficient_f25():
+    # 625-dim over F_25 with a nonzero character: a seeded sample of
+    # entries plus every complementary pair u + v = tau
+    A, chi = _file_spec("gl2_f25.json")
+    res = frobenius_gram(chi_reduce(A, chi))
+    spec = chi_reduce(A, chi)
+    eng = engine_for(A, spec)
+    mons = list(uchi_basis(spec)[1])
+    tau = tuple(c - 1 for c in spec.caps)
+    assert res["dimension"] == 625
+    assert res["monomials"] == mons and res["tau"] == tau
+    idx = {m: t for t, m in enumerate(mons)}
+    rng = random.Random(11)
+    pairs = [(rng.randrange(625), rng.randrange(625)) for _ in range(2000)]
+    pairs += [(t, idx[tuple(c - a for a, c in zip(m, tau))])
+              for t, m in enumerate(mons)]
+    codes = res["gram"].to_codes().tolist()
+    for u, v in pairs:
+        assert codes[u][v] == _top_coeff(eng, tau, mons[u], mons[v]), (u, v)
+    assert res["rank"] == 625 and res["nondegenerate"]
+    assert res["color_symmetric"] == _color_symmetric_pairwise(A, mons, codes)
 
 
 def test_gram_too_large():

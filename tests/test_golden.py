@@ -42,6 +42,7 @@ CASES = {
     "frobenius_borel2": (["frobenius", "borel2.json"], None),
     "frobenius_gl11": (["frobenius", "gl11.json"], None),
     "frobenius_z25_class": (["frobenius", "z25_class.json"], None),
+    "frobenius_gl2_f25": (["frobenius", "gl2_f25.json"], None),
 }
 
 

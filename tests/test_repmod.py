@@ -11,7 +11,7 @@ import pytest
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
-                               nf_letter, nf_one)
+                               monomial_degree, nf_letter, nf_one, uchi_basis)
 from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                              InvariantError, MixedSpecs, NoOrderingFound,
                              NotScalar, NotStandard, NotUnipotent, OddElement,
@@ -832,6 +832,57 @@ def test_socle_odd_direction():
     soc = unipotent_socle(A)
     assert soc["dimension"] == 2
     assert soc["left"] == [0, 1]  # the line through the odd letter itself
+
+
+def _entrywise_tables(A, mons):
+    """Left and right multiplication by each letter on the reduced basis,
+    as code matrices filled from one full product per entry."""
+    F = A.F
+    eng = engine_for(A, zero_spec(A))  # a fresh engine for the reference
+    pos = {m: t for t, m in enumerate(mons)}
+    count = len(mons)
+    left, right = [], []
+    for i in range(A.dim):
+        x = {tuple(int(j == i) for j in range(A.dim)): F.one}
+        for out, side in ((left, 0), (right, 1)):
+            M = [[0] * count for _ in range(count)]
+            for c, m in enumerate(mons):
+                pair = (x, {m: F.one}) if side == 0 else ({m: F.one}, x)
+                for m2, code in eng.product(*pair).items():
+                    M[pos[m2]][c] = code
+            out.append(M)
+    return left, right
+
+
+def _kernel_line(F, mats):
+    K = Mat.from_codes(F, [row for M in mats for row in M]).nullspace()
+    assert K.shape[1] == 1
+    return [int(x) for x in K.to_codes()[:, 0]]
+
+
+@pytest.mark.parametrize("make", [
+    line_algebra,
+    lambda: subalgebra(gl3(), list(root_datum(gl3()).pos)),
+    lambda: line_algebra(degree=(1,), orders=(2,), pmap=None),
+], ids=["line", "nplus_gl3", "odd_direction"])
+def test_regular_module_and_socle_match_entrywise_products(make):
+    A = make()
+    F = A.F
+    spec = zero_spec(A)
+    mons = list(uchi_basis(spec)[1])
+    left, right = _entrywise_tables(A, mons)
+    reg = regular_module(spec)
+    assert reg["dim"] == len(mons) and reg["monomials"] == mons
+    assert reg["degrees"] == [monomial_degree(A, m) for m in mons]
+    assert sorted(reg["action"]) == list(range(A.dim))
+    for i in range(A.dim):
+        assert reg["action"][i].to_codes().tolist() == left[i]
+    vl, vr = _kernel_line(F, left), _kernel_line(F, right)
+    t = next(t for t, c in enumerate(vr) if c)
+    ratio = F.div(vl[t], vr[t])
+    assert vl == [F.mul(ratio, c) for c in vr]
+    assert unipotent_socle(A) == {"dimension": len(mons), "monomials": mons,
+                                  "left": vl, "right": vr, "ratio": ratio}
 
 
 def test_socle_rejects_non_unipotent():
