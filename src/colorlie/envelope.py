@@ -22,8 +22,11 @@ so that induced modules can push non-induced letters to the right.
 import itertools
 from math import comb
 
+import numpy as np
+
 from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
                      NotWeightZero, OddElement, TooLarge)
+from .field import digit_product
 from .linalg import Mat
 
 
@@ -500,6 +503,30 @@ def uchi_basis(spec):
     return count, gen
 
 
+# entries per digit-array product in the Gram walk and the symmetry check:
+# bounds the scratch arrays whatever the dimension
+_SLAB = 1 << 16
+
+
+def _basis_table(eng, mons, index, j, left=False):
+    """Multiplication by the letter e_j on the reduced basis mons, flattened
+    to arrays with one entry per term c m2 of m e_j (of e_j m when left):
+    the row index[m2], the column index[m] and the digits of c.  Entries
+    run column by column."""
+    F = eng.F
+    if left:
+        x = {tuple(int(i == j) for i in range(eng.A.dim)): F.one}
+    rows, cols, coeffs = [], [], []
+    for col, m in enumerate(mons):
+        out = eng.product(x, {m: F.one}) if left else eng.times_letter(m, j)
+        for m2, c in out.items():
+            rows.append(index[m2])
+            cols.append(col)
+            coeffs.append(c)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            F.codes_to_array(coeffs))
+
+
 def frobenius_gram(spec, max_dim=2000):
     """Gram matrix of the top-coefficient pairing mu(u, v) = coefficient of
     the profile monomial e^tau in nf(u v), over the full reduced basis.
@@ -519,66 +546,52 @@ def frobenius_gram(spec, max_dim=2000):
     eng = engine_for(A, spec)
     n = A.dim
 
-    # columns of right multiplication by each letter
-    cols = []
-    for j in range(n):
-        cj = []
-        for m in mons:
-            cj.append([(index[m2], c)
-                       for m2, c in eng.times_letter(m, j).items()])
-        cols.append(cj)
-
-    def apply_t(cov, j):
-        out = [0] * dim
-        cj = cols[j]
-        for t in range(dim):
-            acc = 0
-            for row, coef in cj[t]:
-                cv = cov[row]
-                if cv:
-                    acc = F.add(acc, F.mul(coef, cv))
-            out[t] = acc
-        return out
-
     # mu(m_u, m_v) = (R_{l_1}^T ... R_{l_r}^T e_tau)[u] for v's letters
-    # l_1 <= ... <= l_r; walk the exponent tree so suffixes are shared
-    G = [[0] * dim for _ in range(dim)]
-    strides = [0] * n
-    acc = 1
+    # l_1 <= ... <= l_r, R_j the right multiplication by e_j.  Column v of G
+    # is that covector.  The columns whose exponents vanish below letter i
+    # are the first stride_i of G, so one level of the exponent tree turns
+    # that block into the next cap_i - 1 blocks, R_i^T at a time.
+    G = np.zeros((dim, dim, F.k), dtype=np.int64)
+    G[index[tau], 0] = F.to_digits(F.one)
+    stride = 1
     for i in range(n - 1, -1, -1):
-        strides[i] = acc
-        acc *= spec.caps[i]
-    start = [0] * dim
-    start[index[tau]] = F.embed(1)
+        rows, cols, coeffs = _basis_table(eng, mons, index, i)
+        cap = spec.caps[i]
+        if rows.size:
+            starts = np.flatnonzero(np.diff(cols, prepend=-1))
+            targets = cols[starts]
+            coeffs = coeffs[:, None]
+            width = max(1, _SLAB // rows.size)
+            for t in range(1, cap):
+                src, dst = (t - 1) * stride, t * stride
+                for c0 in range(0, stride, width):
+                    w = min(width, stride - c0)
+                    prod = digit_product(F, coeffs,
+                                         G[rows, src + c0:src + c0 + w],
+                                         np.multiply)
+                    G[targets, dst + c0:dst + c0 + w] = (
+                        np.add.reduceat(prod, starts, axis=0) % F.p)
+        stride *= cap
 
-    def walk(i, cov, partial):
-        if i < 0:
-            for u in range(dim):
-                cu = cov[u]
-                if cu:
-                    G[u][partial] = cu
-            return
-        walk(i - 1, cov, partial)
-        for t in range(1, spec.caps[i]):
-            cov = apply_t(cov, i)
-            walk(i - 1, cov, partial + t * strides[i])
-
-    walk(n - 1, start, 0)
-
-    gram = Mat.from_codes(F, G)
+    gram = Mat(F, G)
     rank = gram.rank()
-    degs = [monomial_degree(A, m) for m in mons]
+
+    # G[u, v] = eps(deg u, deg v) G[v, u] for u <= v, eps read once per
+    # pair of degree classes
+    classes = {}
+    cls = np.array([classes.setdefault(monomial_degree(A, m), len(classes))
+                    for m in mons], dtype=np.int64)
+    eps = F.codes_to_array([[A.eps.value(a, b) for b in classes]
+                            for a in classes])
     symmetric = True
-    for u in range(dim):
-        Gu = G[u]
-        for v in range(u, dim):
-            a, b = Gu[v], G[v][u]
-            if a == 0 and b == 0:
-                continue
-            if a != F.mul(A.eps.value(degs[u], degs[v]), b):
-                symmetric = False
-                break
-        if not symmetric:
+    step = max(1, _SLAB // dim)
+    for r0 in range(0, dim, step):
+        r1 = min(dim, r0 + step)
+        swapped = digit_product(F, eps[cls[r0:r1, None], cls],
+                                G[:, r0:r1].swapaxes(0, 1), np.multiply)
+        bad = (G[r0:r1] != swapped).any(axis=-1)
+        if (bad & (np.arange(dim) >= np.arange(r0, r1)[:, None])).any():
+            symmetric = False
             break
     return {
         "dimension": dim,

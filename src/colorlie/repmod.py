@@ -19,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import bracket_eval, pmap_eval
-from .envelope import (NormalElement, chi_reduce, engine_for, harish_chandra,
-                       monomial_degree, monomial_weight, nf_letter, nf_one,
-                       require_standard, uchi_basis)
+from .envelope import (NormalElement, _basis_table, chi_reduce, engine_for,
+                       harish_chandra, monomial_degree, monomial_weight,
+                       nf_letter, nf_one, require_standard, uchi_basis)
 from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
@@ -1119,15 +1119,16 @@ def unipotent_socle(algebra, max_dim=2000):
     n = algebra.dim
     L = np.concatenate([reg["action"][i].a for i in range(n)])
     R = np.zeros((n * count, count, F.k), dtype=np.int64)
-    for cidx, m in enumerate(mons):
-        for i in range(n):
-            for m2, c in eng.times_letter(m, i).items():
-                R[i * count + pos[m2], cidx] = F.to_digits(c)
+    for i in range(n):
+        rows, cols, coeffs = _basis_table(eng, mons, pos, i)
+        R[i * count + rows, cols] = coeffs
     lk = Mat(F, L).nullspace()
     rk = Mat(F, R).nullspace()
     if lk.shape[1] != 1 or rk.shape[1] != 1:
-        raise ValueError("socle is not a line (left %d, right %d)"
-                         % (lk.shape[1], rk.shape[1]))
+        # the zero-character quotient of a unipotent algebra is local
+        # Frobenius, so both socles are lines
+        raise InvariantError("socle is not a line (left %d, right %d)"
+                             % (lk.shape[1], rk.shape[1]))
     vl = lk.a[:, 0]
     vr = rk.a[:, 0]
     ratio = _vec_ratio(F, vl, vr)
@@ -1153,13 +1154,9 @@ def regular_module(spec, max_dim=2000):
     eng = engine_for(A, spec)
     action = {}
     for i in range(A.dim):
+        rows, cols, coeffs = _basis_table(eng, mons, pos, i, left=True)
         arr = np.zeros((count, count, F.k), dtype=np.int64)
-        mono = [0] * A.dim
-        mono[i] = 1
-        ti = {tuple(mono): F.one}
-        for cidx, m in enumerate(mons):
-            for m2, c in eng.product(ti, {m: F.one}).items():
-                arr[pos[m2], cidx] = F.to_digits(c)
+        arr[rows, cols] = coeffs
         action[i] = Mat(F, arr)
     return {"dim": count, "monomials": mons, "action": action,
             "degrees": [monomial_degree(A, m) for m in mons]}

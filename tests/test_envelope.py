@@ -553,8 +553,11 @@ def test_gram_sampled_against_top_coefficient_f25():
 
 def test_gram_too_large():
     A = gl2()
+    spec = chi_reduce(A, pchar_zero(A))
     with pytest.raises(TooLarge):
-        frobenius_gram(chi_reduce(A, pchar_zero(A)), max_dim=100)
+        frobenius_gram(spec, max_dim=100)
+    # the guard runs before any engine or table is built
+    assert getattr(spec, "_engines", {}) == {}
 
 
 _CHAIN = """

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from colorlie import repmod
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
@@ -883,6 +884,21 @@ def test_regular_module_and_socle_match_entrywise_products(make):
     assert vl == [F.mul(ratio, c) for c in vr]
     assert unipotent_socle(A) == {"dimension": len(mons), "monomials": mons,
                                   "left": vl, "right": vr, "ratio": ratio}
+
+
+def test_socle_not_a_line_is_an_invariant_error(monkeypatch):
+    # zero left actions leave the whole space in the left kernel, which a
+    # local Frobenius quotient never does: a fault, not bad input
+    def zero_actions(spec, max_dim=2000):
+        reg = real(spec, max_dim)
+        reg["action"] = {i: Mat.zeros(F5, reg["dim"], reg["dim"])
+                         for i in reg["action"]}
+        return reg
+
+    real = repmod.regular_module
+    monkeypatch.setattr(repmod, "regular_module", zero_actions)
+    with pytest.raises(InvariantError, match="socle is not a line"):
+        unipotent_socle(line_algebra())
 
 
 def test_socle_rejects_non_unipotent():
