@@ -548,30 +548,32 @@ def frobenius_gram(spec, max_dim=2000):
 
     # mu(m_u, m_v) = (R_{l_1}^T ... R_{l_r}^T e_tau)[u] for v's letters
     # l_1 <= ... <= l_r, R_j the right multiplication by e_j.  Column v of G
-    # is that covector.  The columns whose exponents vanish below letter i
-    # are the first stride_i of G, so one level of the exponent tree turns
-    # that block into the next cap_i - 1 blocks, R_i^T at a time.
+    # is that covector.  The monomials with exponents only on letters after
+    # i are the first stride_i columns (the last letter runs fastest), so
+    # one level of the exponent tree turns that block into the next
+    # cap_i - 1 blocks, R_i^T at a time.
     G = np.zeros((dim, dim, F.k), dtype=np.int64)
     G[index[tau], 0] = F.to_digits(F.one)
     stride = 1
     for i in range(n - 1, -1, -1):
         rows, cols, coeffs = _basis_table(eng, mons, index, i)
-        cap = spec.caps[i]
-        if rows.size:
-            starts = np.flatnonzero(np.diff(cols, prepend=-1))
-            targets = cols[starts]
-            coeffs = coeffs[:, None]
-            width = max(1, _SLAB // rows.size)
-            for t in range(1, cap):
-                src, dst = (t - 1) * stride, t * stride
-                for c0 in range(0, stride, width):
-                    w = min(width, stride - c0)
-                    prod = digit_product(F, coeffs,
-                                         G[rows, src + c0:src + c0 + w],
-                                         np.multiply)
-                    G[targets, dst + c0:dst + c0 + w] = (
-                        np.add.reduceat(prod, starts, axis=0) % F.p)
-        stride *= cap
+        for t in range(1, spec.caps[i]):
+            src = G[:, (t - 1) * stride:t * stride]
+            dst = t * stride
+            # only the entries whose row is nonzero in the block contribute;
+            # a zero block stays zero under further powers
+            keep = src.any(axis=(1, 2))[rows]
+            r, c, cf = rows[keep], cols[keep], coeffs[keep, None]
+            if not r.size:
+                break
+            starts = np.flatnonzero(np.diff(c, prepend=-1))
+            width = max(1, _SLAB // r.size)
+            for c0 in range(0, stride, width):
+                c1 = min(stride, c0 + width)
+                prod = digit_product(F, cf, src[r, c0:c1], np.multiply)
+                G[c[starts], dst + c0:dst + c1] = (
+                    np.add.reduceat(prod, starts, axis=0) % F.p)
+        stride *= spec.caps[i]
 
     gram = Mat(F, G)
     rank = gram.rank()
