@@ -388,6 +388,79 @@ def test_singular_vectors_gl2():
     assert vecs[0][0, 0] == 1  # the generator line 1 (x) v
 
 
+def _per_bucket_singular_vectors(M):
+    """Reference: one kernel per (weight, degree, height) bucket, each from
+    Mat.nullspace on the whole stack of height-one raising actions cut to
+    the bucket's columns."""
+    A = M.spec.algebra
+    F = A.F
+    tri = root_datum(A)
+    raising = [t for t in tri.pos if tri.heights[t] == 1]
+    stack = np.concatenate([np.zeros((0, M.dim, F.k), dtype=np.int64)]
+                           + [M.action[t].a for t in raising])
+    buckets = {}
+    for u in range(M.dim):
+        key = (M.weights[u], tuple(M.degrees[u]), M.heights[u])
+        buckets.setdefault(key, []).append(u)
+    out = {}
+    for key in sorted(buckets):
+        cols = buckets[key]
+        K = Mat(F, stack[:, cols]).nullspace()
+        if K.shape[1]:
+            vecs = []
+            for t in range(K.shape[1]):
+                full = np.zeros((M.dim, F.k), dtype=np.int64)
+                full[cols] = K.a[:, t]
+                vecs.append(full)
+            out[key] = vecs
+    return out
+
+
+def _gl2_f2401_modules():
+    """gl(2) over F_2401 (above the table limit): chi = 0 at (3, 1), where
+    the singular space is a plane, and a regular semisimple chi whose
+    weights leave the prime field, so pivots are general field elements."""
+    F = Field(7, 4)
+    A = make_gl(trivial_bicharacter(GradedGroup([]), F), {(): 2})
+    zero = zero_spec(A)
+    yield zero, fp_order(A), [(3, 1)]
+    c = next(a for a in range(F.p, F.q) if F.trace_to_prime(a) == 0)
+    spec = chi_reduce(A, PCharacter(A, linear={A.index_of("e_11"): c}))
+    yield spec, fp_order(A), admissible_lambdas(spec)[5:7]
+
+
+def _singular_pin_cases():
+    for make in (gl2, gl11, gl21):
+        A = make()
+        yield zero_spec(A), fp_order(A), None
+    slice_spec = zero_spec(load_spec(os.path.join(
+        os.path.dirname(__file__), "specs", "gl3_slice.json"))["algebra"])
+    yield slice_spec, fp_order(slice_spec.algebra), [
+        lam for lam in admissible_lambdas(slice_spec) if lam[2] == 0]
+    regss = _regss_gl3_f25()
+    yield regss, fp_order(regss.algebra), admissible_lambdas(regss)[7:9]
+    yield from _gl2_f2401_modules()
+
+
+def test_singular_vectors_match_per_bucket_nullspace():
+    modules = 0
+    for spec, trip, lams in _singular_pin_cases():
+        if lams is None:
+            lams = admissible_lambdas(spec)
+        for lam in lams:
+            M = verma_build(spec, trip, weight=lam, check=False)
+            got = singular_vectors(M)
+            want = _per_bucket_singular_vectors(M)
+            assert list(got) == list(want), lam
+            for key in want:
+                assert len(got[key]) == len(want[key]), (lam, key)
+                for g, w in zip(got[key], want[key]):
+                    assert g.shape == w.shape and np.array_equal(g, w), \
+                        (lam, key)
+            modules += 1
+    assert modules == 25 + 25 + 125 + 25 + 2 + 1 + 2
+
+
 def test_is_simple_gl2():
     A = gl2()
     spec = zero_spec(A)
