@@ -221,6 +221,22 @@ class Field:
     def array_to_codes(self, arr):
         return (arr * np.array(self._powers)).sum(axis=-1).astype(np.int64)
 
+    def inv_array(self, arr):
+        """Inverses of an array (..., k) of nonzero digit vectors: read from
+        the table when the field has one, otherwise a^(q-2) by repeated
+        squaring, every step one `digit_product` over the whole array."""
+        if self._inv is not None:
+            return self.codes_to_array(self._inv[self.array_to_codes(arr)])
+        out = np.zeros_like(arr)
+        out[..., 0] = 1
+        e = self.q - 2
+        while e:
+            if e & 1:
+                out = digit_product(self, out, arr, np.multiply)
+            arr = digit_product(self, arr, arr, np.multiply)
+            e >>= 1
+        return out
+
     # -- polynomial utilities over this field (little-endian code lists) ---
 
     def poly_trim(self, f):

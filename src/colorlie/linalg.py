@@ -2,10 +2,12 @@
 
 Matrices hold their entries as numpy digit arrays of shape (rows, cols, k),
 one base-p digit vector per entry.  Every product of such arrays goes
-through `field.digit_product`, and every reduction (rref, rank, kernel,
-solve, inverse and the incremental `Echelon`) through the one Gaussian
-elimination step `_eliminate`; everything is deterministic: the pivot is always the first
-nonzero entry.
+through `field.digit_product`.  Reductions of one matrix (rref, rank,
+kernel, solve, inverse and the incremental `Echelon`) run through the one
+Gaussian elimination step `_eliminate`; a batch of many small independent
+matrices is reduced by `batch_rref`, one column step for all of them at
+once.  Both read kernels off through `kernel_from_rref`.  Everything is
+deterministic: the pivot is always the first nonzero entry.
 """
 
 import numpy as np
@@ -26,6 +28,66 @@ def _eliminate(F, a, row, col):
         sub -= digit_product(F, a[rows, col], a[row, col:], np.multiply.outer)
         sub %= F.p
         a[rows, col:] = sub
+
+
+def batch_rref(F, a):
+    """Reduced row echelon forms of a batch of matrices, in place on the
+    (b, r, c, k) digit array a; returns (a, pivots) with pivots a (b, c)
+    boolean array marking each item's pivot columns.
+
+    One column loop serves the whole batch: at each column every item finds
+    its own pivot row (the first nonzero entry at or below its next pivot
+    row), and the swaps, scalings and clears of all items run as single
+    fancy-indexed `digit_product` calls.  The clear touches only the rows
+    that are nonzero in the column in some item.  Zero rows, such as rows
+    padded in to give the items one shape, never hold a pivot and do not
+    change the result.
+
+    This serves many tiny independent systems, where the cost of Mat.rref
+    is per-call overhead, not arithmetic.  Mat.rref keeps its own driver
+    for one large matrix: sent through this one as batches of one, the
+    reductions of three Frobenius Gram matrices (two 625 x 625, one
+    100 x 100) took 0.32 s instead of 0.24 s."""
+    b, r, c, _ = a.shape
+    row = np.zeros(b, dtype=np.int64)     # next pivot row of each item
+    pivots = np.zeros((b, c), dtype=bool)
+    index = np.arange(r)
+    for col in range(c):
+        nz = a[:, :, col].any(axis=-1) & (index >= row[:, None])
+        items = np.flatnonzero(nz.any(axis=1))
+        if not items.size:
+            continue
+        top = row[items]
+        piv = nz[items].argmax(axis=1)
+        swapped = a[items, piv]
+        a[items, piv] = a[items, top]
+        a[items, top] = swapped
+        inv = F.inv_array(a[items, top, col])
+        prow = digit_product(F, a[items, top, col:], inv[:, None], np.multiply)
+        a[items, top, col:] = prow
+        factor = a[items, :, col]
+        factor[np.arange(items.size), top] = 0
+        ii, hit = items[:, None], np.flatnonzero(factor.any(axis=(0, 2)))
+        sub = a[ii, hit, col:] - digit_product(F, factor[:, hit, None],
+                                               prow[:, None], np.multiply)
+        a[ii, hit, col:] = sub % F.p
+        pivots[items, col] = True
+        row[items] += 1
+    return a, pivots
+
+
+def kernel_from_rref(F, R, pivots):
+    """Kernel basis of a matrix from its reduced form R (r, c, k) and its
+    pivot columns: one (c, k) column per free column j, with 1 at j and
+    minus R's column j at the pivots; returns a (c, nullity, k) array."""
+    c = R.shape[1]
+    pivots = [int(j) for j in pivots]
+    taken = set(pivots)
+    free = [j for j in range(c) if j not in taken]
+    out = np.zeros((c, len(free), F.k), dtype=np.int64)
+    out[free, np.arange(len(free)), 0] = 1
+    out[pivots] = (-R[:len(pivots), free]) % F.p
+    return out
 
 
 class Mat:
@@ -114,10 +176,12 @@ class Mat:
         return (self @ Mat(self.F, v[:, None, :])).a[:, 0]
 
     def pow_int(self, e):
+        e = int(e)
+        if e < 0:
+            raise ValueError("matrix power needs an exponent >= 0, got %d" % e)
         n = self.shape[0]
         result = Mat.identity(self.F, n)
         base = self
-        e = int(e)
         while e:
             if e & 1:
                 result = result @ base
@@ -152,15 +216,8 @@ class Mat:
 
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""
-        F = self.F
         R, pivots = self.rref()
-        c = self.shape[1]
-        taken = set(pivots)
-        free = [j for j in range(c) if j not in taken]
-        out = np.zeros((c, len(free), F.k), dtype=np.int64)
-        out[free, np.arange(len(free)), 0] = 1
-        out[pivots] = (-R.a[:len(pivots), free]) % F.p
-        return Mat(F, out)
+        return Mat(self.F, kernel_from_rref(self.F, R.a, pivots))
 
     def solve(self, b):
         """One solution x of self @ x = b (b a Mat with matching rows), or None."""

@@ -27,7 +27,7 @@ from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
                      NotWeightZero, OddElement, TooLarge)
 from .field import digit_product
-from .linalg import Echelon, Mat
+from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
 
 
 class PowerClass:
@@ -779,29 +779,45 @@ def module_from_wire(spec, wire):
 
 def singular_vectors(M):
     """Joint kernel of the height-one raising letters, bucketed by the full
-    (weight, color degree, height) grading; returns {grading: [vectors]}
-    with vectors as (dim, k) digit arrays."""
+    (weight, color degree, height) grading; returns {grading: [vectors]} in
+    sorted grading order, with vectors as (dim, k) digit arrays.
+
+    The raising letters send distinct buckets to disjoint rows of the
+    stacked height-one actions, so the stack is block diagonal and each
+    bucket's kernel is that of its own nonzero rows on its own columns.
+    The buckets are grouped by column count, and each group is eliminated
+    at once by `batch_rref`, every bucket's rows padded to the group's
+    longest with rows that are zero on its columns.  No bucket has more
+    rows than the stack and the column counts add up to dim, so the
+    batches together never hold more cells than the stack."""
     A = M.spec.algebra
     F = A.F
     tri = root_datum(A)
-    simple_pos = [t for t in tri.pos if tri.heights[t] == 1]
-    stack = np.concatenate([M.action[t].a for t in simple_pos], axis=0)
+    stack = np.concatenate([np.zeros((0, M.dim, F.k), dtype=np.int64)]
+                           + [M.action[t].a for t in tri.pos
+                              if tri.heights[t] == 1])
     buckets = {}
     for u in range(M.dim):
         key = (M.weights[u], tuple(M.degrees[u]), M.heights[u])
         buckets.setdefault(key, []).append(u)
-    out = {}
-    for key in sorted(buckets):
-        cols = buckets[key]
-        K = Mat(F, stack[:, cols]).nullspace()
-        if K.shape[1]:
-            vecs = []
-            for t in range(K.shape[1]):
-                full = np.zeros((M.dim, F.k), dtype=np.int64)
-                full[cols] = K.a[:, t]
-                vecs.append(full)
-            out[key] = vecs
-    return out
+    keys = sorted(buckets)
+    nonzero = stack.any(axis=-1)
+    found = {}
+    for c in sorted({len(cols) for cols in buckets.values()}):
+        group = [key for key in keys if len(buckets[key]) == c]
+        cidx = np.array([buckets[key] for key in group])
+        # each bucket's nonzero rows first, in order, then rows that are
+        # zero on its columns as padding
+        live = nonzero[:, cidx].any(axis=2).T
+        rows = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(1).max()]
+        block = stack[rows[:, :, None], cidx[:, None, :]]
+        R, pivots = batch_rref(F, block)
+        for j in np.flatnonzero(pivots.sum(axis=1) < c):
+            K = kernel_from_rref(F, R[j], np.flatnonzero(pivots[j]))
+            vecs = np.zeros((K.shape[1], M.dim, F.k), dtype=np.int64)
+            vecs[:, cidx[j]] = K.swapaxes(0, 1)
+            found[group[j]] = list(vecs)
+    return {key: found[key] for key in keys if key in found}
 
 
 def _unit_lines(F, d):
@@ -820,6 +836,8 @@ def _spin(F, mats, v, stop=None):
     batched product, and each letter's image block is inserted at once."""
     ech = Echelon(F, v.shape[0])
     ech.insert(v)
+    if not mats or (stop is not None and ech.dim >= stop):
+        return ech
     layer = v[:, None]
     while layer.shape[1]:
         block = Mat(F, layer)

@@ -113,6 +113,19 @@ def test_sweep_full_gl11(capsys):
                                  "disagreements": 0}
 
 
+def test_sweep_without_raising_letters(capsys, tmp_path):
+    # gl(1) has no root letters: every singular space is the whole line
+    gl1 = tmp_path / "gl1.json"
+    gl1.write_text(json.dumps({"field": {"p": 5},
+                               "algebra": {"type": "gl", "dims": {"": 1}}}))
+    rc, out, _ = run(capsys, "sweep", str(gl1))
+    assert rc == 0
+    report = json.loads(out)
+    assert report["summary"] == {"rows": 5, "simple": 5, "disagreements": 0}
+    assert all(r["oracle"] == "simple" and r["agree"]
+               for r in report["rows"])
+
+
 def test_verma_round_trip(capsys, tmp_path):
     artifact = tmp_path / "m.json"
     rc, out, _ = run(capsys, "verma", spec("gl2.json"), "--chi", "zero",

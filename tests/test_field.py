@@ -210,3 +210,7 @@ def test_arithmetic_matches_schoolbook(p, k):
             assert schoolbook_mul(a, inv, p, mod) == 1
             assert F.pow(a, -e) == schoolbook_pow(inv, e, p, mod)
     assert F.pow(2, q - 1) == 1
+    units = [rng.randrange(1, q) for _ in range(40)]
+    invs = F.array_to_codes(F.inv_array(F.codes_to_array(units)))
+    assert [schoolbook_mul(a, int(b), p, mod)
+            for a, b in zip(units, invs)] == [1] * 40

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie.field import Field, digit_product
-from colorlie.linalg import Echelon, Mat
+from colorlie.linalg import Echelon, Mat, batch_rref
 
 
 F5 = Field(5)
@@ -110,6 +110,8 @@ def test_pow_int():
     assert A.pow_int(0) == Mat.identity(F5, 2)
     assert A.pow_int(3) == A @ A @ A
     assert A.pow_int(5) == Mat.from_codes(F5, [[1, 0], [0, 1]])  # unipotent, order 5
+    with pytest.raises(ValueError):
+        A.pow_int(-1)
 
 
 # -- elimination --------------------------------------------------------------
@@ -136,6 +138,44 @@ def test_rref_shape_and_determinism():
     for ri, pc in enumerate(pivots):
         for i in range(3):
             assert R.entry(i, pc) == (F5.one if i == ri else F5.zero)
+
+
+def _batch_items(F, r, c, rng):
+    """Random (r, c) items: all zero, zero-padded, full rank and low rank."""
+    def rand(rows, cols):
+        return rand_mat(F, rows, cols, rng).a
+
+    items = [np.zeros((r, c, F.k), dtype=np.int64)]
+    for n in range(1, r + 1):
+        padded = np.zeros((r, c, F.k), dtype=np.int64)
+        padded[:n] = rand(n, c)
+        items.append(padded)
+    for _ in range(4):
+        items.append(rand(r, c))
+    for rank in (1, 2):
+        items.append(digit_product(F, rand(r, rank), rand(rank, c), np.matmul))
+    gapped = rand(r, c)
+    gapped[r // 2] = 0                # a zero row between nonzero rows
+    gapped[:, 0] = 0                  # and a column without a pivot
+    items.append(gapped)
+    return np.stack(items)
+
+
+def test_batch_rref_matches_rref_item_by_item():
+    import random
+    rng = random.Random(12)
+    for F in (F5, F25, F125, Field(7, 4)):   # F_2401: no inverse table
+        for r, c in ((5, 3), (3, 5), (4, 4), (1, 2)):
+            batch = _batch_items(F, r, c, rng)
+            R, pivots = batch_rref(F, batch.copy())
+            assert pivots.shape == (len(batch), c)
+            ranks = set()
+            for t, item in enumerate(batch):
+                want, want_piv = Mat(F, item).rref()
+                assert np.array_equal(R[t], want.a), (F.q, r, c, t)
+                assert list(np.flatnonzero(pivots[t])) == want_piv
+                ranks.add(len(want_piv))
+            assert {0, min(r, c)} <= ranks   # all-zero and full-rank items
 
 
 def test_solve_verified_and_inconsistent():
