@@ -6,8 +6,8 @@ through `field.digit_product`.  Reductions of one matrix (rref, rank,
 kernel, solve, inverse and the incremental `Echelon`) run through the one
 Gaussian elimination step `_eliminate`; a batch of many small independent
 matrices is reduced by `batch_rref`, one column step for all of them at
-once.  Both read kernels off through `kernel_from_rref`.  Everything is
-deterministic: the pivot is always the first nonzero entry.
+once.  Kernels are read off either reduced form by `kernel_from_rref`.
+Everything is deterministic: the pivot is always the first nonzero entry.
 """
 
 import numpy as np

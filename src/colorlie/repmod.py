@@ -809,7 +809,8 @@ def singular_vectors(M):
         # each bucket's nonzero rows first, in order, then rows that are
         # zero on its columns as padding
         live = nonzero[:, cidx].any(axis=2).T
-        rows = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(1).max()]
+        longest = live.sum(axis=1).max()
+        rows = np.argsort(~live, axis=1, kind="stable")[:, :longest]
         block = stack[rows[:, :, None], cidx[:, None, :]]
         R, pivots = batch_rref(F, block)
         for j in np.flatnonzero(pivots.sum(axis=1) < c):
