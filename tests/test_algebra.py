@@ -141,6 +141,215 @@ def test_corrupted_pmap_reported():
     assert "pmap_ad" in kinds or "pmap_matrix" in kinds
 
 
+def bare(A):
+    """A copy of A's structure and p-map without the matrix realization."""
+    return ColorAlgebra(A.eps, A.names, A.degrees, A.structure, pmap=A.pmap)
+
+
+def broken(name):
+    """An algebra with one deliberate fault, named by the check it trips."""
+    if name == "skew":        # one side of [e_12, e_21] has the wrong sign
+        A = gl11()
+        A.structure[(A.index_of("e_12"), A.index_of("e_21"))] = {
+            A.index_of("e_11"): 1, A.index_of("e_22"): 4}
+    elif name == "degree":    # an odd letter relabelled even
+        _, eps = super_bicharacter(F5)
+        A = make_gl(eps, {(0,): 2, (1,): 1})
+        A.degrees[A.index_of("e_13")] = (0,)
+    elif name == "jacobi":    # [e_11, e_12] = 2 e_12, skew-symmetric
+        A = gl2()
+        i11, i12 = A.index_of("e_11"), A.index_of("e_12")
+        A.structure[(i11, i12)] = {i12: 2}
+        A.structure[(i12, i11)] = {i12: 3}
+    elif name == "square":    # [y, y] = e_11 for the odd y = e_12
+        A = gl11()
+        i12 = A.index_of("e_12")
+        A.structure[(i12, i12)] = {A.index_of("e_11"): 1}
+    elif name == "pmap":      # e_12^[p] = e_12
+        A = gl2()
+        A.pmap[A.index_of("e_12")] = {A.index_of("e_12"): 1}
+    elif name == "additivity":  # e_11^[p] = e_11 + e_12, no matrices
+        A = bare(gl2())
+        A.pmap[A.index_of("e_11")] = {A.index_of("e_11"): 1,
+                                      A.index_of("e_12"): 1}
+    return A
+
+
+BROKEN_REPORTS = {
+    'skew': [
+        ('skew', (0, 3), '[y,x] != -eps(b,a)[x,y]'),
+        ('skew', (3, 0), '[y,x] != -eps(b,a)[x,y]'),
+        ('jacobi', (0, 0, 3), 'color Jacobi fails on (e_21,e_21,e_12)'),
+        ('jacobi', (0, 1, 3), 'color Jacobi fails on (e_21,e_11,e_12)'),
+        ('jacobi', (0, 2, 3), 'color Jacobi fails on (e_21,e_22,e_12)'),
+        ('jacobi', (0, 3, 0), 'color Jacobi fails on (e_21,e_12,e_21)'),
+        ('jacobi', (0, 3, 1), 'color Jacobi fails on (e_21,e_12,e_11)'),
+        ('jacobi', (0, 3, 2), 'color Jacobi fails on (e_21,e_12,e_22)'),
+        ('jacobi', (0, 3, 3), 'color Jacobi fails on (e_21,e_12,e_12)'),
+        ('jacobi', (1, 0, 3), 'color Jacobi fails on (e_11,e_21,e_12)'),
+        ('jacobi', (1, 3, 0), 'color Jacobi fails on (e_11,e_12,e_21)'),
+        ('jacobi', (2, 0, 3), 'color Jacobi fails on (e_22,e_21,e_12)'),
+        ('jacobi', (2, 3, 0), 'color Jacobi fails on (e_22,e_12,e_21)'),
+        ('jacobi', (3, 0, 0), 'color Jacobi fails on (e_12,e_21,e_21)'),
+        ('jacobi', (3, 0, 1), 'color Jacobi fails on (e_12,e_21,e_11)'),
+        ('jacobi', (3, 0, 2), 'color Jacobi fails on (e_12,e_21,e_22)'),
+        ('jacobi', (3, 0, 3), 'color Jacobi fails on (e_12,e_21,e_12)'),
+        ('jacobi', (3, 1, 0), 'color Jacobi fails on (e_12,e_11,e_21)'),
+        ('jacobi', (3, 2, 0), 'color Jacobi fails on (e_12,e_22,e_21)'),
+        ('jacobi', (3, 3, 0), 'color Jacobi fails on (e_12,e_12,e_21)'),
+        ('bracket_square', (3, 0), '[[y,y],z] != 2[y,[y,z]]'),
+    ],
+    'degree': [
+        ('degree', (0, 8, 7), '[e_21,e_13] hits e_23 outside degree'),
+        ('degree', (1, 8, 6), '[e_32,e_13] hits e_12 outside degree'),
+        ('degree', (2, 8, 5), '[e_31,e_13] hits e_33 outside degree'),
+        ('degree', (2, 8, 3), '[e_31,e_13] hits e_11 outside degree'),
+        ('degree', (6, 7, 8), '[e_12,e_23] hits e_13 outside degree'),
+        ('degree', (7, 6, 8), '[e_23,e_12] hits e_13 outside degree'),
+        ('degree', (8, 0, 7), '[e_13,e_21] hits e_23 outside degree'),
+        ('degree', (8, 1, 6), '[e_13,e_32] hits e_12 outside degree'),
+        ('degree', (8, 2, 3), '[e_13,e_31] hits e_11 outside degree'),
+        ('degree', (8, 2, 5), '[e_13,e_31] hits e_33 outside degree'),
+        ('skew', (1, 8), '[y,x] != -eps(b,a)[x,y]'),
+        ('skew', (2, 8), '[y,x] != -eps(b,a)[x,y]'),
+        ('skew', (8, 1), '[y,x] != -eps(b,a)[x,y]'),
+        ('skew', (8, 2), '[y,x] != -eps(b,a)[x,y]'),
+        ('jacobi', (0, 1, 8), 'color Jacobi fails on (e_21,e_32,e_13)'),
+        ('jacobi', (0, 8, 1), 'color Jacobi fails on (e_21,e_13,e_32)'),
+        ('jacobi', (0, 8, 2), 'color Jacobi fails on (e_21,e_13,e_31)'),
+        ('jacobi', (1, 0, 8), 'color Jacobi fails on (e_32,e_21,e_13)'),
+        ('jacobi', (1, 2, 8), 'color Jacobi fails on (e_32,e_31,e_13)'),
+        ('jacobi', (1, 3, 8), 'color Jacobi fails on (e_32,e_11,e_13)'),
+        ('jacobi', (1, 5, 8), 'color Jacobi fails on (e_32,e_33,e_13)'),
+        ('jacobi', (1, 7, 8), 'color Jacobi fails on (e_32,e_23,e_13)'),
+        ('jacobi', (1, 8, 0), 'color Jacobi fails on (e_32,e_13,e_21)'),
+        ('jacobi', (1, 8, 2), 'color Jacobi fails on (e_32,e_13,e_31)'),
+        ('jacobi', (1, 8, 4), 'color Jacobi fails on (e_32,e_13,e_22)'),
+        ('jacobi', (1, 8, 5), 'color Jacobi fails on (e_32,e_13,e_33)'),
+        ('jacobi', (2, 0, 8), 'color Jacobi fails on (e_31,e_21,e_13)'),
+        ('jacobi', (2, 1, 8), 'color Jacobi fails on (e_31,e_32,e_13)'),
+        ('jacobi', (2, 3, 8), 'color Jacobi fails on (e_31,e_11,e_13)'),
+        ('jacobi', (2, 5, 8), 'color Jacobi fails on (e_31,e_33,e_13)'),
+        ('jacobi', (2, 7, 8), 'color Jacobi fails on (e_31,e_23,e_13)'),
+        ('jacobi', (2, 8, 1), 'color Jacobi fails on (e_31,e_13,e_32)'),
+        ('jacobi', (2, 8, 3), 'color Jacobi fails on (e_31,e_13,e_11)'),
+        ('jacobi', (2, 8, 5), 'color Jacobi fails on (e_31,e_13,e_33)'),
+        ('jacobi', (2, 8, 6), 'color Jacobi fails on (e_31,e_13,e_12)'),
+        ('jacobi', (3, 2, 8), 'color Jacobi fails on (e_11,e_31,e_13)'),
+        ('jacobi', (3, 8, 1), 'color Jacobi fails on (e_11,e_13,e_32)'),
+        ('jacobi', (3, 8, 2), 'color Jacobi fails on (e_11,e_13,e_31)'),
+        ('jacobi', (4, 1, 8), 'color Jacobi fails on (e_22,e_32,e_13)'),
+        ('jacobi', (5, 1, 8), 'color Jacobi fails on (e_33,e_32,e_13)'),
+        ('jacobi', (5, 2, 8), 'color Jacobi fails on (e_33,e_31,e_13)'),
+        ('jacobi', (5, 8, 1), 'color Jacobi fails on (e_33,e_13,e_32)'),
+        ('jacobi', (5, 8, 2), 'color Jacobi fails on (e_33,e_13,e_31)'),
+        ('jacobi', (6, 2, 8), 'color Jacobi fails on (e_12,e_31,e_13)'),
+        ('jacobi', (7, 8, 1), 'color Jacobi fails on (e_23,e_13,e_32)'),
+        ('jacobi', (7, 8, 2), 'color Jacobi fails on (e_23,e_13,e_31)'),
+        ('jacobi', (8, 0, 1), 'color Jacobi fails on (e_13,e_21,e_32)'),
+        ('jacobi', (8, 1, 0), 'color Jacobi fails on (e_13,e_32,e_21)'),
+        ('jacobi', (8, 1, 2), 'color Jacobi fails on (e_13,e_32,e_31)'),
+        ('jacobi', (8, 1, 3), 'color Jacobi fails on (e_13,e_32,e_11)'),
+        ('jacobi', (8, 1, 5), 'color Jacobi fails on (e_13,e_32,e_33)'),
+        ('jacobi', (8, 1, 7), 'color Jacobi fails on (e_13,e_32,e_23)'),
+        ('jacobi', (8, 2, 0), 'color Jacobi fails on (e_13,e_31,e_21)'),
+        ('jacobi', (8, 2, 1), 'color Jacobi fails on (e_13,e_31,e_32)'),
+        ('jacobi', (8, 2, 3), 'color Jacobi fails on (e_13,e_31,e_11)'),
+        ('jacobi', (8, 2, 5), 'color Jacobi fails on (e_13,e_31,e_33)'),
+        ('jacobi', (8, 2, 7), 'color Jacobi fails on (e_13,e_31,e_23)'),
+        ('jacobi', (8, 3, 2), 'color Jacobi fails on (e_13,e_11,e_31)'),
+        ('jacobi', (8, 4, 1), 'color Jacobi fails on (e_13,e_22,e_32)'),
+        ('jacobi', (8, 5, 1), 'color Jacobi fails on (e_13,e_33,e_32)'),
+        ('jacobi', (8, 5, 2), 'color Jacobi fails on (e_13,e_33,e_31)'),
+        ('jacobi', (8, 6, 2), 'color Jacobi fails on (e_13,e_12,e_31)'),
+        ('pmap_degree', (8,), 'p-map missing on even indices'),
+    ],
+    'jacobi': [
+        ('jacobi', (0, 1, 3), 'color Jacobi fails on (e_21,e_11,e_12)'),
+        ('jacobi', (0, 3, 1), 'color Jacobi fails on (e_21,e_12,e_11)'),
+        ('jacobi', (1, 0, 3), 'color Jacobi fails on (e_11,e_21,e_12)'),
+        ('jacobi', (1, 3, 0), 'color Jacobi fails on (e_11,e_12,e_21)'),
+        ('jacobi', (3, 0, 1), 'color Jacobi fails on (e_12,e_21,e_11)'),
+        ('jacobi', (3, 1, 0), 'color Jacobi fails on (e_12,e_11,e_21)'),
+        ('pmap_additivity', (0, 3), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+    ],
+    'square': [
+        ('jacobi', (0, 3, 3), 'color Jacobi fails on (e_21,e_12,e_12)'),
+        ('jacobi', (1, 3, 3), 'color Jacobi fails on (e_11,e_12,e_12)'),
+        ('jacobi', (2, 3, 3), 'color Jacobi fails on (e_22,e_12,e_12)'),
+        ('jacobi', (3, 0, 3), 'color Jacobi fails on (e_12,e_21,e_12)'),
+        ('jacobi', (3, 1, 3), 'color Jacobi fails on (e_12,e_11,e_12)'),
+        ('jacobi', (3, 2, 3), 'color Jacobi fails on (e_12,e_22,e_12)'),
+        ('jacobi', (3, 3, 0), 'color Jacobi fails on (e_12,e_12,e_21)'),
+        ('jacobi', (3, 3, 1), 'color Jacobi fails on (e_12,e_12,e_11)'),
+        ('jacobi', (3, 3, 2), 'color Jacobi fails on (e_12,e_12,e_22)'),
+        ('jacobi', (3, 3, 3), 'color Jacobi fails on (e_12,e_12,e_12)'),
+        ('bracket_square', 3, '[[y,y],y] != 0'),
+        ('bracket_square', (3, 0), '[[y,y],z] != 2[y,[y,z]]'),
+        ('bracket_square', (3, 1), '[[y,y],z] != 2[y,[y,z]]'),
+        ('bracket_square', (3, 2), '[[y,y],z] != 2[y,[y,z]]'),
+        ('bracket_square', (3, 3), '[[y,y],z] != 2[y,[y,z]]'),
+    ],
+    'pmap': [
+        ('pmap_ad', (3, 0), 'ad(x^[p]) != (ad x)^p'),
+        ('pmap_matrix', 3, 'x^[p] differs from the matrix p-th power'),
+        ('pmap_additivity', (0, 3), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+        ('pmap_additivity', (1, 3), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+        ('pmap_additivity', (2, 3), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+    ],
+    'additivity': [
+        ('pmap_ad', (1, 0), 'ad(x^[p]) != (ad x)^p'),
+        ('pmap_additivity', (0, 1), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+        ('pmap_additivity', (1, 2), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+        ('pmap_additivity', (1, 3), '(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)'),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_REPORTS))
+def test_broken_algebra_report_verbatim(name):
+    assert validate_algebra(broken(name)) == BROKEN_REPORTS[name]
+
+
+def test_valid_algebra_without_matrices_passes():
+    _, eps = super_bicharacter(F5)
+    assert validate_algebra(bare(make_gl(eps, {(0,): 2, (1,): 1}))) == []
+    assert validate_algebra(bare(gl3())) == []
+
+
+# (algebra, [(x, x^[p])]) with x's terms in the order pmap_eval reads them
+PMAP_PINS = [
+    (gl2, [({1: 2, 2: 1, 3: 2}, {1: 2, 2: 1, 3: 2}),
+           ({3: 2, 1: 3}, {1: 3, 3: 2}),
+           ({2: 2, 0: 2, 3: 1}, {3: 4, 1: 2, 0: 3})]),
+    (lambda: make_gl(trivial_bicharacter(GradedGroup([]), Field(5, 2)),
+                     {(): 3}),
+     [({7: 11, 0: 3, 6: 20, 3: 24, 8: 8, 4: 19},
+       {6: 21, 0: 23, 7: 2, 3: 11, 4: 7, 8: 17}),
+      ({4: 5, 7: 8, 5: 3, 2: 13, 6: 13, 1: 15, 0: 24, 8: 16, 3: 14},
+       {4: 5, 5: 16, 0: 2, 2: 13, 8: 1, 3: 16, 1: 23, 6: 10, 7: 8}),
+      ({1: 5, 0: 17, 8: 19, 5: 21, 3: 15, 4: 2, 6: 14, 2: 4},
+       {6: 16, 7: 8, 2: 7, 5: 22, 8: 16, 3: 24, 4: 2, 0: 17, 1: 12})]),
+    (lambda: bare(gl2()),
+     [({3: 2, 0: 1}, {0: 4, 3: 3}),
+      ({2: 1, 0: 4, 1: 1, 3: 3}, {2: 1, 1: 1, 3: 2, 0: 1}),
+      ({2: 4, 3: 1, 0: 2, 1: 2}, {0: 3, 3: 4, 1: 4, 2: 2})]),
+    # a p-map that is not additive
+    (lambda: broken("additivity"),
+     [({1: 2, 0: 1}, {1: 2, 3: 2, 0: 1}),
+      ({1: 3, 0: 3, 2: 1}, {1: 3, 3: 3, 2: 1, 0: 3}),
+      ({1: 4, 3: 3, 2: 3}, {1: 4, 2: 3, 3: 2})]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PMAP_PINS)))
+def test_pmap_eval_pinned(case):
+    make, pins = PMAP_PINS[case]
+    A = make()
+    for x, want in pins:
+        assert pmap_eval(A, x) == want
+
+
 def test_pmap_eval_matches_matrix_power():
     rng = random.Random(11)
     for A in (gl2(), gl11()):

@@ -44,6 +44,9 @@ CASES = {
     "frobenius_z25_class": (["frobenius", "z25_class.json"], None),
     "frobenius_gl2_f25": (["frobenius", "gl2_f25.json"], None),
 }
+# the axiom report of every spec
+CASES.update(("validate_" + fname[:-5], (["validate", fname], None))
+             for fname in sorted(os.listdir(SPECS)) if fname.endswith(".json"))
 
 
 def render(name, workdir):
