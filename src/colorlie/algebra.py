@@ -15,8 +15,10 @@ import itertools
 
 import numpy as np
 
-from .errors import (EmptyAlgebra, NeedsExtension, NoMatrixRealization,
-                     NotStandard, NotZeroDegree, OddElement)
+from .errors import (EmptyAlgebra, InvariantError, NeedsExtension,
+                     NoMatrixRealization, NotStandard, NotZeroDegree,
+                     OddElement)
+from .field import _SLAB, digit_power, digit_product
 from .linalg import Echelon, Mat
 
 
@@ -37,18 +39,6 @@ def elem_scale(F, x, c):
     if c == 0:
         return {}
     return {i: F.mul(c, v) for i, v in x.items()}
-
-
-def elem_neg(F, x):
-    return {i: F.neg(c) for i, c in x.items()}
-
-
-def elem_sub(F, x, y):
-    return elem_add(F, x, elem_neg(F, y))
-
-
-def elem_eq(x, y):
-    return elem_clean(x) == elem_clean(y)
 
 
 class ColorAlgebra:
@@ -122,6 +112,11 @@ def bracket_eval(A, x, y):
             for k, s in A.bracket(i, j).items():
                 out[k] = F.add(out.get(k, 0), F.mul(c, s))
     return elem_clean(out)
+
+
+def _unit(A, i):
+    """(r, c) such that the gl letter i is realized as the matrix unit e_rc."""
+    return tuple(np.argwhere(A.matrices[i].a.any(axis=-1))[0].tolist())
 
 
 def matrix_of(A, x):
@@ -216,36 +211,75 @@ def make_gl(eps, dims):
 
 
 # -- validation ---------------------------------------------------------------
+# The checks read the structure tensor C (n, n, n, k), C[i, j] the digits of
+# [x_i, x_j], built per call since callers may edit structure, pmap and
+# degrees.  A representation R (n, m, m, k) stacks the basis letters'
+# matrices: C for ad (row j of ad(v) holds [v, x_j]) or the realization.
 
-def _si_terms(A, x, y):
-    """s_1..s_{p-1} of Jacobson additivity, by interpolating the coefficient
-    of t^(i-1) in (ad(tx+y))^(p-1)(x); deg_t <= p-1 and q >= p give enough
-    sample points in the prime subfield."""
-    F = A.F
-    p = F.p
-    samples = []
-    for t in range(p):
-        z = x
-        xt = elem_add(F, elem_scale(F, x, t), y)
-        for _ in range(p - 1):
-            z = bracket_eval(A, xt, z)
-        samples.append(z)
-    support = sorted(set().union(*samples)) if any(samples) else []
-    if not support:
-        return [{} for _ in range(p - 1)]
+def _dense(A, elems):
+    """Coefficient dicts as a (len, n, k) digit array."""
+    codes = np.zeros((len(elems), A.dim), dtype=np.int64)
+    for row, x in zip(codes, elems):
+        row[list(x)] = list(x.values())
+    return A.F.codes_to_array(codes)
+
+
+def _structure_tensor(A):
+    n = A.dim
+    return _dense(A, [A.bracket(i, j) for i in range(n)
+                      for j in range(n)]).reshape(n, n, n, A.F.k)
+
+
+def _rep(F, R, V):
+    """The matrices (b, m, m, k) of the vectors V (b, n, k) under R."""
+    n, m = R.shape[:2]
+    return digit_product(F, V, R.reshape(n, m * m, F.k),
+                         np.matmul).reshape(len(V), m, m, F.k)
+
+
+def _power_mismatch(F, R, V, W):
+    """(b, m) mask of the rows where R(v)^p and R(w) differ, for each pair
+    of the batches V and W (b, n, k), in slabs of about _SLAB cells."""
+    m = R.shape[1]
+    bad = np.zeros((len(V), m), dtype=bool)
+    step = max(1, _SLAB // (m * m))
+    for b in range(0, len(V), step):
+        lhs = digit_power(F, _rep(F, R, V[b:b + step]), F.p, np.matmul)
+        bad[b:b + step] = (lhs != _rep(F, R, W[b:b + step])).any(axis=(2, 3))
+    return bad
+
+
+def _jacobson_sums(A, C, X, Y):
+    """s_1 + ... + s_{p-1} of Jacobson's formula for (x + y)^[p], for each
+    pair of the batches X and Y (b, n, k) of even vectors of one degree.
+
+    i s_i is the coefficient of t^(i-1) in f(t) = (ad(tx+y))^(p-1)(x), of
+    degree < p, so the sum is sum_t w_t f(t) over t in F_p, where V^T w =
+    (1, 1/2, ..., 1/(p-1), 0) for the Vandermonde matrix V[t, d] = t^d: one
+    solve for the whole batch."""
+    F, p, n = A.F, A.F.p, A.dim
     V = Mat.from_codes(F, [[F.pow(t, d) for d in range(p)] for t in range(p)])
-    B = Mat.from_codes(F, [[samples[t].get(i, 0) for i in support]
-                           for t in range(p)])
-    C = V.solve(B)
-    out = []
-    for i in range(1, p):
-        row = {support[c]: C.entry(i - 1, c) for c in range(len(support))}
-        out.append(elem_clean(elem_scale(F, row, F.inv(F.embed(i)))))
+    w = V.T.solve(Mat.from_codes(F, [[F.inv(F.embed(d))] for d in range(1, p)]
+                                 + [[0]])).to_codes()[:, :, None]
+    t = np.arange(p)[:, None, None, None]   # prime-field codes act digitwise
+    out = np.zeros_like(X)
+    step = max(1, _SLAB // (p * n * n))
+    for b in range(0, len(X), step):
+        x = X[b:b + step]
+        # ad(tx + y) = t ad(x) + ad(y)
+        ad = (t * _rep(F, C, x)[:, None]
+              + _rep(F, C, Y[b:b + step])[:, None]) % p
+        z = np.broadcast_to(x[:, None, None], (len(x), p, 1, n, F.k))
+        for _ in range(p - 1):
+            z = digit_product(F, z, ad, np.matmul)
+        out[b:b + step] = (w * z[:, :, 0]).sum(axis=1) % p
     return out
 
 
 def pmap_eval(A, x):
-    """p-th power map on a homogeneous even element, via Jacobson additivity."""
+    """p-th power map on a homogeneous even element, via Jacobson additivity:
+    each term c x_i of x, in order, adds c^p x_i^[p] and the s_i of the sum
+    of the terms before it and itself."""
     F = A.F
     x = elem_clean(x)
     if not x:
@@ -255,72 +289,75 @@ def pmap_eval(A, x):
         raise ValueError("p-map needs a homogeneous element")
     if not A.eps.is_even(deg):
         raise OddElement("p-map is defined on even degrees only")
-    terms = [(i, c) for i, c in x.items()]
-    i0, c0 = terms[0]
-    acc = elem_scale(F, A.pmap[i0], F.pow(c0, F.p))
-    part = {i0: c0}
-    for i, c in terms[1:]:
-        single = {i: c}
-        acc = elem_add(F, acc, elem_scale(F, A.pmap[i], F.pow(c, F.p)))
-        for s in _si_terms(A, part, single):
-            acc = elem_add(F, acc, s)
-        part = elem_add(F, part, single)
-    return acc
+    powers = F.codes_to_array([F.pow(c, F.p) for c in x.values()])
+    acc = digit_product(F, powers[:, None], _dense(A, [A.pmap[i] for i in x]),
+                        np.multiply).sum(axis=0)
+    if len(x) > 1:
+        singles = _dense(A, [{i: c} for i, c in x.items()])
+        parts = np.cumsum(singles, axis=0) % F.p
+        acc += _jacobson_sums(A, _structure_tensor(A), parts[:-1],
+                              singles[1:]).sum(axis=0)
+    return elem_clean(dict(enumerate(F.array_to_codes(acc % F.p).tolist())))
 
 
 def validate_algebra(A):
     """Axiom report; empty list means the algebra passed every check."""
     F, eps = A.F, A.eps
+    p, n, k = F.p, A.dim, F.k
     report = []
-    basis = [{i: F.one} for i in range(A.dim)]
     for (i, j), terms in A.structure.items():
         d = A.group.add(A.degrees[i], A.degrees[j])
-        for k in terms:
-            if A.degrees[k] != d:
-                report.append(("degree", (i, j, k),
+        for t in terms:
+            if A.degrees[t] != d:
+                report.append(("degree", (i, j, t),
                                "[%s,%s] hits %s outside degree" %
-                               (A.names[i], A.names[j], A.names[k])))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            s = F.neg(eps.value(A.degrees[j], A.degrees[i]))
-            if not elem_eq(A.bracket(j, i), elem_scale(F, A.bracket(i, j), s)):
-                report.append(("skew", (i, j), "[y,x] != -eps(b,a)[x,y]"))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                a, b, g = A.degrees[i], A.degrees[j], A.degrees[k]
-                t1 = elem_scale(F, bracket_eval(A, basis[i], A.bracket(j, k)),
-                                eps.value(g, a))
-                t2 = elem_scale(F, bracket_eval(A, basis[j], A.bracket(k, i)),
-                                eps.value(a, b))
-                t3 = elem_scale(F, bracket_eval(A, basis[k], A.bracket(i, j)),
-                                eps.value(b, g))
-                if elem_add(F, elem_add(F, t1, t2), t3):
-                    report.append(("jacobi", (i, j, k),
-                                   "color Jacobi fails on (%s,%s,%s)" %
-                                   (A.names[i], A.names[j], A.names[k])))
-    two = F.embed(2)
-    for i in range(A.dim):
+                               (A.names[i], A.names[j], A.names[t])))
+    C = _structure_tensor(A)
+    # E[i, j] = eps(deg i, deg j)
+    E = F.codes_to_array([[eps.value(a, b) for b in A.degrees]
+                          for a in A.degrees])
+    # [x_j, x_i] = -eps(deg j, deg i) [x_i, x_j]
+    skew = C.swapaxes(0, 1) != digit_product(
+        F, (-E.swapaxes(0, 1) % p)[:, :, None], C, np.multiply)
+    for i, j in np.argwhere(skew.any(axis=(2, 3))).tolist():
+        report.append(("skew", (i, j), "[y,x] != -eps(b,a)[x,y]"))
+    # eps(c,a) T[i,j,k] + eps(a,b) T[j,k,i] + eps(b,c) T[k,i,j] = 0 for
+    # T[i, j, k] = [x_i, [x_j, x_k]] = sum_m C[j, k, m] C[i, m], a slab of
+    # output coordinates at a time
+    terms = ((E.swapaxes(0, 1)[:, None, :, None], (0, 1, 2, 3, 4)),
+             (E[:, :, None, None], (2, 0, 1, 3, 4)),
+             (E[None, :, :, None], (1, 2, 0, 3, 4)))
+    jacobi = np.zeros((n, n, n), dtype=bool)
+    step = max(1, _SLAB // n ** 3)
+    for o in range(0, n, step):
+        T = digit_product(F, C.reshape(n * n, n, k), C[:, :, o:o + step],
+                          np.matmul).reshape(n, n, n, -1, k)
+        total = sum(digit_product(F, e, T.transpose(axes), np.multiply)
+                    for e, axes in terms)
+        jacobi |= (total % p).any(axis=(3, 4))
+    for i, j, t in np.argwhere(jacobi).tolist():
+        report.append(("jacobi", (i, j, t), "color Jacobi fails on (%s,%s,%s)"
+                       % (A.names[i], A.names[j], A.names[t])))
+    # [x,x] = 0 for even x; [[y,y],z] = 2[y,[y,z]] for odd y
+    square = C[np.arange(n), np.arange(n)]
+    lhs = _rep(F, C, square)
+    twice = digit_product(F, C, C, np.matmul) * 2 % p
+    for i in range(n):
         if A.is_even(i):
-            if A.bracket(i, i):
+            if square[i].any():
                 report.append(("bracket_square", i, "[x,x] != 0 for even x"))
-        else:
-            yy = A.bracket(i, i)
-            if bracket_eval(A, yy, basis[i]):
-                report.append(("bracket_square", i, "[[y,y],y] != 0"))
-            for k in range(A.dim):
-                lhs = bracket_eval(A, yy, basis[k])
-                rhs = elem_scale(F, bracket_eval(
-                    A, basis[i], A.bracket(i, k)), two)
-                if not elem_eq(lhs, rhs):
-                    report.append(("bracket_square", (i, k),
-                                   "[[y,y],z] != 2[y,[y,z]]"))
+            continue
+        if lhs[i, i].any():
+            report.append(("bracket_square", i, "[[y,y],y] != 0"))
+        for t in np.flatnonzero((lhs[i] != twice[i]).any(axis=(1, 2))):
+            report.append(("bracket_square", (i, int(t)),
+                           "[[y,y],z] != 2[y,[y,z]]"))
     if A.pmap:
-        report.extend(_validate_pmap(A, basis))
+        report.extend(_validate_pmap(A, C))
     return report
 
 
-def _validate_pmap(A, basis):
+def _validate_pmap(A, C):
     F, p = A.F, A.F.p
     report = []
     for i, val in A.pmap.items():
@@ -335,49 +372,33 @@ def _validate_pmap(A, basis):
         report.append(("pmap_degree", tuple(i for i in evens if i not in A.pmap),
                        "p-map missing on even indices"))
         return report
-    for i in evens:
-        for j in range(A.dim):
-            z = basis[j]
-            for _ in range(p):
-                z = bracket_eval(A, basis[i], z)
-            if not elem_eq(z, bracket_eval(A, A.pmap[i], basis[j])):
-                report.append(("pmap_ad", (i, j), "ad(x^[p]) != (ad x)^p"))
-                break
+    basis = _dense(A, [{i: F.one} for i in range(A.dim)])
+    pmaps = _dense(A, [A.pmap.get(i, {}) for i in range(A.dim)])
+    for i, row in zip(evens, _power_mismatch(F, C, basis[evens],
+                                             pmaps[evens])):
+        if row.any():
+            report.append(("pmap_ad", (i, int(row.argmax())),
+                           "ad(x^[p]) != (ad x)^p"))
+    # the matrix realization, when there is one, checks x^[p] and additivity
+    R = C
     if A.matrices is not None:
-        for i in evens:
-            Mp = A.matrices[i].pow_int(p)
-            for r in (2, 3):
-                lhs = A.matrices[i].scale(F.embed(r)).pow_int(p)
-                rhs = Mp.scale(F.pow(F.embed(r), p))
-                if lhs != rhs:
-                    report.append(("pmap_scale", i, "(rx)^[p] != r^p x^[p]"))
-            if matrix_of(A, A.pmap[i]) != Mp:
-                report.append(("pmap_matrix", i,
-                               "x^[p] differs from the matrix p-th power"))
+        R = np.stack([A.matrices[i].a for i in range(A.dim)])
+        wrong = _power_mismatch(F, R, basis[evens], pmaps[evens]).any(axis=1)
+        for i in np.array(evens, dtype=np.int64)[wrong].tolist():
+            report.append(("pmap_matrix", i,
+                           "x^[p] differs from the matrix p-th power"))
     by_degree = {}
     for i in evens:
         by_degree.setdefault(A.degrees[i], []).append(i)
-    for group in by_degree.values():
-        for i, j in itertools.combinations(group, 2):
-            w = elem_add(F, A.pmap[i], A.pmap[j])
-            for s in _si_terms(A, basis[i], basis[j]):
-                w = elem_add(F, w, s)
-            if A.matrices is not None:
-                target = (A.matrices[i] + A.matrices[j]).pow_int(p)
-                ok = matrix_of(A, w) == target
-            else:
-                xy = elem_add(F, basis[i], basis[j])
-                ok = True
-                for t in range(A.dim):
-                    z = basis[t]
-                    for _ in range(p):
-                        z = bracket_eval(A, xy, z)
-                    if not elem_eq(z, bracket_eval(A, w, basis[t])):
-                        ok = False
-                        break
-            if not ok:
-                report.append(("pmap_additivity", (i, j),
-                               "(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)"))
+    pairs = [ij for group in by_degree.values()
+             for ij in itertools.combinations(group, 2)]
+    I, J = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    W = (pmaps[I] + pmaps[J] + _jacobson_sums(A, C, basis[I], basis[J])) % p
+    wrong = _power_mismatch(F, R, (basis[I] + basis[J]) % p, W).any(axis=1)
+    for (i, j), bad in zip(pairs, wrong):
+        if bad:
+            report.append(("pmap_additivity", (i, j),
+                           "(x+y)^[p] != x^[p]+y^[p]+sum s_i(x,y)"))
     return report
 
 
@@ -416,7 +437,6 @@ def trace_theta(A, x, y):
 def theta(A, x):
     """The functional b(x, -) as a dense value list over the basis."""
     F = A.F
-    B = _gram(A)
     return [trace_theta(A, x, {j: F.one}) for j in range(A.dim)]
 
 
@@ -451,15 +471,15 @@ def _semisimple_part(F, X):
     for lam, mult in sorted(roots):
         shifted = X - Mat.identity(F, n).scale(lam)
         ker = shifted.pow_int(n).nullspace()
-        assert ker.shape[1] == mult
+        if ker.shape[1] != mult:
+            raise InvariantError("generalized eigenspace of %d has dimension "
+                                 "%d, not its multiplicity %d"
+                                 % (lam, ker.shape[1], mult))
         for c in range(mult):
             cols.append([ker.entry(r, c) for r in range(n)])
             diag.append(lam)
     U = Mat.from_codes(F, cols).T
-    D = Mat.zeros(F, n, n)
-    for i, lam in enumerate(diag):
-        D.a[i, i] = F.codes_to_array(np.asarray([[lam]]))[0, 0]
-    return U @ D @ U.inv()
+    return U @ Mat.from_codes(F, np.diag(diag)) @ U.inv()
 
 
 def jordan_decompose(A, x):
@@ -472,20 +492,14 @@ def jordan_decompose(A, x):
     F = A.F
     X = matrix_of(A, x)
     Xs = _semisimple_part(F, X)
-    # read off coefficients: entry (r, c) of Xs is the coefficient of e_rc
-    xs = {}
-    for i in range(A.dim):
-        if A.degrees[i] != A.group.zero:
-            continue
-        Mi = A.matrices[i]
-        nz = np.argwhere(Mi.a.any(axis=-1))
-        r, c = int(nz[0][0]), int(nz[0][1])
-        v = Xs.entry(r, c)
-        if v:
-            xs[i] = v
-    xn = elem_sub(F, x, xs)
-    assert not bracket_eval(A, xs, xn)
-    assert matrix_of(A, xn).pow_int(X.shape[0]).is_zero()
+    # entry (r, c) of Xs is the coefficient of e_rc
+    xs = elem_clean({i: Xs.entry(*_unit(A, i)) for i in range(A.dim)
+                     if A.degrees[i] == A.group.zero})
+    xn = elem_add(F, x, elem_scale(F, xs, F.neg(F.one)))
+    if bracket_eval(A, xs, xn):
+        raise InvariantError("Jordan parts do not commute")
+    if not matrix_of(A, xn).pow_int(X.shape[0]).is_zero():
+        raise InvariantError("Jordan nilpotent part is not nilpotent")
     return xs, xn
 
 
@@ -571,36 +585,20 @@ def standardize_character(A, chi):
     ginv = g.inv()
     Xstd = g @ X @ ginv
     tri = A.triangular
-    chi_s, chi_n = {}, {}
-    for c in tri.cartan:
-        Mi = A.matrices[c]
-        nz = np.argwhere(Mi.a.any(axis=-1))
-        r = int(nz[0][0])
-        v = Xstd.entry(r, r)
-        if v:
-            chi_s[c] = v
-    for t in tri.neg:
-        Mi = A.matrices[t]
-        nz = np.argwhere(Mi.a.any(axis=-1))
-        r, c = int(nz[0][0]), int(nz[0][1])
-        v = Xstd.entry(c, r)  # chi(e_rc) = tr(X e_rc) = X_cr
-        if v:
-            chi_n[t] = v
+    # chi(e_rc) = tr(X e_rc) = X_cr
+    chi_s = {c: Xstd.entry(*_unit(A, c)) for c in tri.cartan}
+    chi_n = {t: Xstd.entry(*_unit(A, t)[::-1]) for t in tri.neg}
     std = CharacterStd(A, chi_s, chi_n, g)
     _check_standard(A, std, Xstd)
     return std
 
 
 def _check_standard(A, std, Xstd):
-    F = A.F
     tri = A.triangular
     # chi^g read directly from Xstd must vanish on positive root vectors,
     # agree with chi_s on the Cartan and chi_n on negatives
     for t in tri.pos:
-        Mi = A.matrices[t]
-        nz = np.argwhere(Mi.a.any(axis=-1))
-        r, c = int(nz[0][0]), int(nz[0][1])
-        if Xstd.entry(c, r) != 0:
+        if Xstd.entry(*_unit(A, t)[::-1]) != 0:
             raise NotStandard("chi_n does not vanish on N^+")
     for t in tri.pos:
         s = std.h_delta_value(t)
@@ -619,7 +617,6 @@ def levi_data(A, std):
     """
     if A.triangular is None:
         raise NotStandard("no triangular data")
-    F = A.F
     tri = A.triangular
     zset = set(tri.cartan)
     nplus = set()

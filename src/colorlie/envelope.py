@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
                      NotWeightZero, OddElement, TooLarge)
-from .field import digit_product
+from .field import _SLAB, digit_product
 from .linalg import Mat
 
 
@@ -503,11 +503,6 @@ def uchi_basis(spec):
     return count, gen
 
 
-# entries per digit-array product in the Gram walk and the symmetry check:
-# bounds the scratch arrays whatever the dimension
-_SLAB = 1 << 16
-
-
 def _basis_table(eng, mons, index, j, left=False):
     """Multiplication by the letter e_j on the reduced basis mons, flattened
     to arrays with one entry per term c m2 of m e_j (of e_j m when left):
@@ -637,7 +632,7 @@ def monomial_weight(A, mono):
     return tuple(tot)
 
 
-def harish_chandra(u, spec=None, verify=True):
+def harish_chandra(u, spec=None):
     """Cartan-exponent read-off of a weight-zero element of a reduced
     quotient with standard semisimple character.
 
@@ -663,7 +658,7 @@ def harish_chandra(u, spec=None, verify=True):
         has_neg = any(mono[i] for i in tri.neg)
         if not (has_pos or has_neg):
             kept[mono] = c
-        elif verify and not (has_pos and has_neg):
+        elif not (has_pos and has_neg):
             raise NotWeightZero(
                 "monomial %s is weight zero only modulo p; the Cartan "
                 "read-off is not certified for it" % _fmt_mono(A, mono))

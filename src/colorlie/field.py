@@ -15,6 +15,10 @@ from .errors import BadCharacteristic, NonPrime, ReducibleModulus
 
 LUT_LIMIT = 2048  # build full q x q tables only below this size
 
+# entries per digit-array product in slabbed loops (the Gram walk, the
+# axiom checks): bounds the scratch arrays whatever the dimension
+_SLAB = 1 << 16
+
 
 def _is_prime(n):
     if n < 2:
@@ -62,6 +66,18 @@ def digit_product(F, A, B, op):
     out = np.empty(conv[0].shape + (k,), dtype=np.int64)
     for d in range(k):
         np.remainder(conv[d], p, out=out[..., d])
+    return out
+
+
+def digit_power(F, A, e, op):
+    """A^e for e >= 1 under the product op of `digit_product` (np.multiply
+    for entrywise powers, np.matmul for matrix powers), by repeated
+    squaring."""
+    out = A
+    for bit in bin(e)[3:]:
+        out = digit_product(F, out, out, op)
+        if bit == "1":
+            out = digit_product(F, out, A, op)
     return out
 
 
@@ -207,8 +223,11 @@ class Field:
         return t
 
     def artin_schreier_solutions(self, c):
-        """All a with a^p - a = c (either empty or a coset of F_p)."""
-        return [a for a in self.elements() if self.sub(self.pow(a, self.p), a) == c]
+        """All a with a^p - a = c (either empty or a coset of F_p), in
+        increasing code order, from one pass over the whole field."""
+        a = self.codes_to_array(np.arange(self.q))
+        lhs = self.array_to_codes((self.pow_array(a, self.p) - a) % self.p)
+        return [int(x) for x in np.flatnonzero(lhs == c)]
 
     # -- numpy digit-array helpers (used by the linear algebra layer) ------
 
@@ -221,21 +240,19 @@ class Field:
     def array_to_codes(self, arr):
         return (arr * np.array(self._powers)).sum(axis=-1).astype(np.int64)
 
+    def pow_array(self, arr, e):
+        """a^e for every digit vector a of an array (..., k), e >= 0, every
+        step of the repeated squaring one `digit_product` over the array."""
+        if e:
+            return digit_power(self, arr, e, np.multiply)
+        return self.codes_to_array(np.ones(arr.shape[:-1], dtype=np.int64))
+
     def inv_array(self, arr):
         """Inverses of an array (..., k) of nonzero digit vectors: read from
-        the table when the field has one, otherwise a^(q-2) by repeated
-        squaring, every step one `digit_product` over the whole array."""
+        the table when the field has one, otherwise a^(q-2)."""
         if self._inv is not None:
             return self.codes_to_array(self._inv[self.array_to_codes(arr)])
-        out = np.zeros_like(arr)
-        out[..., 0] = 1
-        e = self.q - 2
-        while e:
-            if e & 1:
-                out = digit_product(self, out, arr, np.multiply)
-            arr = digit_product(self, arr, arr, np.multiply)
-            e >>= 1
-        return out
+        return self.pow_array(arr, self.q - 2)
 
     # -- polynomial utilities over this field (little-endian code lists) ---
 

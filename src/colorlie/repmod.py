@@ -404,87 +404,62 @@ def admissible_lambdas(spec):
 
 # -- shared module validation ----------------------------------------------------
 
-def _check_cartan_diagonal(A, action, weights):
-    tri = A.triangular
-    F = A.F
-    dim = len(weights)
+def _check_module(M, letters, zero=()):
+    """The module relations of M on the acting letters: the letters in zero
+    act as zero and the Cartan letters diagonally with the recorded weights;
+    every nonzero entry shifts color degree, Cartan weight and height as its
+    letter's root data prescribes; rho([x, y]) = rho(x) rho(y) - eps rho(y)
+    rho(x) on all letter pairs, and rho(x)^p - rho(x^[p]) = chi(x)^p on the
+    even letters."""
+    spec, action = M.spec, M.action
+    A = spec.algebra
+    F, tri = A.F, A.triangular
+    for i in zero:
+        if not action[i].is_zero():
+            raise ValueError("induced raising letter %s must act as zero "
+                             "on the base" % A.names[i])
     for n, h in enumerate(tri.cartan):
-        arr = np.zeros((dim, dim), dtype=np.int64)
-        for v in range(dim):
-            arr[v, v] = weights[v][n]
-        if action[h] != Mat.from_codes(F, arr):
+        diag = np.diag([w[n] for w in M.weights])
+        if action[h] != Mat.from_codes(F, diag):
             raise ValueError("Cartan letter %s is not diagonal with the "
                              "recorded weights" % A.names[h])
-
-
-def _check_action_grading(A, action, weights, degrees, heights, letters):
-    """Every nonzero matrix entry must shift color degree, Cartan weight and
-    height exactly as the letter's root data prescribes."""
-    tri = A.triangular
-    F = A.F
-    g = A.group
-    posset = set(tri.pos)
-    negset = set(tri.neg)
+    posset, negset = set(tri.pos), set(tri.neg)
     for i in letters:
-        M = action[i]
-        rows, cols = np.nonzero(M.a.any(axis=-1))
-        if not rows.size:
-            continue
-        di = A.degree(i)
+        rows, cols = np.nonzero(action[i].a.any(axis=-1))
         root = tri.roots.get(i)
         h = tri.heights.get(i, 0)
         shift = h if i in posset else (-h if i in negset else 0)
         for u, v in zip(rows.tolist(), cols.tolist()):
-            if degrees[u] != g.add(di, degrees[v]):
+            if M.degrees[u] != A.group.add(A.degree(i), M.degrees[v]):
                 raise ValueError("action of %s is not degree homogeneous"
                                  % A.names[i])
-            if heights[u] != heights[v] - shift:
+            if M.heights[u] != M.heights[v] - shift:
                 raise ValueError("action of %s is not height homogeneous"
                                  % A.names[i])
-            if root is not None:
-                want = tuple(F.add(w, F.embed(r))
-                             for w, r in zip(weights[v], root))
-                if weights[u] != want:
-                    raise ValueError("action of %s is not weight homogeneous"
-                                     % A.names[i])
-            elif weights[u] != weights[v]:
+            want = M.weights[v] if root is None else tuple(
+                F.add(w, F.embed(r)) for w, r in zip(M.weights[v], root))
+            if M.weights[u] != want:
                 raise ValueError("action of %s is not weight homogeneous"
                                  % A.names[i])
-
-
-def _check_bracket_relations(A, action, letters):
-    """rho([x, y]) = rho(x) rho(y) - eps rho(y) rho(x) on all letter pairs."""
-    F = A.F
     for x, i in enumerate(letters):
-        Mi = action[i]
         for j in letters[:x + 1]:
-            Mj = action[j]
+            Mi, Mj = action[i], action[j]
             sign = A.eps.value(A.degree(i), A.degree(j))
             lhs = (Mi @ Mj) - (Mj @ Mi).scale(sign)
-            rhs = None
+            rhs = Mat.zeros(F, M.dim, M.dim)
             for t, c in A.bracket(i, j).items():
                 if t not in action:
                     raise ValueError("bracket of %s and %s leaves the acting "
                                      "letters" % (A.names[i], A.names[j]))
-                term = action[t].scale(c)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None:
-                rhs = Mat.zeros(F, *lhs.shape)
+                rhs = rhs + action[t].scale(c)
             if lhs != rhs:
                 raise ValueError("bracket relation fails at (%s, %s)"
                                  % (A.names[i], A.names[j]))
-
-
-def _check_reduced_relations(A, spec, action, letters):
-    """rho(x)^p - rho(x^[p]) = chi(x)^p on the even letters."""
-    F = A.F
-    p = F.p
-    dim = next(iter(action.values())).shape[0]
-    I = Mat.identity(F, dim)
+    I = Mat.identity(F, M.dim)
     for i in letters:
         if not A.is_even(i) or i in spec.J:
             continue
-        Z = action[i].pow_int(p)
+        Z = action[i].pow_int(F.p)
         for t, c in A.pmap.get(i, {}).items():
             if t not in action:
                 raise ValueError("p-map of %s leaves the acting letters"
@@ -493,6 +468,7 @@ def _check_reduced_relations(A, spec, action, letters):
         if Z != I.scale(spec.linear_pow.get(i, 0)):
             raise ValueError("reduced power relation fails at %s"
                              % A.names[i])
+    return True
 
 
 # -- parabolic bases and induced modules -----------------------------------------
@@ -536,18 +512,9 @@ class BaseModule:
             self.validate()
 
     def validate(self):
-        A = self.spec.algebra
-        tri = A.triangular
-        for t in self.triple.deltas:
-            if not self.action[tri.pairs[t][0]].is_zero():
-                raise ValueError("induced raising letter %s must act as zero "
-                                 "on the base" % A.names[tri.pairs[t][0]])
-        _check_cartan_diagonal(A, self.action, self.weights)
-        _check_action_grading(A, self.action, self.weights, self.degrees,
-                              self.heights, self.letters)
-        _check_bracket_relations(A, self.action, self.letters)
-        _check_reduced_relations(A, self.spec, self.action, self.letters)
-        return True
+        tri = self.spec.algebra.triangular
+        return _check_module(self, self.letters,
+                             [tri.pairs[t][0] for t in self.triple.deltas])
 
 
 def _line_base(spec, triple, lam):
@@ -729,14 +696,7 @@ class GradedModule:
             self.validate()
 
     def validate(self):
-        A = self.spec.algebra
-        letters = list(range(A.dim))
-        _check_cartan_diagonal(A, self.action, self.weights)
-        _check_action_grading(A, self.action, self.weights, self.degrees,
-                              self.heights, letters)
-        _check_bracket_relations(A, self.action, letters)
-        _check_reduced_relations(A, self.spec, self.action, letters)
-        return True
+        return _check_module(self, list(range(self.spec.algebra.dim)))
 
     def to_wire(self):
         F = self.spec.algebra.F
@@ -1286,8 +1246,8 @@ def module_isomorphism(algebra, M1, M2):
 
 # -- weight sweeps ----------------------------------------------------------------
 
-def sweep_rows(spec, triple, oracle=True, check=False, max_dim=2000,
-               max_enumerate=3, samples=40, seed=0, fix=None):
+def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
+               samples=40, seed=0, fix=None):
     """One row per admissible weight: both routes to the simplicity value,
     the optional brute-force verdict, the agreement flag (vanishing loci
     and verdict must all line up) and the row's wall time in ms.  fix
@@ -1303,7 +1263,7 @@ def sweep_rows(spec, triple, oracle=True, check=False, max_dim=2000,
         row = {"lambda": [int(c) for c in lam], "f_closed": fc, "f_hc": fh}
         agree = (fc == 0) == (fh == 0)
         if oracle:
-            M = verma_build(spec, triple, weight=lam, check=check,
+            M = verma_build(spec, triple, weight=lam, check=False,
                             max_dim=max_dim)
             verdict = is_simple(M, max_enumerate=max_enumerate,
                                 samples=samples, seed=seed)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from colorlie.algebra import (CharacterStd, ColorAlgebra, bracket_eval,
-                              elem_add, elem_eq, elem_scale, jordan_decompose,
-                              levi_data, make_gl, matrix_of, pmap_eval,
+                              elem_add, elem_clean, elem_scale,
+                              jordan_decompose, levi_data, make_gl,
+                              matrix_of, pmap_eval,
                               standardize_character, subalgebra, theta,
                               theta_inv, trace_theta, validate_algebra)
-from colorlie.errors import (EmptyAlgebra, NeedsExtension, NotZeroDegree,
-                             OddElement)
+from colorlie.errors import (EmptyAlgebra, InvariantError, NeedsExtension,
+                             NotZeroDegree, OddElement)
 from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
@@ -84,14 +85,14 @@ def test_gl11_super_brackets():
     e_idx, f_idx, H = A.triangular.pairs[i12]
     assert (e_idx, f_idx) == (i12, i21)
     assert H == {A.index_of("e_11"): 1, A.index_of("e_22"): 1}
-    assert elem_eq(bracket_eval(A, {e_idx: 1}, {f_idx: 1}), H)
+    assert bracket_eval(A, {e_idx: 1}, {f_idx: 1}) == H
     assert not A.is_even(i12)
 
 
 def test_h_delta_is_bracket_everywhere():
     for A in (gl2(), gl3(), gl11()):
         for t, (e_idx, f_idx, H) in A.triangular.pairs.items():
-            assert elem_eq(bracket_eval(A, {e_idx: 1}, {f_idx: 1}), H)
+            assert bracket_eval(A, {e_idx: 1}, {f_idx: 1}) == H
 
 
 def test_root_pairing():
@@ -103,7 +104,7 @@ def test_root_pairing():
             for ci, c in enumerate(tri.cartan):
                 out = bracket_eval(A, {c: 1}, {t: 1})
                 expect = elem_scale(A.F, {t: 1}, A.F.embed(root[ci]))
-                assert elem_eq(out, expect)
+                assert out == expect
 
 
 def test_empty_rejected():
@@ -360,14 +361,14 @@ def test_pmap_eval_matches_matrix_power():
             got = matrix_of(A, pmap_eval(A, x))
             assert got == matrix_of(A, x).pow_int(5)
             rx = elem_scale(F5, x, 2)
-            assert elem_eq(pmap_eval(A, rx),
-                           elem_scale(F5, pmap_eval(A, x), F5.pow(2, 5)))
+            assert pmap_eval(A, rx) == elem_scale(F5, pmap_eval(A, x),
+                                                  F5.pow(2, 5))
 
 
 def test_pmap_eval_fixed_point():
     A = gl2()
     x = elem_add(F5, e(A, "e_12"), e(A, "e_21"))
-    assert elem_eq(pmap_eval(A, x), x)  # M^2 = I so M^5 = M
+    assert pmap_eval(A, x) == x  # M^2 = I so M^5 = M
 
 
 def test_pmap_eval_odd_rejected():
@@ -457,7 +458,7 @@ def test_theta_roundtrip():
     for A in (gl2(), gl11()):
         for _ in range(6):
             x = {i: rng.randrange(F5.q) for i in range(A.dim)}
-            assert elem_eq(theta_inv(A, theta(A, x)), x)
+            assert theta_inv(A, theta(A, x)) == elem_clean(x)
         chi = [rng.randrange(F5.q) for _ in range(A.dim)]
         assert theta(A, theta_inv(A, chi)) == chi
 
@@ -505,7 +506,27 @@ def test_jordan_needs_extension():
     B = make_gl(trivial_bicharacter(G, F25), {(): 2})
     y = {B.index_of("e_12"): 3, B.index_of("e_21"): 1}
     ys, yn = jordan_decompose(B, y)
-    assert elem_eq(elem_add(F25, ys, yn), y) and yn == {}
+    assert elem_add(F25, ys, yn) == y and yn == {}
+
+
+def test_jordan_invariants_raise_typed_errors(monkeypatch):
+    import colorlie.algebra as algebra
+    A = gl2()
+    i11, i12, i22 = (A.index_of(n) for n in ("e_11", "e_12", "e_22"))
+    with monkeypatch.context() as m:   # claim a double eigenvalue 1
+        m.setattr(algebra, "_eigen_data", lambda F, X: [(1, 2)])
+        with pytest.raises(InvariantError, match="multiplicity"):
+            jordan_decompose(A, {i11: 1, i22: 2})
+    with monkeypatch.context() as m:   # the diagonal, not the semisimple part
+        m.setattr(algebra, "_semisimple_part", lambda F, X: Mat(
+            F, X.a * np.eye(X.shape[0], dtype=np.int64)[:, :, None]))
+        with pytest.raises(InvariantError, match="commute"):
+            jordan_decompose(A, {i11: 1, i12: 1})
+    with monkeypatch.context() as m:   # no semisimple part at all
+        m.setattr(algebra, "_semisimple_part",
+                  lambda F, X: Mat.zeros(F, *X.shape))
+        with pytest.raises(InvariantError, match="nilpotent"):
+            jordan_decompose(A, {i11: 1})
 
 
 def test_jordan_rejects_mixed_degree():

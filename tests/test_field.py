@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +114,34 @@ def test_artin_schreier_prime_field(F5):
     for c in F5.elements():
         sols = F5.artin_schreier_solutions(c)
         assert len(sols) == (5 if c == 0 else 0)
+
+
+def _artin_schreier_scalar(F, c):
+    return [a for a in F.elements() if F.sub(F.pow(a, F.p), a) == c]
+
+
+def test_pow_array_matches_scalar_pow():
+    F = Field(5, 3)
+    a = F.codes_to_array(np.arange(F.q))
+    for e in (0, 1, 2, 5, 7, F.q - 2, F.q - 1, 3 * F.q):
+        got = F.array_to_codes(F.pow_array(a, e))
+        assert got.tolist() == [F.pow(x, e) for x in F.elements()]
+
+
+def test_artin_schreier_every_c_over_f125():
+    F = Field(5, 3)
+    for c in F.elements():
+        assert F.artin_schreier_solutions(c) == _artin_schreier_scalar(F, c)
+
+
+def test_artin_schreier_without_tables():
+    F = Field(7, 4)                   # q = 2401 > LUT_LIMIT: no tables
+    assert F._mul is None
+    full = F.sub(F.pow(1000, 7), 1000)
+    for c in (full, F.one):           # Tr(1) = 4 != 0: an empty fibre
+        assert F.artin_schreier_solutions(c) == _artin_schreier_scalar(F, c)
+    assert len(F.artin_schreier_solutions(full)) == 7
+    assert F.artin_schreier_solutions(F.one) == []
 
 
 def test_poly_roots_and_gcd(F5):
