@@ -253,14 +253,15 @@ def _jacobson_sums(A, C, X, Y):
     """s_1 + ... + s_{p-1} of Jacobson's formula for (x + y)^[p], for each
     pair of the batches X and Y (b, n, k) of even vectors of one degree.
 
-    i s_i is the coefficient of t^(i-1) in f(t) = (ad(tx+y))^(p-1)(x), of
-    degree < p, so the sum is sum_t w_t f(t) over t in F_p, where V^T w =
-    (1, 1/2, ..., 1/(p-1), 0) for the Vandermonde matrix V[t, d] = t^d: one
-    solve for the whole batch."""
+    i s_i is the coefficient c_(i-1) of t^(i-1) in f(t) = (ad(tx+y))^(p-1)(x),
+    of degree < p, so the sum is sum_t w_t f(t) over t in F_p with w_t =
+    sum_d V^-1[d, t] / (d+1), V[t, d] = t^d.  As sum_t t^m over F_p is -1
+    for m > 0 divisible by p-1 and 0 otherwise, V^-1 has row 0 [t == 0] and
+    row d > 0 -t^(p-1-d): the weights need no elimination."""
     F, p, n = A.F, A.F.p, A.dim
-    V = Mat.from_codes(F, [[F.pow(t, d) for d in range(p)] for t in range(p)])
-    w = V.T.solve(Mat.from_codes(F, [[F.inv(F.embed(d))] for d in range(1, p)]
-                                 + [[0]])).to_codes()[:, :, None]
+    w = np.array([(t == 0) - sum(pow(t, p - 1 - d, p) * pow(d + 1, p - 2, p)
+                                 for d in range(1, p - 1))
+                  for t in range(p)])[:, None, None] % p
     t = np.arange(p)[:, None, None, None]   # prime-field codes act digitwise
     out = np.zeros_like(X)
     step = max(1, _SLAB // (p * n * n))

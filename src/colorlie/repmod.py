@@ -446,12 +446,15 @@ def _check_module(M, letters, zero=()):
             Mi, Mj = action[i], action[j]
             sign = A.eps.value(A.degree(i), A.degree(j))
             lhs = (Mi @ Mj) - (Mj @ Mi).scale(sign)
-            rhs = Mat.zeros(F, M.dim, M.dim)
+            rhs = None
             for t, c in A.bracket(i, j).items():
                 if t not in action:
                     raise ValueError("bracket of %s and %s leaves the acting "
                                      "letters" % (A.names[i], A.names[j]))
-                rhs = rhs + action[t].scale(c)
+                term = action[t].scale(c)
+                rhs = term if rhs is None else rhs + term
+            if rhs is None:
+                rhs = Mat.zeros(F, M.dim, M.dim)
             if lhs != rhs:
                 raise ValueError("bracket relation fails at (%s, %s)"
                                  % (A.names[i], A.names[j]))

@@ -353,16 +353,19 @@ def test_pmap_eval_pinned(case):
 
 def test_pmap_eval_matches_matrix_power():
     rng = random.Random(11)
-    for A in (gl2(), gl11()):
+    F13 = Field(13)
+    gl2_f13 = make_gl(trivial_bicharacter(GradedGroup([]), F13), {(): 2})
+    for A in (gl2(), gl11(), gl2_f13):
+        F = A.F
         zero = A.group.zero
         evens = [i for i in range(A.dim) if A.degrees[i] == zero]
         for _ in range(8):
-            x = {i: rng.randrange(F5.q) for i in evens}
+            x = {i: rng.randrange(F.q) for i in evens}
             got = matrix_of(A, pmap_eval(A, x))
-            assert got == matrix_of(A, x).pow_int(5)
-            rx = elem_scale(F5, x, 2)
-            assert pmap_eval(A, rx) == elem_scale(F5, pmap_eval(A, x),
-                                                  F5.pow(2, 5))
+            assert got == matrix_of(A, x).pow_int(F.p)
+            rx = elem_scale(F, x, 2)
+            assert pmap_eval(A, rx) == elem_scale(F, pmap_eval(A, x),
+                                                  F.pow(2, F.p))
 
 
 def test_pmap_eval_fixed_point():
