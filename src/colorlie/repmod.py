@@ -426,11 +426,12 @@ def _check_module(M, letters, zero=()):
     posset, negset = set(tri.pos), set(tri.neg)
     for i in letters:
         rows, cols = np.nonzero(action[i].a.any(axis=-1))
+        di = A.degree(i)
         root = tri.roots.get(i)
         h = tri.heights.get(i, 0)
         shift = h if i in posset else (-h if i in negset else 0)
         for u, v in zip(rows.tolist(), cols.tolist()):
-            if M.degrees[u] != A.group.add(A.degree(i), M.degrees[v]):
+            if M.degrees[u] != A.group.add(di, M.degrees[v]):
                 raise ValueError("action of %s is not degree homogeneous"
                                  % A.names[i])
             if M.heights[u] != M.heights[v] - shift:
@@ -442,8 +443,9 @@ def _check_module(M, letters, zero=()):
                 raise ValueError("action of %s is not weight homogeneous"
                                  % A.names[i])
     for x, i in enumerate(letters):
+        Mi = action[i]
         for j in letters[:x + 1]:
-            Mi, Mj = action[i], action[j]
+            Mj = action[j]
             sign = A.eps.value(A.degree(i), A.degree(j))
             lhs = (Mi @ Mj) - (Mj @ Mi).scale(sign)
             rhs = None
@@ -454,7 +456,7 @@ def _check_module(M, letters, zero=()):
                 term = action[t].scale(c)
                 rhs = term if rhs is None else rhs + term
             if rhs is None:
-                rhs = Mat.zeros(F, M.dim, M.dim)
+                rhs = Mat.zeros(F, *lhs.shape)
             if lhs != rhs:
                 raise ValueError("bracket relation fails at (%s, %s)"
                                  % (A.names[i], A.names[j]))
