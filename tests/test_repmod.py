@@ -515,7 +515,22 @@ def _reference_is_simple(M, max_enumerate=3, samples=40, seed=0):
             "weight": None, "witness": None}
 
 
-def test_is_simple_matches_full_letter_closure():
+def _regss_gl21_f25():
+    """gl(2|1) over F_25 with the diagonal character of _regss_gl3_f25: the
+    odd lowering letters have cap 2, and every row is simple."""
+    F = Field(5, 2, [3, 0, 1])
+    _, eps = super_bicharacter(F)
+    A = make_gl(eps, {(0,): 2, (1,): 1})
+    chi = PCharacter(A, linear={A.index_of("e_11"): F.from_wire([0, 1]),
+                                A.index_of("e_22"): F.from_wire([0, 2])})
+    return chi_reduce(A, chi)
+
+
+def _is_simple_pin_modules():
+    """Induced modules for the is_simple pins: Borel line bases over F_5 and
+    F_25, the gl(3)/F_5 Levi-parabolic line bases (three lowering letters of
+    cap 5, so 125 ordered lowering words on a 25-dim module) and the 50-dim
+    module induced from the natural gl(2) Levi base."""
     cases = []
     spec = zero_spec(gl2())
     cases += [(spec, lam) for lam in ((4, 0), (2, 0))]
@@ -526,15 +541,29 @@ def test_is_simple_matches_full_letter_closure():
     spec = zero_spec(gl3())
     cases += [(spec, lam) for lam in admissible_lambdas(spec)
               if lam[1:] == (4, 0)]
-    spec = _regss_gl3_f25()
-    cases += [(spec, lam) for lam in admissible_lambdas(spec)[:2]]
-    verdicts = set()
+    for spec in (_regss_gl3_f25(), _regss_gl21_f25()):
+        cases += [(spec, lam) for lam in admissible_lambdas(spec)[:2]]
     for spec, lam in cases:
-        M = verma_build(spec, fp_order(spec.algebra), weight=lam)
+        yield verma_build(spec, fp_order(spec.algebra), weight=lam)
+    A = gl3()
+    spec = zero_spec(A)
+    trip = fp_order(A, levi=[A.index_of("e_12")])
+    for lam in admissible_lambdas(spec):
+        if lam[0] == lam[1]:
+            yield verma_build(spec, trip, weight=lam)
+    yield verma_build(spec, trip, base=natural_base(spec, trip))
+
+
+def test_is_simple_matches_full_letter_closure():
+    verdicts = set()
+    dims = []
+    for M in _is_simple_pin_modules():
         got = is_simple(M)
-        assert got == _reference_is_simple(M), lam
+        assert got == _reference_is_simple(M), M.weights[0]
         verdicts.add(got["simple"])
+        dims.append(M.dim)
     assert verdicts == {True, False}
+    assert (dims.count(20), dims.count(25), dims.count(50)) == (25 + 2, 25, 1)
     spec = zero_spec(gl2())
     for lam in ((2, 0), (4, 0)):
         M = verma_build(spec, fp_order(spec.algebra), weight=lam)
