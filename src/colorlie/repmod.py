@@ -742,6 +742,29 @@ def module_from_wire(spec, wire):
 
 # -- singular vectors and brute-force simplicity ----------------------------------
 
+def _rref_by_block(F, rows, blocks):
+    """Reduced forms of the rows (m, dim, k) restricted to each of the
+    disjoint column blocks, one `batch_rref` per column count.  Yields
+    (members, cidx, live, R, pivots) per column count: members index the
+    blocks of that count, cidx holds their columns, live[j] marks the rows
+    that are nonzero on the columns of block members[j], R[j] is the
+    reduced form of those rows and pivots[j] marks its pivot columns.
+
+    A block takes the rows that are nonzero on its columns, in order,
+    padded to the group's longest with rows that are zero there.  No block
+    has more rows than the stack and the column counts add up to at most
+    dim, so the batches together never hold more cells than the stack."""
+    nonzero = rows.any(axis=-1)
+    for c in sorted({len(cols) for cols in blocks}):
+        members = [n for n, cols in enumerate(blocks) if len(cols) == c]
+        cidx = np.array([blocks[n] for n in members])
+        live = nonzero[:, cidx].any(axis=2).T
+        longest = live.sum(axis=1).max()
+        order = np.argsort(~live, axis=1, kind="stable")[:, :longest]
+        R, pivots = batch_rref(F, rows[order[:, :, None], cidx[:, None, :]])
+        yield members, cidx, live, R, pivots
+
+
 def singular_vectors(M):
     """Joint kernel of the height-one raising letters, bucketed by the full
     (weight, color degree, height) grading; returns {grading: [vectors]} in
@@ -749,12 +772,8 @@ def singular_vectors(M):
 
     The raising letters send distinct buckets to disjoint rows of the
     stacked height-one actions, so the stack is block diagonal and each
-    bucket's kernel is that of its own nonzero rows on its own columns.
-    The buckets are grouped by column count, and each group is eliminated
-    at once by `batch_rref`, every bucket's rows padded to the group's
-    longest with rows that are zero on its columns.  No bucket has more
-    rows than the stack and the column counts add up to dim, so the
-    batches together never hold more cells than the stack."""
+    bucket's kernel is that of its own nonzero rows on its own columns,
+    read off the reduced forms of `_rref_by_block`."""
     A = M.spec.algebra
     F = A.F
     tri = root_datum(A)
@@ -766,23 +785,14 @@ def singular_vectors(M):
         key = (M.weights[u], tuple(M.degrees[u]), M.heights[u])
         buckets.setdefault(key, []).append(u)
     keys = sorted(buckets)
-    nonzero = stack.any(axis=-1)
     found = {}
-    for c in sorted({len(cols) for cols in buckets.values()}):
-        group = [key for key in keys if len(buckets[key]) == c]
-        cidx = np.array([buckets[key] for key in group])
-        # each bucket's nonzero rows first, in order, then rows that are
-        # zero on its columns as padding
-        live = nonzero[:, cidx].any(axis=2).T
-        longest = live.sum(axis=1).max()
-        rows = np.argsort(~live, axis=1, kind="stable")[:, :longest]
-        block = stack[rows[:, :, None], cidx[:, None, :]]
-        R, pivots = batch_rref(F, block)
-        for j in np.flatnonzero(pivots.sum(axis=1) < c):
+    for members, cidx, _live, R, pivots in _rref_by_block(
+            F, stack, [buckets[key] for key in keys]):
+        for j in np.flatnonzero(pivots.sum(axis=1) < cidx.shape[1]):
             K = kernel_from_rref(F, R[j], np.flatnonzero(pivots[j]))
             vecs = np.zeros((K.shape[1], M.dim, F.k), dtype=np.int64)
             vecs[:, cidx[j]] = K.swapaxes(0, 1)
-            found[group[j]] = list(vecs)
+            found[keys[members[j]]] = list(vecs)
     return {key: found[key] for key in keys if key in found}
 
 
@@ -817,19 +827,68 @@ def _spin(F, mats, v, stop=None):
     return ech
 
 
+def _weight_span(F, words, blocks, basis=False):
+    """Rank of the rows of words (n, dim, k), ranked one weight space at a
+    time: blocks lists the basis indices of each recorded weight space.
+    With basis set, returns (rank, rows spanning the same space), else
+    (rank, None).  A row whose support meets two weight spaces raises
+    InvariantError: the split is only sound for weight vectors."""
+    hits = np.zeros(len(words), dtype=np.int64)
+    rank = 0
+    spans = []
+    for _members, cidx, live, R, pivots in _rref_by_block(F, words, blocks):
+        hits += live.sum(axis=0)
+        counts = pivots.sum(axis=1)
+        rank += int(counts.sum())
+        if basis:
+            jj, tt = np.nonzero(np.arange(R.shape[1]) < counts[:, None])
+            vecs = np.zeros((len(jj), words.shape[1], F.k), dtype=np.int64)
+            vecs[np.arange(len(jj))[:, None], cidx[jj]] = R[jj, tt]
+            spans.append(vecs)
+    if (hits > 1).any():
+        raise InvariantError("a lowering word meets two recorded weight "
+                             "spaces")
+    return rank, (np.concatenate(spans) if basis else None)
+
+
+def _word_span_rank(F, letters, v, blocks):
+    """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v,
+    each a_i below the cap of f_i.  letters holds (transposed action, cap)
+    per lowering letter in order; the words are rows, built last letter
+    first, each letter's cap - 1 powers as batched products on the block so
+    far.  Before a letter would take the block past dim words, the block is
+    cut down to a basis of its span (and a full span returns at once), so
+    it never holds more than max(cap) * dim words."""
+    dim = v.shape[0]
+    words = v[None]
+    for X, cap in reversed(letters):
+        if len(words) * cap > dim:
+            rank, words = _weight_span(F, words, blocks, basis=True)
+            if rank == dim:
+                return rank
+        n = len(words)
+        grown = np.empty((n * cap,) + words.shape[1:], dtype=np.int64)
+        grown[:n] = words
+        for a in range(1, cap):
+            grown[a * n:(a + 1) * n] = (Mat(F, grown[(a - 1) * n:a * n])
+                                        @ X).a
+        words = grown
+    return _weight_span(F, words, blocks)[0]
+
+
 def is_simple(M, max_enumerate=3, samples=40, seed=0):
     """Brute-force simplicity verdict: every singular line (grouped per
     Cartan weight) must generate the whole module.  Exhaustive when each
     weight's singular space has dimension at most max_enumerate, otherwise
     a seeded random sample of lines, flagged in the verdict.
 
-    Each line is first spun up under the lowering letters alone.  That
-    closure lies inside the full one, so when it reaches the whole module
-    the line generates it.  Only a line whose lowering closure falls short
-    is spun up again under every letter, and that full closure alone
-    decides "not simple".  (When n+ kills the line the two closures agree,
-    by the PBW factorisation u(n-) u(h) u(n+), but no verdict rests on
-    that.)"""
+    Each line v is first checked against the span of its ordered lowering
+    words (`_word_span_rank`).  Every word lies in the submodule v
+    generates, so a full span proves that v generates the module.  Only a
+    line whose word span falls short is spun up under every letter, and
+    that closure alone decides "not simple".  A nonzero module without a
+    singular vector raises InvariantError: n+ acts nilpotently, so the
+    singular space cannot be empty."""
     A = M.spec.algebra
     F = A.F
     tri = root_datum(A)
@@ -839,8 +898,15 @@ def is_simple(M, max_enumerate=3, samples=40, seed=0):
     by_weight = {}
     for (w, _dg, _ht), vecs in singular_vectors(M).items():
         by_weight.setdefault(w, []).extend(vecs)
+    if M.dim and not by_weight:
+        raise InvariantError("a nonzero module without singular vectors")
     rng = random.Random(seed)
-    lowering = [M.action[tri.pairs[t][1]] for t in tri.pos]
+    spaces = {}
+    for u, w in enumerate(M.weights):
+        spaces.setdefault(w, []).append(u)
+    blocks = [spaces[w] for w in sorted(spaces)]
+    letters = [(M.action[f].T, M.spec.caps[f])
+               for f in (tri.pairs[t][1] for t in tri.pos)]
     mats = [M.action[i] for i in range(A.dim)]
     method = "exhaustive"
     lines = 0
@@ -859,7 +925,7 @@ def is_simple(M, max_enumerate=3, samples=40, seed=0):
             if not v.any():
                 continue
             lines += 1
-            if (_spin(F, lowering, v, stop=M.dim).dim < M.dim
+            if (_word_span_rank(F, letters, v, blocks) < M.dim
                     and _spin(F, mats, v, stop=M.dim).dim < M.dim):
                 return {"simple": False, "method": method, "lines": lines,
                         "weight": [int(c) for c in w],

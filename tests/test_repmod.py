@@ -573,6 +573,96 @@ def test_is_simple_matches_full_letter_closure():
                                            seed=3)
 
 
+def test_word_span_matches_rank_of_all_words():
+    # every ordered lowering word of every singular vector, one matvec at a
+    # time, ranked as one matrix, against the per-weight-space ranking and
+    # against the grown, basis-trimmed word block
+    A = gl3()
+    spec = zero_spec(A)
+    trip = fp_order(A, levi=[A.index_of("e_12")])
+    A2 = gl2()
+    modules = [verma_build(spec, trip, weight=(2, 2, 0)),
+               verma_build(spec, trip, base=natural_base(spec, trip)),
+               verma_build(zero_spec(A2), fp_order(A2), weight=(2, 0))]
+    short = 0
+    for M in modules:
+        tri = M.spec.algebra.triangular
+        fs = [tri.pairs[t][1] for t in tri.pos]
+        spaces = {}
+        for u, w in enumerate(M.weights):
+            spaces.setdefault(w, []).append(u)
+        blocks = [spaces[w] for w in sorted(spaces)]
+        letters = [(M.action[f].T, M.spec.caps[f]) for f in fs]
+        for vecs in singular_vectors(M).values():
+            for v in vecs:
+                words = []
+                for exps in itertools.product(*[range(M.spec.caps[f])
+                                                for f in fs]):
+                    u = v
+                    for f, e in reversed(list(zip(fs, exps))):
+                        for _ in range(e):
+                            u = M.action[f].matvec(u)
+                    words.append(u)
+                words = np.stack(words)
+                rank = Mat(F5, words).rank()
+                assert repmod._weight_span(F5, words, blocks)[0] == rank
+                assert repmod._word_span_rank(F5, letters, v, blocks) \
+                    == rank
+                short += rank < M.dim
+    assert short >= 3
+
+
+def test_is_simple_raises_on_empty_singular_space(monkeypatch):
+    # n+ acts nilpotently, so a nonzero module always has a singular vector
+    A = gl2()
+    M = verma_build(zero_spec(A), fp_order(A), weight=(4, 0))
+    monkeypatch.setattr(repmod, "singular_vectors", lambda M: {})
+    with pytest.raises(InvariantError, match="without singular vectors"):
+        is_simple(M)
+
+
+def test_is_simple_rejects_word_across_weight_spaces():
+    A = gl3()
+    spec = zero_spec(A)
+    trip = fp_order(A, levi=[A.index_of("e_12")])
+    M = verma_build(spec, trip, base=natural_base(spec, trip))
+    # the word f_12 f_23 . v_0 of the first singular line spans two basis
+    # vectors of one weight space; moving one of them to the weight of the
+    # last basis vector makes the word meet two recorded weight spaces
+    v0 = np.zeros((M.dim, F5.k), dtype=np.int64)
+    v0[0, 0] = 1
+    word = M.action[A.index_of("e_21")].matvec(
+        M.action[A.index_of("e_32")].matvec(v0))
+    x, y = np.flatnonzero(word.any(axis=-1))
+    assert M.weights[x] == M.weights[y] != M.weights[-1]
+    weights = list(M.weights)
+    weights[y], weights[-1] = weights[-1], weights[y]
+    moved = GradedModule(spec, M.action, weights, M.degrees, M.heights,
+                         check=False)
+    with pytest.raises(InvariantError, match="two recorded weight spaces"):
+        is_simple(moved)
+
+
+def test_is_simple_spins_up_only_short_word_spans(monkeypatch):
+    calls = []
+    insert = Echelon.insert
+
+    def counted(self, B):
+        calls.append(1)
+        return insert(self, B)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    spec = _regss_gl3_f25()
+    M = verma_build(spec, fp_order(spec.algebra),
+                    weight=admissible_lambdas(spec)[0])
+    assert is_simple(M)["simple"] and M.dim == 125
+    assert not calls
+    spec = zero_spec(gl2())
+    M = verma_build(spec, fp_order(spec.algebra), weight=(2, 0))
+    assert not is_simple(M)["simple"]
+    assert calls
+
+
 def test_is_simple_needs_vanishing_chi_on_raising():
     A = gl2()
     M = verma_build(zero_spec(A), fp_order(A), weight=(4, 0))
