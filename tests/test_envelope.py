@@ -207,6 +207,77 @@ def test_custom_letter_order_agrees_after_conversion():
         assert back == target
 
 
+def _regss_gl3_f25():
+    F = Field(5, 2, [3, 0, 1])
+    A = make_gl(trivial_bicharacter(GradedGroup([]), F), {(): 3})
+    chi = PCharacter(A, linear={A.index_of("e_11"): F.from_wire([0, 1]),
+                                A.index_of("e_22"): F.from_wire([0, 2])})
+    return chi_reduce(A, chi)
+
+
+def _zero_spec(A):
+    return chi_reduce(A, pchar_zero(A))
+
+
+def _product_by_letters(eng, t1, t2):
+    """t1 * t2 with t1 pushed through each term of t2 one letter at a
+    time (times_letter, in the engine's letter order), the terms summed in
+    t2's order."""
+    F = eng.F
+
+    def add_into(d, m, c):
+        v = F.add(d.get(m, 0), c)
+        if v:
+            d[m] = v
+        elif m in d:
+            del d[m]
+
+    out = {}
+    for m2, c2 in t2.items():
+        cur = t1
+        for j in [i for i in eng.order for _ in range(m2[i])]:
+            nxt = {}
+            for m, c in cur.items():
+                for m3, c3 in eng.times_letter(m, j).items():
+                    add_into(nxt, m3, F.mul(c, c3))
+            cur = nxt
+        for m, c in cur.items():
+            add_into(out, m, F.mul(c, c2))
+    return out
+
+
+@pytest.mark.parametrize("make, letters, maxexp", [
+    (lambda: _zero_spec(gl3()), ("e_21", "e_11", "e_12"), 2),
+    (_regss_gl3_f25, ("e_32", "e_22", "e_13"), 2),
+    (lambda: _zero_spec(gl21()), ("e_21", "e_31", "e_11", "e_13"), 2),
+    (lambda: chi_reduce(*_file_spec("z25_class.json")), ("x",), 24),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "z25_class"])
+def test_product_matches_letter_by_letter_fold(make, letters, maxexp):
+    # every monomial on a few letters, so the terms of t2 share leading
+    # runs; z25_class's products pass its class-generator cap p*s = 25
+    rng = random.Random(5)
+    spec, ref_spec = make(), make()
+    A = spec.algebra
+    F = A.F
+    idx = [A.index_of(n) for n in letters]
+    ranges = [range(min(maxexp, spec.caps[i] - 1) + 1) for i in idx]
+    t2 = {}
+    for exps in itertools.product(*ranges):
+        mono = [0] * A.dim
+        for i, e in zip(idx, exps):
+            mono[i] = e
+        t2[tuple(mono)] = rng.randrange(1, F.q)
+    t1 = {}
+    for mono in rng.sample(sorted(t2), 3):
+        t1[mono] = rng.randrange(1, F.q)
+    rest = [i for i in range(A.dim) if i not in idx]
+    for order in (None, idx + rest):
+        got = engine_for(A, spec, order=order).product(t1, t2)
+        want = _product_by_letters(engine_for(A, ref_spec, order=order),
+                                   t1, t2)
+        assert list(got.items()) == list(want.items())
+
+
 # -- the two power-of-x identities ----------------------------------------------
 
 

@@ -12,7 +12,8 @@ from colorlie import repmod
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
-                               monomial_degree, nf_letter, nf_one, uchi_basis)
+                               monomial_degree, monomial_weight, nf_letter,
+                               nf_one, uchi_basis)
 from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                              InvariantError, MixedSpecs, NoOrderingFound,
                              NotScalar, NotStandard, NotUnipotent, OddElement,
@@ -348,6 +349,171 @@ def test_graded_module_validate_catches_corruption():
                           check=False)
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def _failing_pairs(M, letters):
+    """Names of the letter pairs (x_i, x_j), j up to i in the order of
+    letters, whose bracket relation fails on M, one pair at a time."""
+    A = M.spec.algebra
+    out = []
+    for n, i in enumerate(letters):
+        for j in letters[:n + 1]:
+            sign = A.eps.value(A.degree(i), A.degree(j))
+            lhs = (M.action[i] @ M.action[j]
+                   - (M.action[j] @ M.action[i]).scale(sign))
+            rhs = Mat.zeros(A.F, M.dim, M.dim)
+            for t, c in A.bracket(i, j).items():
+                rhs = rhs + M.action[t].scale(c)
+            if lhs != rhs:
+                out.append((A.names[i], A.names[j]))
+    return out
+
+
+def _corrupted(M, **changes):
+    """A copy of M, unchecked, with the named letters' actions replaced by
+    a function of the old action (and optionally new weights)."""
+    A = M.spec.algebra
+    weights = changes.pop("weights", M.weights)
+    act = {i: m.copy() for i, m in M.action.items()}
+    for name, fix in changes.items():
+        i = A.index_of(name)
+        if fix is None:
+            del act[i]
+        else:
+            act[i] = fix(act[i])
+    return GradedModule(M.spec, act, weights, M.degrees, M.heights,
+                        check=False)
+
+
+def _bump(M, name):
+    """A change of the first nonzero entry of a letter's action by one: it
+    breaks relations but no grading check."""
+    i = M.spec.algebra.index_of(name)
+    r, c = (int(x[0]) for x in np.nonzero(M.action[i].a.any(axis=-1)))
+    code = M.spec.algebra.F.add(M.action[i].entry(r, c), 1)
+
+    def fix(m):
+        m.a[r, c] = m.F.to_digits(code)
+        return m
+    return fix
+
+
+def test_check_module_reports_first_failing_pair():
+    A = gl3()
+    spec = zero_spec(A)
+    M = verma_build(spec, fp_order(A), weight=(1, 3, 0))
+    letters = list(range(A.dim))
+    broken = _corrupted(M, e_12=_bump(M, "e_12"), e_13=_bump(M, "e_13"))
+    failing = _failing_pairs(broken, letters)
+    assert len(failing) >= 2 and failing[0] == ("e_12", "e_21")
+    with pytest.raises(ValueError) as exc:
+        broken.validate()
+    assert str(exc.value) == "bracket relation fails at (e_12, e_21)"
+    # without e_32 among the acting letters, [e_12, e_31] = -e_32 leaves
+    # them; that pair comes before every pair a broken e_23 fails
+    rest = [i for i in letters if i != A.index_of("e_32")]
+    assert _failing_pairs(_corrupted(M, e_23=_bump(M, "e_23")), letters)
+    broken = _corrupted(M, e_32=None, e_23=_bump(M, "e_23"))
+    with pytest.raises(ValueError) as exc:
+        repmod._check_module(broken, rest)
+    assert str(exc.value) == ("bracket of e_12 and e_31 leaves the acting "
+                              "letters")
+    # and after the failing pair (e_12, e_21)
+    broken = _corrupted(M, e_32=None, e_12=_bump(M, "e_12"))
+    with pytest.raises(ValueError) as exc:
+        repmod._check_module(broken, rest)
+    assert str(exc.value) == "bracket relation fails at (e_12, e_21)"
+
+
+def test_check_module_reports_first_broken_pmap():
+    # shifting every Cartan letter and weight by one scalar c keeps each
+    # bracket and grading; h^p - h = 0 then fails on both Cartan letters
+    # unless c lies in F_5, and the first letter is reported
+    F = Field(5, 2)
+    A = make_gl(trivial_bicharacter(GradedGroup([]), F), {(): 2})
+    spec = zero_spec(A)
+    M = verma_build(spec, fp_order(A), weight=(0, 0))
+    for c, want in ((F.embed(2), None), (F.from_wire([0, 1]), "e_11")):
+        def fix(m):
+            return m + Mat.identity(F, M.dim).scale(c)
+        weights = [tuple(F.add(x, c) for x in w) for w in M.weights]
+        broken = _corrupted(M, e_11=fix, e_22=fix, weights=weights)
+        if want is None:
+            assert broken.validate()
+            continue
+        with pytest.raises(ValueError) as exc:
+            broken.validate()
+        assert str(exc.value) == "reduced power relation fails at " + want
+
+
+def test_line_base_reports_exact_relation():
+    A = gl3()
+    spec = zero_spec(A)
+    trip = fp_order(A, levi=[A.index_of("e_12")])
+    with pytest.raises(BadWeight) as exc:
+        verma_build(spec, trip, weight=(2, 1, 0))
+    assert str(exc.value) == ("the weight does not extend to the parabolic: "
+                              "bracket relation fails at (e_12, e_21)")
+    B = gl2()
+    chi = PCharacter(B, linear={B.index_of("e_11"): 1})
+    with pytest.raises(BadWeight) as exc:
+        verma_build(chi_reduce(B, chi), fp_order(B), weight=(0, 0))
+    assert str(exc.value) == ("the weight does not extend to the parabolic: "
+                              "reduced power relation fails at e_11")
+
+
+def _graded_basis(spec, triple, weights, degrees, heights):
+    """Labels, weights, color degrees and heights of the induced basis, one
+    PBW monomial and one base vector (given by its gradings) at a time."""
+    A = spec.algebra
+    F, g, tri = A.F, A.group, A.triangular
+    f_letters = [tri.pairs[t][1] for t in triple.deltas]
+    out = ([], [], [], [])
+    for a in itertools.product(*[range(spec.caps[f]) for f in f_letters]):
+        mono = [0] * A.dim
+        for f, e in zip(f_letters, a):
+            mono[f] = e
+        shift = monomial_weight(A, mono)
+        dg = monomial_degree(A, mono)
+        ht = sum(e * tri.heights[t] for t, e in zip(triple.deltas, a))
+        for j, (w, d, h) in enumerate(zip(weights, degrees, heights)):
+            out[0].append((a, j))
+            out[1].append(tuple(F.add(x, F.embed(s))
+                                for x, s in zip(w, shift)))
+            out[2].append(g.add(dg, d))
+            out[3].append(ht + h)
+    return out
+
+
+@pytest.mark.parametrize("make, levi, lams", [
+    (lambda: zero_spec(gl3()), (), [(1, 3, 0), (2, 2, 0)]),
+    (lambda: _regss_gl3_f25(), (), [7, 3]),
+    (lambda: zero_spec(gl21()), (), [(1, 2, 4), (3, 0, 2)]),
+    (lambda: zero_spec(anti_gl3()), (), [3, 10]),
+    (lambda: zero_spec(gl3()), ("e_12",), [(2, 2, 0), None, (1, 1, 3)]),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "anti_gl3", "gl3_levi"])
+def test_verma_grading_matches_per_monomial(make, levi, lams):
+    # the first build fills the spec's induction table, the later ones
+    # read it warm; None stands for the 2-dim natural Levi base
+    spec = make()
+    A = spec.algebra
+    trip = fp_order(A, levi=[A.index_of(n) for n in levi])
+    for lam in lams:
+        if lam is None:
+            base = natural_base(spec, trip)
+            M = verma_build(spec, trip, base=base)
+            grading = (base.weights, base.degrees, base.heights)
+        else:
+            if isinstance(lam, int):
+                lam = admissible_lambdas(spec)[lam]
+            M = verma_build(spec, trip, weight=lam)
+            grading = ([tuple(lam)], [A.group.zero], [0])
+        labels, weights, degrees, heights = _graded_basis(spec, trip,
+                                                          *grading)
+        assert M.labels == labels
+        assert M.weights == weights
+        assert M.degrees == degrees
+        assert M.heights == heights
 
 
 def test_module_wire_dump():
