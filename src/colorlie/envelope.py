@@ -281,16 +281,32 @@ class _Engine:
                     _acc(F, out, m2, F.mul(c, c2))
         return out
 
-    def times_monomial(self, vd, mono):
-        for j in self.letters(mono):
-            vd = self._run(self._fold(vd, {j: self.one}))
-        return vd
+    def times_monomials(self, vd, monos):
+        """The list of vd * m for the normal monomials m of monos.  Each
+        product folds m's letters onto vd one at a time, and products whose
+        leading runs of letters agree share the folds of that run: this
+        call keeps every partial product, keyed by the exponent tuple of the
+        letters folded so far (in the letter order, the tuple fixes the
+        run).  Results may share maps, so callers must not mutate them."""
+        done = {(0,) * self.A.dim: vd}
+        out = []
+        for mono in monos:
+            cur = vd
+            run = [0] * self.A.dim
+            for j in self.letters(mono):
+                run[j] += 1
+                key = tuple(run)
+                nxt = done.get(key)
+                if nxt is None:
+                    nxt = done[key] = self._run(self._fold(cur, {j: self.one}))
+                cur = nxt
+            out.append(cur)
+        return out
 
     def product(self, t1, t2):
         F = self.F
         out = {}
-        for m2, c2 in t2.items():
-            cur = self.times_monomial(t1, m2)
+        for c2, cur in zip(t2.values(), self.times_monomials(t1, t2)):
             for m, c in cur.items():
                 _acc(F, out, m, F.mul(c, c2))
         return out
@@ -511,9 +527,11 @@ def _basis_table(eng, mons, index, j, left=False):
     F = eng.F
     if left:
         x = {tuple(int(i == j) for i in range(eng.A.dim)): F.one}
+        outs = eng.times_monomials(x, mons)
+    else:
+        outs = (eng.times_letter(m, j) for m in mons)
     rows, cols, coeffs = [], [], []
-    for col, m in enumerate(mons):
-        out = eng.product(x, {m: F.one}) if left else eng.times_letter(m, j)
+    for col, out in enumerate(outs):
         for m2, c in out.items():
             rows.append(index[m2])
             cols.append(col)

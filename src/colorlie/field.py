@@ -161,19 +161,22 @@ class Field:
             add[s:s + step] = self.array_to_codes((rows[:, None] + digits) % self.p)
             mul[s:s + step] = self.array_to_codes(
                 digit_product(self, rows, digits, np.multiply.outer))
-        self._add, self._mul = add, mul
-        self._neg = np.argmax(add == 0, axis=1)
-        self._inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
+        neg = np.argmax(add == 0, axis=1)
+        inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
+        # the scalar methods read the tables through zero-copy memoryviews,
+        # whose items are plain ints: no numpy scalar is made per call
+        self._add, self._mul, self._neg, self._inv = (
+            memoryview(t) for t in (add, mul, neg, inv))
 
     def add(self, a, b):
         if self._add is not None:
-            return int(self._add[a, b])
+            return self._add[a, b]
         return self.from_digits([(x + y) % self.p
                                  for x, y in zip(self.to_digits(a), self.to_digits(b))])
 
     def neg(self, a):
         if self._neg is not None:
-            return int(self._neg[a])
+            return self._neg[a]
         return self.from_digits([(-x) % self.p for x in self.to_digits(a)])
 
     def sub(self, a, b):
@@ -181,7 +184,7 @@ class Field:
 
     def mul(self, a, b):
         if self._mul is not None:
-            return int(self._mul[a, b])
+            return self._mul[a, b]
         a, b = np.array(self.to_digits(a)), np.array(self.to_digits(b))
         return int(self.array_to_codes(digit_product(self, a, b, np.multiply)))
 
@@ -189,7 +192,7 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.q)
         if self._inv is not None:
-            return int(self._inv[a])
+            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     def div(self, a, b):
@@ -251,7 +254,8 @@ class Field:
         """Inverses of an array (..., k) of nonzero digit vectors: read from
         the table when the field has one, otherwise a^(q-2)."""
         if self._inv is not None:
-            return self.codes_to_array(self._inv[self.array_to_codes(arr)])
+            return self.codes_to_array(
+                np.asarray(self._inv)[self.array_to_codes(arr)])
         return self.pow_array(arr, self.q - 2)
 
     # -- polynomial utilities over this field (little-endian code lists) ---

@@ -26,7 +26,7 @@ from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
                      NotWeightZero, OddElement, TooLarge)
-from .field import digit_product
+from .field import _SLAB, digit_power, digit_product
 from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
 
 
@@ -442,38 +442,65 @@ def _check_module(M, letters, zero=()):
             if M.weights[u] != want:
                 raise ValueError("action of %s is not weight homogeneous"
                                  % A.names[i])
-    for x, i in enumerate(letters):
-        Mi = action[i]
-        for j in letters[:x + 1]:
-            Mj = action[j]
-            sign = A.eps.value(A.degree(i), A.degree(j))
-            lhs = (Mi @ Mj) - (Mj @ Mi).scale(sign)
-            rhs = None
-            for t, c in A.bracket(i, j).items():
-                if t not in action:
-                    raise ValueError("bracket of %s and %s leaves the acting "
-                                     "letters" % (A.names[i], A.names[j]))
-                term = action[t].scale(c)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None:
-                rhs = Mat.zeros(F, *lhs.shape)
-            if lhs != rhs:
+    # the relations of as many letter pairs (or even letters) at once as
+    # fit in _SLAB cells, then the first failure in loop order is reported
+    dim = M.dim
+    step = max(1, _SLAB // max(1, dim * dim))
+    pairs = [(i, j) for x, i in enumerate(letters) for j in letters[:x + 1]]
+    for p0 in range(0, len(pairs), step):
+        batch = pairs[p0:p0 + step]
+        Mi = np.stack([action[i].a for i, _j in batch])
+        Mj = np.stack([action[j].a for _i, j in batch])
+        sign = F.codes_to_array([A.eps.value(A.degree(i), A.degree(j))
+                                 for i, j in batch])
+        lhs = digit_product(F, Mi, Mj, np.matmul) - digit_product(
+            F, digit_product(F, Mj, Mi, np.matmul), sign[:, None, None],
+            np.multiply)
+        brackets = [A.bracket(i, j) for i, j in batch]
+        rhs = _rho_batch(F, action, brackets, dim)
+        bad = ((lhs - rhs) % F.p).reshape(len(batch), -1).any(axis=1)
+        for (i, j), brk, b in zip(batch, brackets, bad):
+            if any(t not in action for t in brk):
+                raise ValueError("bracket of %s and %s leaves the acting "
+                                 "letters" % (A.names[i], A.names[j]))
+            if b:
                 raise ValueError("bracket relation fails at (%s, %s)"
                                  % (A.names[i], A.names[j]))
-    I = Mat.identity(F, M.dim)
-    for i in letters:
-        if not A.is_even(i) or i in spec.J:
-            continue
-        Z = action[i].pow_int(F.p)
-        for t, c in A.pmap.get(i, {}).items():
-            if t not in action:
+    even = [i for i in letters if A.is_even(i) and i not in spec.J]
+    for p0 in range(0, len(even), step):
+        batch = even[p0:p0 + step]
+        Z = digit_power(F, np.stack([action[i].a for i in batch]), F.p,
+                        np.matmul)
+        pmaps = [A.pmap.get(i, {}) for i in batch]
+        rhs = _rho_batch(F, action, pmaps, dim,
+                            [spec.linear_pow.get(i, 0) for i in batch])
+        bad = (Z != rhs).reshape(len(batch), -1).any(axis=1)
+        for i, pm, b in zip(batch, pmaps, bad):
+            if any(t not in action for t in pm):
                 raise ValueError("p-map of %s leaves the acting letters"
                                  % A.names[i])
-            Z = Z - action[t].scale(c)
-        if Z != I.scale(spec.linear_pow.get(i, 0)):
-            raise ValueError("reduced power relation fails at %s"
-                             % A.names[i])
+            if b:
+                raise ValueError("reduced power relation fails at %s"
+                                 % A.names[i])
     return True
+
+
+def _rho_batch(F, action, elems, n, scalars=None):
+    """sum_t c action[t] for each algebra element {t: c} of elems, plus
+    the matching scalar times the identity when scalars is given, as one
+    (len(elems), n, n, k) array from one matmul.  Letters without an action
+    are left out; the callers report them."""
+    used = sorted({t for x in elems for t in x if t in action})
+    codes = [[x.get(t, 0) for t in used] for x in elems]
+    mats = [action[t].a for t in used]
+    if scalars is not None:
+        codes = [row + [c] for row, c in zip(codes, scalars)]
+        mats.append(Mat.identity(F, n).a)
+    coef = F.codes_to_array(np.array(codes, dtype=np.int64).reshape(
+        len(elems), len(mats)))
+    stack = np.array(mats, dtype=np.int64).reshape(len(mats), n * n, F.k)
+    return digit_product(F, coef, stack, np.matmul).reshape(
+        len(elems), n, n, F.k)
 
 
 # -- parabolic bases and induced modules -----------------------------------------
@@ -549,31 +576,67 @@ def _line_base(spec, triple, lam):
 
 
 def _induction_table(spec, triple):
+    """The weight-independent half of inducing along triple, built on the
+    first call and cached per induced-root tuple on the spec.
+
+    The PBW monomials f^a (amonos) run over the exponent tuples below the
+    caps of the lowering letters, lexicographically, and each comes with
+    its Cartan shift (the digits of its embedded integral weight), its
+    color degree and its height.  Every product x_i . f^a in the induction
+    order (one times_monomials call per letter) is flattened to entries,
+    one per term c f^a2 r: the row of a2, the column of a, the digits of c
+    and the exponents of r over the rest letters.  The entries of all
+    letters are concatenated, those of x_i at bounds[i]:bounds[i + 1]."""
     tables = getattr(spec, "_induction_tables", None)
     if tables is None:
         tables = spec._induction_tables = {}
-    return tables.setdefault(tuple(triple.deltas), {})
-
-
-def _letter_table(eng, i, f_letters, rest_letters, amonos, apos):
-    """Every product x_i . f^a (a over amonos) in the induction order,
-    flattened to arrays with one entry per term c f^a2 r of a product:
-    the row apos[a2], the column apos[a], the digits of c and the exponents
-    of r over rest_letters."""
-    F = eng.F
-    xi = tuple(int(j == i) for j in range(eng.A.dim))
-    rows, cols, coeffs, exps = [], [], [], []
-    for col, a in enumerate(amonos):
-        mono = [0] * eng.A.dim
+    table = tables.get(triple.deltas)
+    if table is not None:
+        return table
+    A = spec.algebra
+    F, tri = A.F, A.triangular
+    f_letters = [tri.pairs[t][1] for t in triple.deltas]
+    fset = set(f_letters)
+    order = f_letters + [i for i in range(A.dim) if i not in fset]
+    rest = order[len(f_letters):]
+    eng = engine_for(A, spec, order=order)
+    amonos = list(itertools.product(*[range(spec.caps[j])
+                                      for j in f_letters]))
+    monos = []
+    for a in amonos:
+        mono = [0] * A.dim
         for j, e in zip(f_letters, a):
             mono[j] = e
-        for m2, c in eng.product({xi: F.one}, {tuple(mono): F.one}).items():
-            rows.append(apos[tuple(m2[j] for j in f_letters)])
-            cols.append(col)
-            coeffs.append(c)
-            exps.append([m2[j] for j in rest_letters])
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            F.codes_to_array(coeffs), np.array(exps, dtype=np.int64))
+        monos.append(tuple(mono))
+    shift = np.zeros((len(monos), len(tri.cartan), F.k), dtype=np.int64)
+    shift[..., 0] = np.array([monomial_weight(A, m) for m in monos]).reshape(
+        len(monos), -1) % F.p
+    fhts = [tri.heights[t] for t in triple.deltas]
+    keys, codes, cols, bounds = [], [], [], [0]
+    for i in range(A.dim):
+        xi = tuple(int(j == i) for j in range(A.dim))
+        for col, out in enumerate(eng.times_monomials({xi: F.one}, monos)):
+            keys.extend(out)
+            codes.extend(out.values())
+            cols.extend([col] * len(out))
+        bounds.append(len(keys))
+    terms = np.array(keys, dtype=np.int64).reshape(len(keys), A.dim)
+    # amonos runs lexicographically, the last exponent fastest
+    caps = [spec.caps[j] for j in f_letters]
+    strides = [int(np.prod(caps[n + 1:])) for n in range(len(caps))]
+    table = tables[triple.deltas] = {
+        "amonos": amonos,
+        "rest": rest,
+        "shift": shift,
+        "degrees": [monomial_degree(A, m) for m in monos],
+        "heights": [sum(e * h for e, h in zip(a, fhts)) for a in amonos],
+        "rows": terms[:, f_letters] @ np.array(strides, dtype=np.int64),
+        "cols": np.array(cols, dtype=np.int64),
+        "coeffs": F.codes_to_array(codes),
+        "exps": terms[:, rest],
+        "bounds": bounds,
+    }
+    return table
 
 
 def verma_build(spec, triple, weight=None, base=None, check=True,
@@ -581,7 +644,8 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     """Induce a parabolic base module up to the reduced quotient.  The
     result has basis f_{d1}^{a1} ... f_{dm}^{am} (x) v_j with each a_i below
     the cap of the lowering letter, exponent tuples ordered lexicographically
-    and the base index fastest."""
+    and the base index fastest.  Everything that does not depend on the
+    base comes from the triple's cached `_induction_table`."""
     A = spec.algebra
     F = A.F
     if triple.algebra is not A:
@@ -603,81 +667,56 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     elif base.spec is not spec or base.triple is not triple:
         raise MixedSpecs("base module was built for different data")
 
-    f_letters = [tri.pairs[t][1] for t in triple.deltas]
-    caps = [spec.caps[j] for j in f_letters]
-    count = base.dim
-    for c in caps:
-        count *= c
+    bd = base.dim
+    count = bd
+    for t in triple.deltas:
+        count *= spec.caps[tri.pairs[t][1]]
     if count > max_dim:
         raise TooLarge("induced dimension %d exceeds the cutoff %d"
                        % (count, max_dim), dimension=count, cutoff=max_dim)
 
-    fset = set(f_letters)
-    order = f_letters + [i for i in range(A.dim) if i not in fset]
-    eng = engine_for(A, spec, order=order)
     table = _induction_table(spec, triple)
-    amonos = list(itertools.product(*[range(c) for c in caps]))
-    apos = {a: n for n, a in enumerate(amonos)}
-    bd = base.dim
-    rest_letters = order[len(f_letters):]
+    rest = table["rest"]
+    labels = [(a, j) for a in table["amonos"] for j in range(bd)]
+    shifted = (table["shift"][:, None] + F.codes_to_array(base.weights)) % F.p
+    weights = [tuple(w) for w in
+               F.array_to_codes(shifted).reshape(count, -1).tolist()]
+    degrees = [A.group.add(dg, d) for dg in table["degrees"]
+               for d in base.degrees]
+    heights = [ht + h for ht in table["heights"] for h in base.heights]
 
-    g = A.group
-    labels = []
-    weights = []
-    degrees = []
-    heights = []
-    froots = [tri.roots[j] for j in f_letters]
-    fhts = [tri.heights[t] for t in triple.deltas]
-    fdegs = [A.degree(j) for j in f_letters]
-    for a in amonos:
-        shift = [0] * len(tri.cartan)
-        dg = g.zero
-        ht = 0
-        for n, e in enumerate(a):
-            if not e:
-                continue
-            for t, r in enumerate(froots[n]):
-                shift[t] += e * r
-            dg = g.add(dg, g.scale(e, fdegs[n]))
-            ht += e * fhts[n]
-        for j in range(bd):
-            labels.append((a, j))
-            weights.append(tuple(F.add(w, F.embed(s))
-                                 for w, s in zip(base.weights[j], shift)))
-            degrees.append(g.add(dg, base.degrees[j]))
-            heights.append(ht + base.heights[j])
-
-    scalar_base = bd == 1
-    if scalar_base:
-        bact = [base.action[j].entry(0, 0) for j in rest_letters]
+    rows, cols, coeffs, exps = (table[key]
+                                for key in ("rows", "cols", "coeffs", "exps"))
+    bounds = table["bounds"]
+    if bd == 1:
+        # c . prod_j lam_j^e_j for the entries of every letter at once, one
+        # power table per rest letter that occurs
+        bact = [base.action[j].entry(0, 0) for j in rest]
+        vals = coeffs
+        for n in np.flatnonzero(exps.any(axis=0)):
+            col = exps[:, n]
+            pw = F.codes_to_array([F.pow(bact[n], e)
+                                   for e in range(int(col.max()) + 1)])
+            vals = digit_product(F, vals, pw[col], np.multiply)
     action = {}
     for i in range(A.dim):
-        ent = table.get(i)
-        if ent is None:
-            table[i] = ent = _letter_table(eng, i, f_letters, rest_letters,
-                                           amonos, apos)
-        rows, cols, coeffs, exps = ent
+        s = slice(bounds[i], bounds[i + 1])
         arr = np.zeros((count, count, F.k), dtype=np.int64)
-        if scalar_base:
-            # c . prod_j lam_j^e_j for every entry at once, one power table
-            # per rest letter that occurs
-            val = coeffs
-            for n in np.flatnonzero(exps.any(axis=0)):
-                col = exps[:, n]
-                pw = F.codes_to_array([F.pow(bact[n], e)
-                                       for e in range(int(col.max()) + 1)])
-                val = digit_product(F, val, pw[col], np.multiply)
-            np.add.at(arr, (rows, cols), val)
+        if bd == 1:
+            cell = rows[s], cols[s]
+            np.add.at(arr, cell, vals[s])
+            arr[cell] %= F.p
         else:
             # the normal form lists the parabolic letters left to right, so
             # the matrix product runs the same way
-            for r, c, cd, ex in zip(rows * bd, cols * bd, coeffs, exps):
+            for r, c, cd, ex in zip(rows[s] * bd, cols[s] * bd, coeffs[s],
+                                    exps[s]):
                 B = Mat.identity(F, bd).scale(F.from_digits(cd))
-                for j, e in zip(rest_letters, ex):
+                for j, e in zip(rest, ex):
                     for _ in range(e):
                         B = B @ base.action[j]
                 arr[r:r + bd, c:c + bd] += B.a
-        arr %= F.p
+            arr %= F.p
         action[i] = Mat(F, arr)
     return GradedModule(spec, action, weights, degrees, heights,
                         labels=labels, triple=triple, check=check)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie.errors import BadCharacteristic, NonPrime, ReducibleModulus
-from colorlie.field import Field
+from colorlie.field import Field, digit_product
 
 
 def brute_irreducible(f, p):
@@ -142,6 +142,24 @@ def test_artin_schreier_without_tables():
         assert F.artin_schreier_solutions(c) == _artin_schreier_scalar(F, c)
     assert len(F.artin_schreier_solutions(full)) == 7
     assert F.artin_schreier_solutions(F.one) == []
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 4)], ids=["f25", "f2401"])
+def test_scalar_ops_return_plain_ints(p, k):
+    # F_25 reads its tables, F_2401 has none; numpy code arguments work too
+    F = Field(p, k)
+    rng = random.Random(3)
+    for _ in range(20):
+        a, b = rng.randrange(1, F.q), rng.randrange(1, F.q)
+        for x in (a, np.int64(a)):
+            got = [F.add(x, b), F.mul(x, b), F.neg(x), F.inv(x),
+                   F.sub(x, b), F.div(x, b)]
+            assert all(type(v) is int for v in got)
+            want = F.from_digits(digit_product(
+                F, np.array(F.to_digits(a)), np.array(F.to_digits(b)),
+                np.multiply))
+            assert got[1] == want
+            assert F.add(got[2], a) == 0 and F.mul(got[3], a) == 1
 
 
 def test_poly_roots_and_gcd(F5):
