@@ -393,6 +393,10 @@ class Field:
             deg += 1
         return degree
 
+    def __reduce__(self):
+        # memoryviews do not pickle: a copy rebuilds its tables
+        return Field, (self.p, self.k, list(self.modulus))
+
     def __eq__(self, other):
         return (isinstance(other, Field)
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))

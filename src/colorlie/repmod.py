@@ -600,8 +600,8 @@ def _induction_table(spec, triple):
     order = f_letters + [i for i in range(A.dim) if i not in fset]
     rest = order[len(f_letters):]
     eng = engine_for(A, spec, order=order)
-    amonos = list(itertools.product(*[range(spec.caps[j])
-                                      for j in f_letters]))
+    caps = [spec.caps[j] for j in f_letters]
+    amonos = list(itertools.product(*[range(c) for c in caps]))
     monos = []
     for a in amonos:
         mono = [0] * A.dim
@@ -622,7 +622,6 @@ def _induction_table(spec, triple):
         bounds.append(len(keys))
     terms = np.array(keys, dtype=np.int64).reshape(len(keys), A.dim)
     # amonos runs lexicographically, the last exponent fastest
-    caps = [spec.caps[j] for j in f_letters]
     strides = [int(np.prod(caps[n + 1:])) for n in range(len(caps))]
     table = tables[triple.deltas] = {
         "amonos": amonos,

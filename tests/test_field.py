@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -160,6 +161,8 @@ def test_scalar_ops_return_plain_ints(p, k):
                 np.multiply))
             assert got[1] == want
             assert F.add(got[2], a) == 0 and F.mul(got[3], a) == 1
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F and G.mul(2, 3) == F.mul(2, 3)
 
 
 def test_poly_roots_and_gcd(F5):
