@@ -473,7 +473,7 @@ def _check_module(M, letters, zero=()):
                         np.matmul)
         pmaps = [A.pmap.get(i, {}) for i in batch]
         rhs = _rho_batch(F, action, pmaps, dim,
-                            [spec.linear_pow.get(i, 0) for i in batch])
+                         [spec.linear_pow.get(i, 0) for i in batch])
         bad = (Z != rhs).reshape(len(batch), -1).any(axis=1)
         for i, pm, b in zip(batch, pmaps, bad):
             if any(t not in action for t in pm):
