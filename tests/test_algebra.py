@@ -17,6 +17,7 @@ from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
 from colorlie.linalg import Mat
+from colorlie.repmod import pchar_from_standard
 
 
 F5 = Field(5)
@@ -625,6 +626,25 @@ def test_standardize_super_diagonal():
     i12 = A.index_of("e_12")
     # odd root: H_delta = e_11 + e_22, so chi_s(H_delta) = 4
     assert std.h_delta_value(i12) == 4
+
+
+def test_pchar_from_standard_carries_the_standard_values():
+    # the standard form lives on degree zero, which p kills, so the
+    # p-character keeps every nonzero standard value and nothing else
+    rng = random.Random(16)
+    for A in (gl2(), gl3(), gl11()):
+        zero = A.group.zero
+        for _ in range(8):
+            chi = [rng.randrange(F5.q) if A.degrees[i] == zero else 0
+                   for i in range(A.dim)]
+            try:
+                std = standardize_character(A, chi)
+            except NeedsExtension:
+                continue
+            pc = pchar_from_standard(A, std)
+            assert pc.linear == {i: v for i, v in enumerate(std.values())
+                                 if v}
+            assert pc.fclasses == []
 
 
 # -- Levi data -------------------------------------------------------------------

@@ -13,7 +13,8 @@ from math import comb
 import pytest
 
 import colorlie
-from colorlie.algebra import bracket_eval, make_gl, subalgebra, ColorAlgebra
+from colorlie.algebra import (bracket_eval, make_gl, subalgebra, ColorAlgebra,
+                              validate_algebra)
 from colorlie.cli import load_spec
 from colorlie.envelope import (NormalElement, central_check, chi_reduce,
                                engine_for, frobenius_gram, harish_chandra,
@@ -64,6 +65,30 @@ def abelian_line(orders, degree):
     G = GradedGroup(orders)
     eps = trivial_bicharacter(G, F5)
     return ColorAlgebra(eps, ["x"], [degree], {}, pmap={0: {}})
+
+
+def class_line():
+    """x, y of degree 1 and z of degree 2 in Z/3, abelian, with x^[p] = z,
+    y^[p] = 2z and z^[p] = x, and the power class on degree 1 (generator
+    x, c(y) = 3).  p * 1 has order s = 3, so x has the class-generator cap
+    p * s = 15 with a binomial tail C(3, r) != 0 mod 5 for 0 < r < 3, and
+    y the class-degree cap y^p -> y^[p] + c(y)^p (x^p - x^[p])."""
+    G = GradedGroup([3])
+    A = ColorAlgebra(trivial_bicharacter(G, F5), ["x", "y", "z"],
+                     [(1,), (1,), (2,)], {},
+                     pmap={0: {2: 1}, 1: {2: 2}, 2: {0: 1}})
+    assert validate_algebra(A) == []
+    return A, PCharacter(A, fclasses=[PowerClass((1,), 0, {0: 1, 1: 3}, 3)])
+
+
+def odd_square():
+    """An odd y with the nonzero self-bracket [y, y] = c, c even and
+    central: the odd square rewrites to y^2 -> c / 2."""
+    _, eps = super_bicharacter(F5)
+    A = ColorAlgebra(eps, ["y", "c"], [(1,), (0,)], {(0, 0): {1: 1}},
+                     pmap={1: {}})
+    assert validate_algebra(A) == []
+    return A
 
 
 def word_nf(eng, word):
@@ -154,16 +179,20 @@ def rand_elem(rng, A, spec=None, nterms=3, maxexp=2, support=3):
 def test_associativity_universal_and_reduced():
     rng = random.Random(0)
     cases = []
-    for build in (gl2, gl11, anti_gl3):
+    for build in (gl2, gl11, anti_gl3, odd_square):
         A = build()
-        cases.append((A, None))
-        cases.append((A, chi_reduce(A, pchar_zero(A))))
+        cases.append((A, None, 2))
+        cases.append((A, chi_reduce(A, pchar_zero(A)), 2))
     A = gl2()
     chi = PCharacter(A, linear={A.index_of("e_11"): 1, A.index_of("e_21"): 2})
-    cases.append((A, chi_reduce(A, chi)))
-    for A, spec in cases:
+    cases.append((A, chi_reduce(A, chi), 2))
+    # exponents up to 7 let three factors pass x's cap of 15
+    A, chi = class_line()
+    cases += [(A, None, 2), (A, chi_reduce(A, chi), 7)]
+    for A, spec, maxexp in cases:
         for _ in range(6):
-            u, v, w = (rand_elem(rng, A, spec) for _ in range(3))
+            u, v, w = (rand_elem(rng, A, spec, maxexp=maxexp)
+                       for _ in range(3))
             assert u.mul(v).mul(w).eq(u.mul(v.mul(w)))
 
 
@@ -251,10 +280,14 @@ def _product_by_letters(eng, t1, t2):
     (_regss_gl3_f25, ("e_32", "e_22", "e_13"), 2),
     (lambda: _zero_spec(gl21()), ("e_21", "e_31", "e_11", "e_13"), 2),
     (lambda: chi_reduce(*_file_spec("z25_class.json")), ("x",), 24),
-], ids=["gl3_f5", "gl3_f25_regss", "gl21", "z25_class"])
+    (lambda: chi_reduce(*class_line()), ("x", "y", "z"), 14),
+    (lambda: _zero_spec(odd_square()), ("y", "c"), 4),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "z25_class", "class_line",
+        "odd_square"])
 def test_product_matches_letter_by_letter_fold(make, letters, maxexp):
     # every monomial on a few letters, so the terms of t2 share leading
-    # runs; z25_class's products pass its class-generator cap p*s = 25
+    # runs; z25_class's and class_line's products pass their
+    # class-generator caps p*s = 25 and 15
     rng = random.Random(5)
     spec, ref_spec = make(), make()
     A = spec.algebra

@@ -938,54 +938,66 @@ def test_f_via_hc_cache_matches_full_product(make):
     assert spec._hc_cache[trip.deltas] == _full_route(spec, trip)
 
 
-def _entrywise_action(spec, triple, lam):
-    """Action codes of the line-base induced module, one entry at a time:
-    each letter times each f-monomial in the induction order, with every
-    remaining letter read off at the weight (Cartan letters) or at zero."""
+def _entrywise_action(spec, triple, base):
+    """Action codes of the induced module, one entry at a time: each letter
+    times each f-monomial in the induction order, each term c f^a2 r giving
+    the block c times the base action of r, one letter at a time."""
     A = spec.algebra
     F = A.F
     tri = A.triangular
     f_letters = [tri.pairs[t][1] for t in triple.deltas]
     rest = [i for i in range(A.dim) if i not in f_letters]
     eng = engine_for(A, spec, order=f_letters + rest)
-    cpos = {h: n for n, h in enumerate(tri.cartan)}
-    value = {j: lam[cpos[j]] if j in cpos else 0 for j in rest}
     amonos = list(itertools.product(*[range(spec.caps[j])
                                       for j in f_letters]))
     pos = {a: n for n, a in enumerate(amonos)}
+    bd = base.dim
     out = {}
     for i in range(A.dim):
-        codes = [[0] * len(amonos) for _ in amonos]
+        arr = Mat.zeros(F, len(amonos) * bd, len(amonos) * bd)
         x = tuple(int(j == i) for j in range(A.dim))
         for a in amonos:
             mono = [0] * A.dim
             for j, e in zip(f_letters, a):
                 mono[j] = e
+            col = pos[a] * bd
             for m2, c in eng.product({x: F.one}, {tuple(mono): F.one}).items():
+                block = Mat.identity(F, bd).scale(c)
                 for j in rest:
-                    c = F.mul(c, F.pow(value[j], m2[j]))
-                r = pos[tuple(m2[j] for j in f_letters)]
-                codes[r][pos[a]] = F.add(codes[r][pos[a]], c)
-        out[i] = codes
+                    for _ in range(m2[j]):
+                        block = block @ base.action[j]
+                row = pos[tuple(m2[j] for j in f_letters)] * bd
+                arr.a[row:row + bd, col:col + bd] += block.a
+        out[i] = Mat(F, arr.a % F.p).to_codes().tolist()
     return out
 
 
-@pytest.mark.parametrize("make, lam", [
-    (lambda: zero_spec(gl3()), (1, 3, 0)),
-    (_regss_gl3_f25, None),
-    (lambda: zero_spec(gl21()), (1, 2, 4)),
+@pytest.mark.parametrize("make, levi, lam", [
+    (lambda: zero_spec(gl3()), (), (1, 3, 0)),
+    (_regss_gl3_f25, (), None),
+    (lambda: zero_spec(gl21()), (), (1, 2, 4)),
     (lambda: zero_spec(make_gl(trivial_bicharacter(GradedGroup([]),
                                                    Field(7, 4)), {(): 2})),
-     (3, 1)),
-], ids=["gl3_f5", "gl3_f25_regss", "gl21", "gl2_f2401"])
-def test_verma_build_matches_entrywise_table(make, lam):
+     (), (3, 1)),
+    (lambda: zero_spec(gl3()), ("e_12",), "natural"),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "gl2_f2401", "gl3_natural_levi"])
+def test_verma_build_matches_entrywise_table(make, levi, lam):
     ref_spec, spec = make(), make()
     if lam is None:
         lam = admissible_lambdas(spec)[7]
-    want = _entrywise_action(ref_spec, fp_order(ref_spec.algebra), lam)
-    trip = fp_order(spec.algebra)
+
+    def induce(spec):
+        A = spec.algebra
+        trip = fp_order(A, levi=[A.index_of(n) for n in levi])
+        if lam == "natural":
+            base = natural_base(spec, trip)
+            return trip, base, {"base": base}
+        return trip, repmod._line_base(spec, trip, lam), {"weight": lam}
+
+    want = _entrywise_action(ref_spec, *induce(ref_spec)[:2])
+    trip, _base, how = induce(spec)
     for _ in range(2):   # the second build reads the warm table
-        M = verma_build(spec, trip, weight=lam)
+        M = verma_build(spec, trip, **how)
         assert sorted(M.action) == sorted(want)
         for i, codes in want.items():
             assert M.action[i].to_codes().tolist() == codes, i

@@ -2,10 +2,12 @@
 
 import ast
 import glob
+import importlib
+import importlib.util
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src", "colorlie")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "colorlie")
 
 
 def test_no_assert_statements():
@@ -18,3 +20,20 @@ def test_no_assert_statements():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_tracer_layers_resolve():
+    # Tracer.install() looks every layer up by name, so renaming one of
+    # these functions would break every traced benchmark run
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, (mod, name, _before, _after) in tracer.LAYERS.items():
+        obj = importlib.import_module("colorlie." + mod)
+        for attr in name.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(layer)
+    assert missing == []
