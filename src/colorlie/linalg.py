@@ -241,49 +241,34 @@ class Mat:
     # -- characteristic polynomial (Berkowitz, division free) ----------------
 
     def charpoly(self):
-        """Little-endian code coefficients of det(tI - A), monic of degree n."""
-        F = self.F
+        """Little-endian code coefficients of det(tI - A), monic of degree n.
+
+        Berkowitz's recursion on digit arrays: step i multiplies the
+        coefficient vector (leading coefficient first) by the lower
+        triangular Toeplitz matrix with first column (1, -a, -R C, -R M C,
+        ..., -R M^(i-1) C), where a is the pivot A[i, i], R the row left of
+        it, C the column above it and M the leading i x i block."""
+        F, a = self.F, self.a
         n = self.shape[0]
-        if n == 0:
-            return [F.one]
-        A = self.to_codes().tolist()
-        # Berkowitz: iteratively build the coefficient vector via Toeplitz products
-        vec = [F.one]
+        vec = np.zeros((1, 1, F.k), dtype=np.int64)
+        vec[0, 0, 0] = 1
         for i in range(n):
-            a = A[i][i]
-            R = [A[i][j] for j in range(i)]        # row left of the pivot
-            C = [A[j][i] for j in range(i)]        # column above the pivot
-            M = [[A[r][c] for c in range(i)] for r in range(i)]
-            # entries s_m = R . M^(m) . C
-            s = []
-            v = C
-            for _ in range(i):
-                s.append(_dot(F, R, v))
-                v = _matvec_codes(F, M, v)
-            # Toeplitz multiply: new[j] = vec[j-1]... with first column
-            # (1, -a, -s_0, -s_1, ...)
-            col = [F.one, F.neg(a)] + [F.neg(x) for x in s]
-            new = [F.zero] * (len(vec) + 1)
-            for j, vj in enumerate(vec):
-                if vj == F.zero:
-                    continue
-                for d, cd in enumerate(col):
-                    if j + d < len(new) and cd != F.zero:
-                        new[j + d] = F.add(new[j + d], F.mul(cd, vj))
-            vec = new
-        # vec holds det(tI - A) coefficients from leading to trailing
-        return list(reversed(vec))
-
-
-def _dot(F, u, v):
-    t = F.zero
-    for a, b in zip(u, v):
-        t = F.add(t, F.mul(a, b))
-    return t
-
-
-def _matvec_codes(F, M, v):
-    return [_dot(F, row, v) for row in M]
+            krylov = [a[:i, i:i + 1]]
+            for _ in range(i - 1):
+                krylov.append(digit_product(F, a[:i, :i], krylov[-1],
+                                            np.matmul))
+            col = np.zeros((i + 2, F.k), dtype=np.int64)
+            col[0, 0] = 1
+            col[1] = -a[i, i]
+            if i:
+                col[2:] = -digit_product(F, a[i:i + 1, :i],
+                                         np.concatenate(krylov, axis=1),
+                                         np.matmul)[0]
+            lag = np.arange(i + 2)[:, None] - np.arange(i + 1)
+            toeplitz = np.where((lag >= 0)[..., None],
+                                col[np.maximum(lag, 0)] % F.p, 0)
+            vec = digit_product(F, toeplitz, vec, np.matmul)
+        return [int(c) for c in F.array_to_codes(vec[::-1, 0])]
 
 
 class Echelon:

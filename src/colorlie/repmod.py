@@ -687,35 +687,30 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     rows, cols, coeffs, exps = (table[key]
                                 for key in ("rows", "cols", "coeffs", "exps"))
     bounds = table["bounds"]
-    if bd == 1:
-        # c . prod_j lam_j^e_j for the entries of every letter at once, one
-        # power table per rest letter that occurs
-        bact = [base.action[j].entry(0, 0) for j in rest]
-        vals = coeffs
-        for n in np.flatnonzero(exps.any(axis=0)):
-            col = exps[:, n]
-            pw = F.codes_to_array([F.pow(bact[n], e)
-                                   for e in range(int(col.max()) + 1)])
-            vals = digit_product(F, vals, pw[col], np.multiply)
+    # the (bd, bd) block c . B_1^e_1 ... B_r^e_r of every entry of every
+    # letter at once, one power table per rest letter that occurs; the
+    # normal form lists the parabolic letters left to right, so the matrix
+    # product runs the same way (on a line base a scalar product)
+    op = np.multiply if bd == 1 else np.matmul
+    one = Mat.identity(F, bd).a
+    vals = coeffs[:, None, None] * np.eye(bd, dtype=np.int64)[..., None]
+    for n in np.flatnonzero(exps.any(axis=0)):
+        col = exps[:, n]
+        B = base.action[rest[n]].a
+        pw = [one, B]
+        for _ in range(int(col.max()) - 1):
+            pw.append(digit_product(F, pw[-1], B, op))
+        vals = digit_product(F, vals, np.stack(pw)[col], op)
+    span = np.arange(bd)
+    brows = (rows * bd)[:, None, None] + span[:, None]
+    bcols = (cols * bd)[:, None, None] + span
     action = {}
     for i in range(A.dim):
         s = slice(bounds[i], bounds[i + 1])
         arr = np.zeros((count, count, F.k), dtype=np.int64)
-        if bd == 1:
-            cell = rows[s], cols[s]
-            np.add.at(arr, cell, vals[s])
-            arr[cell] %= F.p
-        else:
-            # the normal form lists the parabolic letters left to right, so
-            # the matrix product runs the same way
-            for r, c, cd, ex in zip(rows[s] * bd, cols[s] * bd, coeffs[s],
-                                    exps[s]):
-                B = Mat.identity(F, bd).scale(F.from_digits(cd))
-                for j, e in zip(rest, ex):
-                    for _ in range(e):
-                        B = B @ base.action[j]
-                arr[r:r + bd, c:c + bd] += B.a
-            arr %= F.p
+        cell = brows[s], bcols[s]
+        np.add.at(arr, cell, vals[s])
+        arr[cell] %= F.p
         action[i] = Mat(F, arr)
     return GradedModule(spec, action, weights, degrees, heights,
                         labels=labels, triple=triple, check=check)
@@ -1011,18 +1006,15 @@ def f_closed(spec, triple, lam):
     return val
 
 
-def _proportional(F, t1, t2):
-    """Code c with t1 == c * t2 as term dicts, or None."""
-    if set(t1) != set(t2):
-        return None
-    c = None
-    for m, v in t2.items():
-        r = F.div(t1[m], v)
-        if c is None:
-            c = r
-        elif c != r:
-            return None
-    return c
+def _proportional(F, v, w):
+    """Code c with v == c * w for two digit arrays of one shape, or None."""
+    cw = F.array_to_codes(w).ravel()
+    nz = np.flatnonzero(cw)
+    c = 0
+    if nz.size:
+        c = F.div(int(F.array_to_codes(v).ravel()[nz[0]]), int(cw[nz[0]]))
+    scaled = digit_product(F, w, np.array(F.to_digits(c)), np.multiply)
+    return c if np.array_equal(scaled, v) else None
 
 
 def _word(spec, letters):
@@ -1049,8 +1041,11 @@ def _cartan_terms(spec, triple):
         e, f, _H = tri.pairs[t]
         raising += [e] * (spec.caps[f] - 1)
         lowering += [f] * (spec.caps[f] - 1)
-    rev = _word(spec, lowering[::-1])
-    reversal = _proportional(F, _word(spec, lowering).terms, rev.terms)
+    fwd, rev = _word(spec, lowering).terms, _word(spec, lowering[::-1])
+    monos = sorted(set(fwd) | set(rev.terms))
+    reversal = _proportional(
+        F, F.codes_to_array([fwd.get(m, 0) for m in monos]),
+        F.codes_to_array([rev.terms.get(m, 0) for m in monos]))
     if reversal is None:
         raise InvariantError("extreme lowering products are not "
                              "proportional")
@@ -1174,24 +1169,6 @@ def _require_unipotent(algebra):
         layer = nxt
 
 
-def _vec_ratio(F, v, w):
-    """Code c with v = c*w for digit-array vectors, or None."""
-    cv = [int(x) for x in F.array_to_codes(v.reshape(1, -1, F.k))[0]]
-    cw = [int(x) for x in F.array_to_codes(w.reshape(1, -1, F.k))[0]]
-    c = None
-    for a, b in zip(cv, cw):
-        if b == 0:
-            if a:
-                return None
-            continue
-        r = F.div(a, b)
-        if c is None:
-            c = r
-        elif c != r:
-            return None
-    return 0 if c is None else c
-
-
 def unipotent_socle(algebra, max_dim=2000):
     """Socle data of the zero-character reduced quotient of a unipotent
     algebra: the one-dimensional space killed by every left multiplication,
@@ -1219,7 +1196,7 @@ def unipotent_socle(algebra, max_dim=2000):
                              % (lk.shape[1], rk.shape[1]))
     vl = lk.a[:, 0]
     vr = rk.a[:, 0]
-    ratio = _vec_ratio(F, vl, vr)
+    ratio = _proportional(F, vl, vr)
     if ratio is None:
         raise InvariantError("left and right socles differ")
     codes = lambda v: [int(x) for x in
@@ -1287,7 +1264,7 @@ def simple_quotient(spec, seed=0, max_dim=2000):
     action = {}
     for i, Mx in enumerate(mats):
         u = rad.reduce(Mx.matvec(w0))
-        c = _vec_ratio(F, u, head)
+        c = _proportional(F, u, head)
         if c is None:
             raise ValueError("letter %s does not act on the head line"
                              % A.names[i])
@@ -1304,47 +1281,42 @@ def _mod_view(M):
 
 
 def module_isomorphism(algebra, M1, M2):
-    """Invertible degree-preserving intertwiner between two explicit
-    modules, found in the joint kernel of the commutation operators on the
-    degree-paired coordinate space; ValueError when none exists."""
+    """Invertible degree-preserving intertwiner X (R2 X = X R1 for the
+    action matrices R1, R2 of every letter) between two explicit modules;
+    ValueError when none exists.
+
+    The degree-preserving matrix units span the start space.  Letter by
+    letter, the space is cut to the kernel of X -> R2 X - X R1, computed
+    on whole matrices, so a letter of any degree imposes all of its
+    equations.  The basis of what is left and seeded random combinations
+    of it are the candidates, checked for rank and intertwining."""
     F = algebra.F
     d1, a1, deg1 = _mod_view(M1)
     d2, a2, deg2 = _mod_view(M2)
     if d1 != d2:
         raise ValueError("modules have different dimensions")
-    coords = [(u2, u1) for u2 in range(d2) for u1 in range(d1)
-              if deg2[u2] == deg1[u1]]
-    if not coords:
+    u2, u1 = np.nonzero(np.array([g2 == g1 for g2 in deg2 for g1 in deg1],
+                                 dtype=bool).reshape(d2, d1))
+    if not u2.size:
         raise ValueError("no degree-preserving maps exist")
-    cpos = {uv: t for t, uv in enumerate(coords)}
-    nc = len(coords)
-    blocks = []
+    S = np.zeros((u2.size, d2 * d1, F.k), dtype=np.int64)
+    S[np.arange(u2.size), u2 * d1 + u1, 0] = 1
     for i in range(algebra.dim):
-        R2, R1 = a2[i], a1[i]
-        T = [[0] * nc for _ in range(nc)]
-        for tcol, (v2, v1) in enumerate(coords):
-            for u2 in range(d2):
-                c = R2.entry(u2, v2)
-                if c and (u2, v1) in cpos:
-                    r = cpos[(u2, v1)]
-                    T[r][tcol] = F.add(T[r][tcol], c)
-            for u1 in range(d1):
-                c = R1.entry(v1, u1)
-                if c and (v2, u1) in cpos:
-                    r = cpos[(v2, u1)]
-                    T[r][tcol] = F.sub(T[r][tcol], c)
-        blocks.append(F.codes_to_array(T))
-    K = Mat(F, np.concatenate(blocks, axis=0)).nullspace()
-    rng = random.Random(0)
-    candidates = [K.a[:, t] for t in range(K.shape[1])]
-    for _ in range(20 if K.shape[1] > 1 else 0):
-        coeffs = [[rng.randrange(F.q)] for _ in range(K.shape[1])]
-        candidates.append((K @ Mat.from_codes(F, coeffs)).a[:, 0])
-    for vec in candidates:
-        arr = np.zeros((d2, d1, F.k), dtype=np.int64)
-        for t, (u2, u1) in enumerate(coords):
-            arr[u2, u1] = vec[t]
-        Fm = Mat(F, arr)
+        if not len(S):
+            break
+        X = S.reshape(-1, d2, d1, F.k)
+        comm = (digit_product(F, a2[i].a, X, np.matmul)
+                - digit_product(F, X, a1[i].a, np.matmul)) % F.p
+        K = Mat(F, comm.reshape(len(S), -1, F.k).swapaxes(0, 1)).nullspace()
+        S = digit_product(F, K.a.swapaxes(0, 1), S, np.matmul)
+    candidates = list(S)
+    if len(S) > 1:
+        rng = random.Random(0)
+        coeffs = F.codes_to_array([[rng.randrange(F.q) for _ in S]
+                                   for _ in range(20)])
+        candidates += list(digit_product(F, coeffs, S, np.matmul))
+    for X in candidates:
+        Fm = Mat(F, X.reshape(d2, d1, F.k))
         if Fm.rank() != d1:
             continue
         if all((a2[i] @ Fm) == (Fm @ a1[i]) for i in range(algebra.dim)):
@@ -1357,22 +1329,30 @@ def module_isomorphism(algebra, M1, M2):
 
 def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
                samples=40, seed=0, fix=None):
-    """One row per admissible weight: both routes to the simplicity value,
-    the optional brute-force verdict, the agreement flag (vanishing loci
-    and verdict must all line up) and the row's wall time in ms.  fix
-    ({Cartan position: code}) keeps only the weights with those values."""
+    """One row per admissible weight whose line base extends to the
+    parabolic of triple: both routes to the simplicity value, the optional
+    brute-force verdict, the agreement flag (vanishing loci and verdict
+    must all line up) and the row's wall time in ms.  fix ({Cartan
+    position: code}) keeps only the weights with those values.  BadWeight
+    when no weight extends."""
     fix = fix or {}
     rows = []
+    unextended = None
     for lam in admissible_lambdas(spec):
         if any(lam[n] != c for n, c in fix.items()):
             continue
         t0 = time.perf_counter()
         fc = f_closed(spec, triple, lam)
         fh, _rev = f_via_hc(spec, triple, lam)
+        try:
+            base = _line_base(spec, triple, lam)
+        except BadWeight as exc:
+            unextended = exc
+            continue
         row = {"lambda": [int(c) for c in lam], "f_closed": fc, "f_hc": fh}
         agree = (fc == 0) == (fh == 0)
         if oracle:
-            M = verma_build(spec, triple, weight=lam, check=False,
+            M = verma_build(spec, triple, base=base, check=False,
                             max_dim=max_dim)
             verdict = is_simple(M, max_enumerate=max_enumerate,
                                 samples=samples, seed=seed)
@@ -1383,4 +1363,6 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
         row["agree"] = agree
         row["ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
         rows.append(row)
+    if not rows and unextended is not None:
+        raise unextended
     return rows

@@ -171,6 +171,21 @@ def test_fp_order_levi_option(capsys, tmp_path):
     assert [name for _, name in report["deltas"]] == ["e_23", "e_13"]
 
 
+def test_sweep_levi_option(capsys, tmp_path):
+    # only the 25 weights whose line base extends to the parabolic of
+    # e_12 make rows; the others used to end the sweep with bad_weight
+    parabolic = tmp_path / "para.json"
+    data = json.load(open(spec("gl3.json")))
+    data["options"] = {"levi": ["e_12"]}
+    parabolic.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, "sweep", str(parabolic), "--chi", "zero")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["summary"]["rows"] == 25
+    assert report["summary"]["disagreements"] == 0
+    assert all(r["lambda"][0] == r["lambda"][1] for r in report["rows"])
+
+
 def test_standardize(capsys, tmp_path):
     chi = tmp_path / "chi.json"
     chi.write_text(json.dumps({"values": [[1, [2]]]}))

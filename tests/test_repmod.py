@@ -279,6 +279,20 @@ def test_levi_line_base_needs_vanishing_on_levi():
         verma_build(spec, trip, weight=(2, 1, 0))
 
 
+def test_levi_sweep_keeps_the_weights_that_extend():
+    # the line base extends to the parabolic of e_12 exactly when the
+    # weight takes one value on e_11 and e_22: 25 of the 125 weights
+    A = gl3()
+    spec = zero_spec(A)
+    trip = fp_order(A, levi=[A.index_of("e_12")])
+    rows = sweep_rows(spec, trip)
+    assert [tuple(r["lambda"]) for r in rows] == [
+        lam for lam in admissible_lambdas(spec) if lam[0] == lam[1]]
+    assert all(r["agree"] for r in rows)
+    with pytest.raises(BadWeight, match="does not extend"):
+        sweep_rows(spec, trip, fix={0: 1, 1: 0})
+
+
 def natural_base(spec, trip):
     """The 2-dim natural module of the gl(2) Levi block inside gl(3)."""
     A = spec.algebra
@@ -1293,6 +1307,34 @@ def test_simple_quotient_scope():
     sub = subalgebra(A, list(root_datum(A).pos))
     with pytest.raises(ValueError, match="abelian"):
         simple_quotient(zero_spec(sub))
+
+
+def test_module_isomorphism_constrains_every_position():
+    # the odd letters of gl(2|1) shift the color degree, so their
+    # commutation equations sit off the degree-preserving positions; a
+    # search that drops them keeps spurious maps and misses the identity
+    A = gl21()
+    spec = zero_spec(A)
+    trip = fp_order(A)
+    for lam in admissible_lambdas(spec)[:3]:
+        M = verma_build(spec, trip, weight=lam)
+        X = module_isomorphism(A, M, M)
+        assert X.rank() == M.dim
+        assert all(M.action[i] @ X == X @ M.action[i] for i in range(A.dim))
+
+
+@pytest.mark.parametrize("lam1, lam2", [((4, 3), (2, 0)), ((4, 0), (0, 1))],
+                         ids=["proper_map", "no_map"])
+def test_verma_modules_of_different_weights_are_not_isomorphic(lam1, lam2):
+    # Z(4, 3) maps onto the submodule of Z(2, 0) generated by a singular
+    # vector, so the candidates are nonzero but singular; the simple
+    # Z(4, 0) and Z(0, 1) admit no nonzero map, so the candidates run out
+    A = gl2()
+    spec = zero_spec(A)
+    trip = fp_order(A)
+    M1, M2 = (verma_build(spec, trip, weight=lam) for lam in (lam1, lam2))
+    with pytest.raises(ValueError, match="not isomorphic"):
+        module_isomorphism(A, M1, M2)
 
 
 def test_non_isomorphic_heads():
