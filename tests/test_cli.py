@@ -173,7 +173,7 @@ def test_fp_order_levi_option(capsys, tmp_path):
 
 def test_sweep_levi_option(capsys, tmp_path):
     # only the 25 weights whose line base extends to the parabolic of
-    # e_12 make rows; the others used to end the sweep with bad_weight
+    # e_12 make rows; the other 100 are left out, not reported as errors
     parabolic = tmp_path / "para.json"
     data = json.load(open(spec("gl3.json")))
     data["options"] = {"levi": ["e_12"]}
