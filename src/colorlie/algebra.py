@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (EmptyAlgebra, InvariantError, NeedsExtension,
                      NoMatrixRealization, NotStandard, NotZeroDegree,
                      OddElement)
-from .field import _SLAB, digit_power, digit_product
+from .field import _SLAB, digit_power, digit_product, nonzero_digits
 from .linalg import Echelon, Mat
 
 
@@ -116,7 +116,7 @@ def bracket_eval(A, x, y):
 
 def _unit(A, i):
     """(r, c) such that the gl letter i is realized as the matrix unit e_rc."""
-    return tuple(np.argwhere(A.matrices[i].a.any(axis=-1))[0].tolist())
+    return tuple(np.argwhere(nonzero_digits(A.matrices[i].a))[0].tolist())
 
 
 def matrix_of(A, x):

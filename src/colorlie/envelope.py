@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
                      NotWeightZero, OddElement, TooLarge)
-from .field import _SLAB, digit_product
+from .field import _SLAB, digit_product, nonzero_digits
 from .linalg import Mat
 
 
@@ -604,7 +604,7 @@ def frobenius_gram(spec, max_dim=2000):
         r1 = min(dim, r0 + step)
         swapped = digit_product(F, eps[cls[r0:r1, None], cls],
                                 G[:, r0:r1].swapaxes(0, 1), np.multiply)
-        bad = (G[r0:r1] != swapped).any(axis=-1)
+        bad = nonzero_digits(G[r0:r1] != swapped)
         if (bad & (np.arange(dim) >= np.arange(r0, r1)[:, None])).any():
             symmetric = False
             break

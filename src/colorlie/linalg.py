@@ -12,7 +12,7 @@ Everything is deterministic: the pivot is always the first nonzero entry.
 
 import numpy as np
 
-from .field import digit_product
+from .field import digit_product, nonzero_digits
 
 
 def _eliminate(F, a, row, col):
@@ -21,7 +21,7 @@ def _eliminate(F, a, row, col):
     of row left of col must be zero."""
     inv = F.to_digits(F.inv(int(F.array_to_codes(a[row, col]))))
     a[row, col:] = digit_product(F, a[row, col:], np.array(inv), np.multiply)
-    rows = np.flatnonzero(a[:, col].any(axis=-1))
+    rows = np.flatnonzero(nonzero_digits(a[:, col]))
     rows = rows[rows != row]
     if rows.size:
         sub = a[rows, col:]
@@ -53,7 +53,7 @@ def batch_rref(F, a):
     pivots = np.zeros((b, c), dtype=bool)
     index = np.arange(r)
     for col in range(c):
-        nz = a[:, :, col].any(axis=-1) & (index >= row[:, None])
+        nz = nonzero_digits(a[:, :, col]) & (index >= row[:, None])
         items = np.flatnonzero(nz.any(axis=1))
         if not items.size:
             continue
@@ -200,7 +200,7 @@ class Mat:
         for col in range(c):
             if row >= r:
                 break
-            nz = np.flatnonzero(a[row:, col].any(axis=-1))
+            nz = np.flatnonzero(nonzero_digits(a[row:, col]))
             if nz.size == 0:
                 continue
             piv = row + int(nz[0])
@@ -303,7 +303,7 @@ class Echelon:
         a = np.concatenate([self.R, self.reduce(B)])
         taken = []
         for t in range(len(B)):
-            nz = np.flatnonzero(a[n + t].any(axis=-1))
+            nz = np.flatnonzero(nonzero_digits(a[n + t]))
             if nz.size:
                 _eliminate(self.F, a, n + t, int(nz[0]))
                 taken.append(t)

@@ -26,7 +26,7 @@ from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
                      NotWeightZero, OddElement, TooLarge)
-from .field import _SLAB, digit_power, digit_product
+from .field import _SLAB, digit_power, digit_product, nonzero_digits
 from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
 
 
@@ -425,7 +425,7 @@ def _check_module(M, letters, zero=()):
                              "recorded weights" % A.names[h])
     posset, negset = set(tri.pos), set(tri.neg)
     for i in letters:
-        rows, cols = np.nonzero(action[i].a.any(axis=-1))
+        rows, cols = np.nonzero(nonzero_digits(action[i].a))
         di = A.degree(i)
         root = tri.roots.get(i)
         h = tri.heights.get(i, 0)
@@ -775,58 +775,182 @@ def module_from_wire(spec, wire):
 
 # -- singular vectors and brute-force simplicity ----------------------------------
 
-def _rref_by_block(F, rows, blocks):
-    """Reduced forms of the rows (m, dim, k) restricted to each of the
-    disjoint column blocks, one `batch_rref` per column count.  Yields
-    (members, cidx, live, R, pivots) per column count: members index the
-    blocks of that count, cidx holds their columns, live[j] marks the rows
-    that are nonzero on the columns of block members[j], R[j] is the
-    reduced form of those rows and pivots[j] marks its pivot columns.
+def _group_rows(K):
+    """Group number of each row of the (n, m) int array K, groups numbered
+    in sorted row order, and the first row of each group."""
+    order = np.lexsort(K.T[::-1])
+    ks = K[order]
+    new = np.ones(len(K), dtype=bool)
+    new[1:] = (ks[1:] != ks[:-1]).any(axis=1)
+    group = np.empty(len(K), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
-    A block takes the rows that are nonzero on its columns, in order,
-    padded to the group's longest with rows that are zero there.  No block
-    has more rows than the stack and the column counts add up to at most
-    dim, so the batches together never hold more cells than the stack."""
-    nonzero = rows.any(axis=-1)
-    for c in sorted({len(cols) for cols in blocks}):
-        members = [n for n, cols in enumerate(blocks) if len(cols) == c]
-        cidx = np.array([blocks[n] for n in members])
-        live = nonzero[:, cidx].any(axis=2).T
-        longest = live.sum(axis=1).max()
-        order = np.argsort(~live, axis=1, kind="stable")[:, :longest]
-        R, pivots = batch_rref(F, rows[order[:, :, None], cidx[:, None, :]])
-        yield members, cidx, live, R, pivots
+
+def _pad(a, D, axes):
+    """a zero-padded to length D along each of the given axes."""
+    shape = list(a.shape)
+    for ax in axes:
+        shape[ax] = D
+    if tuple(shape) == a.shape:
+        return a
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
+
+
+class _Blocks:
+    """What the simplicity oracle reads of one module, gathered from its
+    dense letters by `_gather`.
+
+    The basis falls into the recorded weight spaces, numbered in sorted
+    weight order: idx (S, D) lists each space's basis indices, padded with
+    -1 to the largest size D.  The singular buckets (weight, color degree,
+    height) are numbered in sorted order: bucket (S, D) holds the bucket of
+    each basis vector in the same places, and bfirst the first basis
+    vector of each bucket.  raising holds, per height-one raising letter,
+    its (S, D, D, k) blocks from each space to the one it maps into and
+    that target space (-1 where it acts as zero); lowering holds the same
+    per lowering letter, in the order the words apply them (the last
+    positive root first), with its cap.  letters returns the dense letters
+    for the spin-up; cells
+    counts the gathered digit cells."""
+
+
+def _gather(M, letters=None):
+    """The weight-space blocks of M (see _Blocks).  letters returns the
+    dense letters for the spin-up, by default M's own.  A letter whose
+    entries from one weight space land in two raises InvariantError."""
+    A = M.spec.algebra
+    F, tri = A.F, root_datum(A)
+    dim = M.dim
+    g = _Blocks()
+    g.F, g.spec, g.dim = F, M.spec, dim
+    weights = np.fromiter(itertools.chain.from_iterable(M.weights),
+                          dtype=np.int64, count=dim * len(tri.cartan))
+    space, first = _group_rows(weights.reshape(dim, -1))
+    S = len(first)
+    sizes = np.bincount(space, minlength=S)
+    D = g.D = int(sizes.max()) if S else 1
+    order = np.argsort(space, kind="stable")
+    local = np.empty(dim, dtype=np.int64)
+    local[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[space[order]]
+    # a last row of padding only, read through a target of -1
+    idx = np.full((S + 1, D), -1, dtype=np.int64)
+    idx[space, local] = np.arange(dim)
+    g.idx = idx[:S]
+    g.weights = [M.weights[u] for u in first.tolist()]
+
+    keys = [space[:, None], np.array(M.heights, dtype=np.int64)[:, None]]
+    if dim and len(M.degrees[0]):
+        keys.insert(1, np.array([tuple(d) for d in M.degrees],
+                                dtype=np.int64))
+    bucket, g.bfirst = _group_rows(np.concatenate(keys, axis=1))
+    g.bucket = np.full((S, D), -1, dtype=np.int64)
+    g.bucket[space, local] = bucket
+
+    # digits are nonnegative, so an entry is nonzero exactly when its
+    # digit sum is: hits[t, s] counts the digits from space s to space t
+    onehot = np.zeros((S, dim), dtype=np.float32)
+    onehot[space, np.arange(dim)] = 1
+    digit_onehot = np.repeat(onehot.T, F.k, axis=0)
+    padded = bool((idx < 0).any())
+
+    def blocks(i):
+        a = M.action[i].a
+        hits = onehot @ a.reshape(dim, -1).astype(np.float32) @ digit_onehot > 0
+        if (hits.sum(axis=0) > 1).any():
+            raise InvariantError("letter %s maps one weight space into two "
+                                 "recorded weight spaces" % A.names[i])
+        target = np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+        rows = idx[target]
+        out = a[rows[:, :, None], g.idx[:, None, :]]
+        if padded or (target < 0).any():
+            out[(rows[:, :, None] < 0) | (g.idx[:, None, :] < 0)] = 0
+        return out, target
+
+    g.raising = [blocks(t) for t in tri.pos if tri.heights[t] == 1]
+    g.lowering = [blocks(f) + (M.spec.caps[f],)
+                  for f in (tri.pairs[t][1] for t in reversed(tri.pos))]
+    g.cells = sum(blk.size for blk, *_rest in g.raising + g.lowering)
+    if letters is None:
+        mats = [M.action[i] for i in range(A.dim)]
+        letters = lambda: mats
+    g.letters = letters
+    return g
+
+
+def _singular(gathered):
+    """Singular vectors of every gathered module: per module a list of
+    (bucket, weight space, (n, D, k) vectors on the space's coordinates)
+    in bucket order.
+
+    Each weight space's system is the stack of the blocks of the raising
+    letters from it, and the systems of all spaces of all modules are
+    reduced by one `batch_rref`.  The raising letters keep the buckets of
+    one space apart (a letter shifts color degree and height by its own),
+    so the system is block diagonal up to the order of its columns: no
+    elimination step mixes two buckets, and every kernel vector read off
+    the reduced form lies in the bucket of its free column and equals the
+    one of that bucket's own system.  A row that meets two buckets raises
+    InvariantError."""
+    F = gathered[0].F
+    D = max(g.D for g in gathered)
+    R = max(len(g.raising) for g in gathered)
+    rows, labels, owner = [], [], []
+    for m, g in enumerate(gathered):
+        S = len(g.idx)
+        stack = np.zeros((S, R, D, D, F.k), dtype=np.int64)
+        for x, (blk, _target) in enumerate(g.raising):
+            stack[:, x, :g.D, :g.D] = blk
+        rows.append(stack.reshape(S, R * D, D, F.k))
+        label = np.full((S, D), -1, dtype=np.int64)
+        label[:, :g.D] = g.bucket
+        labels.append(label)
+        owner += [(m, s) for s in range(S)]
+    rows = np.concatenate(rows)
+    labels = np.concatenate(labels)
+    live = nonzero_digits(rows)
+    low = np.where(live, labels[:, None], len(labels) * D).min(axis=2)
+    high = np.where(live, labels[:, None], -1).max(axis=2)
+    if ((high >= 0) & (low != high)).any():
+        raise InvariantError("a raising letter mixes two singular buckets "
+                             "of one weight space")
+    # each system's nonzero rows first, cut to the longest such run
+    live = live.any(axis=2)
+    keep = np.argsort(~live, axis=1, kind="stable")[
+        :, :int(live.sum(axis=1).max())]
+    red, pivots = batch_rref(F, rows[np.arange(len(rows))[:, None], keep])
+    width = (labels >= 0).sum(axis=1)
+    found = [[] for _ in gathered]
+    for j in np.flatnonzero(pivots.sum(axis=1) < width):
+        m, s = owner[j]
+        c = width[j]
+        K = kernel_from_rref(F, red[j, :, :c], np.flatnonzero(pivots[j]))
+        free = np.flatnonzero(~pivots[j, :c])
+        vecs = _pad(K.swapaxes(0, 1), D, [1])
+        for b in np.unique(labels[j, free]).tolist():
+            found[m].append((b, s, vecs[labels[j, free] == b]))
+    for f in found:
+        f.sort(key=lambda item: item[0])
+    return found
 
 
 def singular_vectors(M):
     """Joint kernel of the height-one raising letters, bucketed by the full
     (weight, color degree, height) grading; returns {grading: [vectors]} in
-    sorted grading order, with vectors as (dim, k) digit arrays.
-
-    The raising letters send distinct buckets to disjoint rows of the
-    stacked height-one actions, so the stack is block diagonal and each
-    bucket's kernel is that of its own nonzero rows on its own columns,
-    read off the reduced forms of `_rref_by_block`."""
-    A = M.spec.algebra
-    F = A.F
-    tri = root_datum(A)
-    stack = np.concatenate([np.zeros((0, M.dim, F.k), dtype=np.int64)]
-                           + [M.action[t].a for t in tri.pos
-                              if tri.heights[t] == 1])
-    buckets = {}
-    for u in range(M.dim):
-        key = (M.weights[u], tuple(M.degrees[u]), M.heights[u])
-        buckets.setdefault(key, []).append(u)
-    keys = sorted(buckets)
-    found = {}
-    for members, cidx, _live, R, pivots in _rref_by_block(
-            F, stack, [buckets[key] for key in keys]):
-        for j in np.flatnonzero(pivots.sum(axis=1) < cidx.shape[1]):
-            K = kernel_from_rref(F, R[j], np.flatnonzero(pivots[j]))
-            vecs = np.zeros((K.shape[1], M.dim, F.k), dtype=np.int64)
-            vecs[:, cidx[j]] = K.swapaxes(0, 1)
-            found[keys[members[j]]] = list(vecs)
-    return {key: found[key] for key in keys if key in found}
+    sorted grading order, with vectors as (dim, k) digit arrays, read off
+    the gathered weight-space blocks by `_singular`."""
+    F = M.spec.algebra.F
+    g = _gather(M)
+    out = {}
+    for b, s, V in _singular([g])[0]:
+        cols = g.idx[s][g.idx[s] >= 0]
+        vecs = np.zeros((len(V), M.dim, F.k), dtype=np.int64)
+        vecs[:, cols] = V[:, :len(cols)]
+        u = int(g.bfirst[b])
+        out[(M.weights[u], tuple(M.degrees[u]), M.heights[u])] = list(vecs)
+    return out
 
 
 def _unit_lines(F, d):
@@ -860,53 +984,183 @@ def _spin(F, mats, v, stop=None):
     return ech
 
 
-def _weight_span(F, words, blocks, basis=False):
-    """Rank of the rows of words (n, dim, k), ranked one weight space at a
-    time: blocks lists the basis indices of each recorded weight space.
-    With basis set, returns (rank, rows spanning the same space), else
-    (rank, None).  A row whose support meets two weight spaces raises
-    InvariantError: the split is only sound for weight vectors."""
-    hits = np.zeros(len(words), dtype=np.int64)
-    rank = 0
-    spans = []
-    for _members, cidx, live, R, pivots in _rref_by_block(F, words, blocks):
-        hits += live.sum(axis=0)
-        counts = pivots.sum(axis=1)
-        rank += int(counts.sum())
-        if basis:
-            jj, tt = np.nonzero(np.arange(R.shape[1]) < counts[:, None])
-            vecs = np.zeros((len(jj), words.shape[1], F.k), dtype=np.int64)
-            vecs[np.arange(len(jj))[:, None], cidx[jj]] = R[jj, tt]
-            spans.append(vecs)
-    if (hits > 1).any():
-        raise InvariantError("a lowering word meets two recorded weight "
-                             "spaces")
-    return rank, (np.concatenate(spans) if basis else None)
+def _lines(F, spaces, max_enumerate, samples, rng):
+    """Every nonzero singular line of one module, weight space by weight
+    space in sorted order, as (space, v on the space's coordinates).
+    spaces lists (space, (d, D, k) singular vectors); a space with d at
+    most max_enumerate yields all its lines, any other a seeded random
+    sample of combinations.  The combinations are formed in chunks, one
+    product each."""
+    for s, vecs in spaces:
+        d = len(vecs)
+        if d <= max_enumerate:
+            combos = _unit_lines(F, d)
+        else:
+            combos = ([rng.randrange(F.q) for _ in range(d)]
+                      for _ in range(samples))
+        while True:
+            chunk = list(itertools.islice(combos, 256))
+            if not chunk:
+                break
+            V = digit_product(F, F.codes_to_array(chunk), vecs, np.matmul)
+            for v in V[nonzero_digits(V).any(axis=1)]:
+                yield s, v
 
 
-def _word_span_rank(F, letters, v, blocks):
-    """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v,
-    each a_i below the cap of f_i.  letters holds (transposed action, cap)
-    per lowering letter in order; the words are rows, built last letter
-    first, each letter's cap - 1 powers as batched products on the block so
-    far.  Before a letter would take the block past dim words, the block is
-    cut down to a basis of its span (and a full span returns at once), so
-    it never holds more than max(cap) * dim words."""
-    dim = v.shape[0]
-    words = v[None]
-    for X, cap in reversed(letters):
-        if len(words) * cap > dim:
-            rank, words = _weight_span(F, words, blocks, basis=True)
-            if rank == dim:
-                return rank
-        n = len(words)
-        grown = np.empty((n * cap,) + words.shape[1:], dtype=np.int64)
-        grown[:n] = words
-        for a in range(1, cap):
-            grown[a * n:(a + 1) * n] = (Mat(F, grown[(a - 1) * n:a * n])
-                                        @ X).a
-        words = grown
-    return _weight_span(F, words, blocks)[0]
+def _span(F, W, line, space, n, basis=False):
+    """Rank per line (n of them) of the words W (N, D, k), each tagged with
+    its line and weight space, ranked one (line, space) group at a time in
+    one `batch_rref`.  With basis set, also returns rows spanning the same
+    groups, with their line and space tags."""
+    if not len(W):
+        empty = np.zeros(0, dtype=np.int64)
+        rank = np.zeros(n, dtype=np.int64)
+        return (rank, (W, empty, empty)) if basis else rank
+    group, first = _group_rows(np.column_stack([line, space]))
+    counts = np.bincount(group)
+    order = np.argsort(group, kind="stable")
+    starts = np.cumsum(counts) - counts
+    arr = np.zeros((len(first), counts.max()) + W.shape[1:], dtype=np.int64)
+    arr[group[order], np.arange(len(W)) - starts[group[order]]] = W[order]
+    R, pivots = batch_rref(F, arr)
+    ranks = pivots.sum(axis=1)
+    gline = line[first]
+    rank = np.bincount(gline, weights=ranks, minlength=n).astype(np.int64)
+    if not basis:
+        return rank
+    gg, tt = np.nonzero(np.arange(R.shape[1]) < ranks[:, None])
+    return rank, (R[gg, tt], gline[gg], space[first][gg])
+
+
+def _word_span_ranks(gathered, lines, D):
+    """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v
+    of every line (module number, space, v), each a_i below the cap of f_i.
+
+    Every word lies in one weight space, so a word is its D coordinates
+    there plus its line and space.  The words of all lines are built
+    together, last letter first: each of a letter's cap - 1 powers is one
+    `digit_product` of the gathered (words, D, D) blocks with the words.
+    Before a letter would take a line past dim words, that line is cut down
+    to a basis of its span (and a full span is done at once), so a line
+    never holds more than max(cap) * dim words."""
+    F = gathered[0].F
+    n = len(lines)
+    mods = [gathered[m] for m, _s, _v in lines]
+    dims = np.array([g.dim for g in mods], dtype=np.int64)
+    steps = max(len(g.lowering) for g in mods)
+    off = np.zeros((n, steps), dtype=np.int64)
+    caps = np.ones((n, steps), dtype=np.int64)
+    blocks = [np.zeros((0, D, D, F.k), dtype=np.int64)]
+    targets = [np.zeros(0, dtype=np.int64)]
+    at = 0
+    for l, g in enumerate(mods):
+        for j, (blk, target, cap) in enumerate(g.lowering):
+            blocks.append(_pad(blk, D, [1, 2]))
+            targets.append(target)
+            off[l, j], caps[l, j] = at, cap
+            at += len(target)
+    blocks = np.concatenate(blocks)
+    targets = np.concatenate(targets)
+    W = np.stack([v for _m, _s, v in lines])
+    line = np.arange(n)
+    space = np.array([s for _m, s, _v in lines], dtype=np.int64)
+    rank = np.full(n, -1, dtype=np.int64)
+    for j in range(steps):
+        cap = caps[:, j]
+        cut = (np.bincount(line, minlength=n) * cap > dims) & (rank < 0)
+        if cut.any():
+            sel = cut[line]
+            got, (W2, line2, space2) = _span(F, W[sel], line[sel],
+                                             space[sel], n, basis=True)
+            full = cut & (got == dims)
+            rank[full] = dims[full]
+            keep = ~full[line2]
+            W = np.concatenate([W[~sel], W2[keep]])
+            line = np.concatenate([line[~sel], line2[keep]])
+            space = np.concatenate([space[~sel], space2[keep]])
+        parts = [(W, line, space)]
+        for a in range(1, int(cap.max())):
+            fW, fline, fspace = parts[-1]
+            go = cap[fline] > a
+            at = off[fline[go], j] + fspace[go]
+            fW = digit_product(F, blocks[at], fW[go][..., None, :],
+                               np.matmul)[..., 0, :]
+            fline, fspace = fline[go], targets[at]
+            live = (fspace >= 0) & nonzero_digits(fW).any(axis=1)
+            parts.append((fW[live], fline[live], fspace[live]))
+        W, line, space = (np.concatenate(p) for p in zip(*parts))
+    left = rank < 0
+    rank[left] = _span(F, W, line, space, n)[left]
+    return rank
+
+
+def _judge(gathered, max_enumerate=3, samples=40, seed=0):
+    """The `is_simple` verdicts of many modules over one field at once, from
+    their gathered blocks (`_gather`), in order.
+
+    The singular systems of all modules are reduced together.  The lines
+    then run in rounds: round n takes the n-th singular line of every
+    module not yet decided, and the word spans of all of them advance
+    together (`_word_span_ranks`).  Each module keeps its own seeded
+    random sample and its own weight order, so every verdict is the one
+    the module gets alone."""
+    F = gathered[0].F
+    for g in gathered:
+        tri = root_datum(g.spec.algebra)
+        for t in tri.pos:
+            if g.spec.chi.value(tri.pairs[t][0]):
+                raise ChiOnNplus("character must vanish on the raising "
+                                 "letters")
+    D = max(g.D for g in gathered)
+    streams, methods = [], []
+    for g, found in zip(gathered, _singular(gathered)):
+        if g.dim and not found:
+            raise InvariantError("a nonzero module without singular vectors")
+        by_space = {}
+        for _b, s, V in found:
+            by_space.setdefault(s, []).append(V)
+        spaces = [(s, np.concatenate(by_space[s])) for s in sorted(by_space)]
+        # a space sampled at random marks the verdicts reached at it or
+        # after it; the last entry marks "simple"
+        method, marks = "exhaustive", {}
+        for s, vecs in spaces:
+            if len(vecs) > max_enumerate:
+                method = "randomized"
+            marks[s] = method
+        marks[None] = method
+        methods.append(marks)
+        streams.append(_lines(F, spaces, max_enumerate, samples,
+                              random.Random(seed)))
+    verdicts = [None] * len(gathered)
+    lines = [0] * len(gathered)
+    undecided = list(range(len(gathered)))
+    while undecided:
+        batch = []
+        for m in undecided:
+            nxt = next(streams[m], None)
+            if nxt is None:
+                verdicts[m] = {"simple": True, "method": methods[m][None],
+                               "lines": lines[m], "weight": None,
+                               "witness": None}
+            else:
+                lines[m] += 1
+                batch.append((m,) + nxt)
+        ranks = _word_span_ranks(gathered, batch, D) if batch else []
+        for (m, s, v), rank in zip(batch, ranks):
+            g = gathered[m]
+            if rank == g.dim:
+                continue
+            cols = g.idx[s][g.idx[s] >= 0]
+            full = np.zeros((g.dim, F.k), dtype=np.int64)
+            full[cols] = v[:len(cols)]
+            if _spin(F, g.letters(), full, stop=g.dim).dim < g.dim:
+                verdicts[m] = {
+                    "simple": False, "method": methods[m][s],
+                    "lines": lines[m],
+                    "weight": [int(c) for c in g.weights[s]],
+                    "witness": [int(c) for c in F.array_to_codes(full)]}
+        undecided = [m for m in undecided if verdicts[m] is None]
+    return verdicts
 
 
 def is_simple(M, max_enumerate=3, samples=40, seed=0):
@@ -916,56 +1170,14 @@ def is_simple(M, max_enumerate=3, samples=40, seed=0):
     a seeded random sample of lines, flagged in the verdict.
 
     Each line v is first checked against the span of its ordered lowering
-    words (`_word_span_rank`).  Every word lies in the submodule v
+    words (`_word_span_ranks`).  Every word lies in the submodule v
     generates, so a full span proves that v generates the module.  Only a
     line whose word span falls short is spun up under every letter, and
     that closure alone decides "not simple".  A nonzero module without a
     singular vector raises InvariantError: n+ acts nilpotently, so the
-    singular space cannot be empty."""
-    A = M.spec.algebra
-    F = A.F
-    tri = root_datum(A)
-    for t in tri.pos:
-        if M.spec.chi.value(tri.pairs[t][0]):
-            raise ChiOnNplus("character must vanish on the raising letters")
-    by_weight = {}
-    for (w, _dg, _ht), vecs in singular_vectors(M).items():
-        by_weight.setdefault(w, []).extend(vecs)
-    if M.dim and not by_weight:
-        raise InvariantError("a nonzero module without singular vectors")
-    rng = random.Random(seed)
-    spaces = {}
-    for u, w in enumerate(M.weights):
-        spaces.setdefault(w, []).append(u)
-    blocks = [spaces[w] for w in sorted(spaces)]
-    letters = [(M.action[f].T, M.spec.caps[f])
-               for f in (tri.pairs[t][1] for t in tri.pos)]
-    mats = [M.action[i] for i in range(A.dim)]
-    method = "exhaustive"
-    lines = 0
-    for w in sorted(by_weight):
-        vecs = by_weight[w]
-        d = len(vecs)
-        if d <= max_enumerate:
-            combos = _unit_lines(F, d)
-        else:
-            method = "randomized"
-            combos = ([rng.randrange(F.q) for _ in range(d)]
-                      for _ in range(samples))
-        S = Mat(F, np.stack(vecs))
-        for coeffs in combos:
-            v = (Mat.from_codes(F, [coeffs]) @ S).a[0]
-            if not v.any():
-                continue
-            lines += 1
-            if (_word_span_rank(F, letters, v, blocks) < M.dim
-                    and _spin(F, mats, v, stop=M.dim).dim < M.dim):
-                return {"simple": False, "method": method, "lines": lines,
-                        "weight": [int(c) for c in w],
-                        "witness": [int(c) for c in F.array_to_codes(
-                            v.reshape(1, M.dim, F.k))[0]]}
-    return {"simple": True, "method": method, "lines": lines,
-            "weight": None, "witness": None}
+    singular space cannot be empty.  This is the one-module case of
+    `_judge`, which judges many modules in one batched pass."""
+    return _judge([_gather(M)], max_enumerate, samples, seed)[0]
 
 
 # -- the simplicity value, two ways ----------------------------------------------
@@ -1334,10 +1546,30 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     brute-force verdict, the agreement flag (vanishing loci and verdict
     must all line up) and the row's wall time in ms.  fix ({Cartan
     position: code}) keeps only the weights with those values.  BadWeight
-    when no weight extends."""
+    when no weight extends.
+
+    The oracle judges the rows in batches (`_judge`).  Each row keeps only
+    its module's gathered blocks and its line base; a batch is judged
+    before the next row's blocks would take it past _SLAB cells.  A line
+    whose word span falls short is spun up on the module rebuilt from the
+    base.  A row's ms is its own time plus an equal share of its batch's."""
     fix = fix or {}
     rows = []
+    pending = []
     unextended = None
+
+    def judge():
+        t0 = time.perf_counter()
+        verdicts = _judge([g for _row, g in pending], max_enumerate,
+                          samples, seed)
+        share = (time.perf_counter() - t0) * 1000.0 / len(pending)
+        for (row, _g), verdict in zip(pending, verdicts):
+            row["oracle"] = "simple" if verdict["simple"] else "not-simple"
+            row["agree"] = row["agree"] and (
+                (row["f_closed"] == 0) == (not verdict["simple"]))
+            row["ms"] = round(row["ms"] + share, 3)
+        pending.clear()
+
     for lam in admissible_lambdas(spec):
         if any(lam[n] != c for n, c in fix.items()):
             continue
@@ -1349,20 +1581,29 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
         except BadWeight as exc:
             unextended = exc
             continue
-        row = {"lambda": [int(c) for c in lam], "f_closed": fc, "f_hc": fh}
-        agree = (fc == 0) == (fh == 0)
-        if oracle:
-            M = verma_build(spec, triple, base=base, check=False,
-                            max_dim=max_dim)
-            verdict = is_simple(M, max_enumerate=max_enumerate,
-                                samples=samples, seed=seed)
-            row["oracle"] = "simple" if verdict["simple"] else "not-simple"
-            agree = agree and ((fc == 0) == (not verdict["simple"]))
-        else:
-            row["oracle"] = None
-        row["agree"] = agree
-        row["ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+        row = {"lambda": [int(c) for c in lam], "f_closed": fc, "f_hc": fh,
+               "oracle": None, "agree": (fc == 0) == (fh == 0)}
         rows.append(row)
+        if not oracle:
+            row["ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+            continue
+        M = verma_build(spec, triple, base=base, check=False, max_dim=max_dim)
+        g = _gather(M, _rebuild(spec, triple, base, max_dim))
+        del M
+        if pending and sum(h.cells for _row, h in pending) + g.cells > _SLAB:
+            judge()
+        row["ms"] = (time.perf_counter() - t0) * 1000.0
+        pending.append((row, g))
+    if pending:
+        judge()
     if not rows and unextended is not None:
         raise unextended
     return rows
+
+
+def _rebuild(spec, triple, base, max_dim):
+    """The dense letters of the module induced from base, built again."""
+    def letters():
+        M = verma_build(spec, triple, base=base, check=False, max_dim=max_dim)
+        return [M.action[i] for i in range(spec.algebra.dim)]
+    return letters

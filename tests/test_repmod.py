@@ -18,7 +18,7 @@ from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                              InvariantError, MixedSpecs, NoOrderingFound,
                              NotScalar, NotStandard, NotUnipotent, OddElement,
                              TooLarge)
-from colorlie.field import Field
+from colorlie.field import _SLAB, Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
 from colorlie.linalg import Echelon, Mat
@@ -753,10 +753,41 @@ def test_is_simple_matches_full_letter_closure():
                                            seed=3)
 
 
+def test_judge_mixed_modules_in_one_call():
+    # line-base modules of the Borel and the e_12 Levi triple of gl(3) and
+    # the 50-dim natural-base module (weight spaces of unequal size) judged
+    # in one batched pass: each gets exactly its one-module verdict
+    A = gl3()
+    spec = zero_spec(A)
+    borel = fp_order(A)
+    levi = fp_order(A, levi=[A.index_of("e_12")])
+    lams = admissible_lambdas(spec)
+    simple = [lam for lam in lams if f_closed(spec, borel, lam)][:1]
+    modules = [verma_build(spec, borel, weight=lam)
+               for lam in simple + lams[:2]]
+    modules += [verma_build(spec, levi, weight=lam)
+                for lam in ((2, 2, 0), (3, 3, 1))]
+    modules.append(verma_build(spec, levi, base=natural_base(spec, levi)))
+    for how in ((), (0, 5, 3)):
+        want = [is_simple(M, *how) for M in modules]
+        got = repmod._judge([repmod._gather(M) for M in modules], *how)
+        assert got == want
+        assert {v["simple"] for v in want} == {True, False}
+    assert {M.dim for M in modules} == {125, 25, 50}
+
+
+def _on_space(g, w, s):
+    """The (dim, k) vector w on the D coordinates of weight space s of the
+    gathered blocks g, zero in the padding."""
+    cols = g.idx[s]
+    return np.where((cols >= 0)[:, None], w[cols], 0)
+
+
 def test_word_span_matches_rank_of_all_words():
     # every ordered lowering word of every singular vector, one matvec at a
-    # time, ranked as one matrix, against the per-weight-space ranking and
-    # against the grown, basis-trimmed word block
+    # time, ranked as one matrix, against the per-weight-space ranking of
+    # those words and against the block word span, grown from the gathered
+    # blocks and cut to bases
     A = gl3()
     spec = zero_spec(A)
     trip = fp_order(A, levi=[A.index_of("e_12")])
@@ -768,11 +799,10 @@ def test_word_span_matches_rank_of_all_words():
     for M in modules:
         tri = M.spec.algebra.triangular
         fs = [tri.pairs[t][1] for t in tri.pos]
-        spaces = {}
-        for u, w in enumerate(M.weights):
-            spaces.setdefault(w, []).append(u)
-        blocks = [spaces[w] for w in sorted(spaces)]
-        letters = [(M.action[f].T, M.spec.caps[f]) for f in fs]
+        g = repmod._gather(M)
+        space = np.zeros(M.dim, dtype=np.int64)
+        for s, cols in enumerate(g.idx):
+            space[cols[cols >= 0]] = s
         for vecs in singular_vectors(M).values():
             for v in vecs:
                 words = []
@@ -785,9 +815,17 @@ def test_word_span_matches_rank_of_all_words():
                     words.append(u)
                 words = np.stack(words)
                 rank = Mat(F5, words).rank()
-                assert repmod._weight_span(F5, words, blocks)[0] == rank
-                assert repmod._word_span_rank(F5, letters, v, blocks) \
-                    == rank
+                live = [w for w in words if w.any()]
+                spaces = [space[np.flatnonzero(w.any(axis=-1))] for w in live]
+                assert all(len(set(s.tolist())) == 1 for s in spaces)
+                spaces = np.array([s[0] for s in spaces])
+                local = np.stack([_on_space(g, w, s)
+                                  for w, s in zip(live, spaces)])
+                assert repmod._span(F5, local, np.zeros(len(live), int),
+                                    spaces, 1)[0] == rank
+                s0 = space[np.flatnonzero(v.any(axis=-1))[0]]
+                assert repmod._word_span_ranks(
+                    [g], [(0, s0, _on_space(g, v, s0))], g.D)[0] == rank
                 short += rank < M.dim
     assert short >= 3
 
@@ -796,7 +834,8 @@ def test_is_simple_raises_on_empty_singular_space(monkeypatch):
     # n+ acts nilpotently, so a nonzero module always has a singular vector
     A = gl2()
     M = verma_build(zero_spec(A), fp_order(A), weight=(4, 0))
-    monkeypatch.setattr(repmod, "singular_vectors", lambda M: {})
+    monkeypatch.setattr(repmod, "_singular",
+                        lambda gathered: [[] for _ in gathered])
     with pytest.raises(InvariantError, match="without singular vectors"):
         is_simple(M)
 
@@ -1119,6 +1158,25 @@ def test_sweep_regular_semisimple_f25():
     assert len(rows) == 25
     assert all(r["agree"] for r in rows)
     assert all(r["oracle"] == "simple" for r in rows)
+
+
+def test_sweep_batches_stay_within_slab(monkeypatch):
+    # the oracle judges the rows of a sweep in batches of gathered blocks,
+    # each at most _SLAB digit cells
+    batches = []
+    judge = repmod._judge
+
+    def recorded(gathered, *args):
+        batches.append((len(gathered), sum(g.cells for g in gathered)))
+        return judge(gathered, *args)
+
+    monkeypatch.setattr(repmod, "_judge", recorded)
+    spec = _regss_gl3_f25()
+    rows = sweep_rows(spec, fp_order(spec.algebra), fix={2: 3}, seed=11)
+    assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
+    assert sum(n for n, _cells in batches) == 25
+    assert len(batches) > 1
+    assert max(cells for _n, cells in batches) <= _SLAB
 
 
 # -- the p-power scalar ------------------------------------------------------------

@@ -22,6 +22,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _is_last_axis(node):
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and node.operand.value == 1)
+
+
+def test_no_any_over_the_digit_axis():
+    # numpy reduces the short trailing digit axis slowly: field's
+    # nonzero_digits ORs the digit planes instead
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "any"
+                  and any(kw.arg == "axis" and _is_last_axis(kw.value)
+                          for kw in node.keywords)]
+    assert found == []
+
+
 def test_benchmark_tracer_layers_resolve():
     # Tracer.install() looks every layer up by name, so renaming one of
     # these functions would break every traced benchmark run
