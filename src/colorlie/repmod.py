@@ -809,12 +809,11 @@ class _Blocks:
     height) are numbered in sorted order: bucket (S, D) holds the bucket of
     each basis vector in the same places, and bfirst the first basis
     vector of each bucket.  raising holds, per height-one raising letter,
-    its (S, D, D, k) blocks from each space to the one it maps into and
-    that target space (-1 where it acts as zero); lowering holds the same
-    per lowering letter, in the order the words apply them (the last
-    positive root first), with its cap.  letters returns the dense letters
-    for the spin-up; cells
-    counts the gathered digit cells."""
+    its (S, D, D, k) blocks from each space to the one it maps into;
+    lowering holds the same per lowering letter, in the order the words
+    apply them (the last positive root first), with that target space (-1
+    where the letter acts as zero) and the letter's cap.  letters returns the dense letters
+    for the spin-up; cells counts the gathered digit cells."""
 
 
 def _gather(M, letters=None):
@@ -828,7 +827,7 @@ def _gather(M, letters=None):
     g.F, g.spec, g.dim = F, M.spec, dim
     weights = np.fromiter(itertools.chain.from_iterable(M.weights),
                           dtype=np.int64, count=dim * len(tri.cartan))
-    space, first = _group_rows(weights.reshape(dim, -1))
+    space, first = _group_rows(weights.reshape(dim, len(tri.cartan)))
     S = len(first)
     sizes = np.bincount(space, minlength=S)
     D = g.D = int(sizes.max()) if S else 1
@@ -854,25 +853,27 @@ def _gather(M, letters=None):
     onehot = np.zeros((S, dim), dtype=np.float32)
     onehot[space, np.arange(dim)] = 1
     digit_onehot = np.repeat(onehot.T, F.k, axis=0)
-    padded = bool((idx < 0).any())
+    padded = bool((g.idx < 0).any())
 
     def blocks(i):
         a = M.action[i].a
-        hits = onehot @ a.reshape(dim, -1).astype(np.float32) @ digit_onehot > 0
+        hits = onehot @ a.reshape(dim, dim * F.k).astype(np.float32)
+        hits = hits @ digit_onehot > 0
         if (hits.sum(axis=0) > 1).any():
             raise InvariantError("letter %s maps one weight space into two "
                                  "recorded weight spaces" % A.names[i])
-        target = np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+        target = np.where(hits.any(axis=0), np.arange(S) @ hits, -1)
         rows = idx[target]
         out = a[rows[:, :, None], g.idx[:, None, :]]
         if padded or (target < 0).any():
             out[(rows[:, :, None] < 0) | (g.idx[:, None, :] < 0)] = 0
         return out, target
 
-    g.raising = [blocks(t) for t in tri.pos if tri.heights[t] == 1]
+    g.raising = [blocks(t)[0] for t in tri.pos if tri.heights[t] == 1]
     g.lowering = [blocks(f) + (M.spec.caps[f],)
                   for f in (tri.pairs[t][1] for t in reversed(tri.pos))]
-    g.cells = sum(blk.size for blk, *_rest in g.raising + g.lowering)
+    g.cells = sum(blk.size for blk in g.raising) + sum(
+        blk.size for blk, _target, _cap in g.lowering)
     if letters is None:
         mats = [M.action[i] for i in range(A.dim)]
         letters = lambda: mats
@@ -901,7 +902,7 @@ def _singular(gathered):
     for m, g in enumerate(gathered):
         S = len(g.idx)
         stack = np.zeros((S, R, D, D, F.k), dtype=np.int64)
-        for x, (blk, _target) in enumerate(g.raising):
+        for x, blk in enumerate(g.raising):
             stack[:, x, :g.D, :g.D] = blk
         rows.append(stack.reshape(S, R * D, D, F.k))
         label = np.full((S, D), -1, dtype=np.int64)
@@ -910,10 +911,12 @@ def _singular(gathered):
         owner += [(m, s) for s in range(S)]
     rows = np.concatenate(rows)
     labels = np.concatenate(labels)
+    found = [[] for _ in gathered]
+    if not len(rows):
+        return found
     live = nonzero_digits(rows)
-    low = np.where(live, labels[:, None], len(labels) * D).min(axis=2)
     high = np.where(live, labels[:, None], -1).max(axis=2)
-    if ((high >= 0) & (low != high)).any():
+    if (live & (labels[:, None] != high[..., None])).any():
         raise InvariantError("a raising letter mixes two singular buckets "
                              "of one weight space")
     # each system's nonzero rows first, cut to the longest such run
@@ -922,7 +925,6 @@ def _singular(gathered):
         :, :int(live.sum(axis=1).max())]
     red, pivots = batch_rref(F, rows[np.arange(len(rows))[:, None], keep])
     width = (labels >= 0).sum(axis=1)
-    found = [[] for _ in gathered]
     for j in np.flatnonzero(pivots.sum(axis=1) < width):
         m, s = owner[j]
         c = width[j]
@@ -986,16 +988,19 @@ def _spin(F, mats, v, stop=None):
 
 def _lines(F, spaces, max_enumerate, samples, rng):
     """Every nonzero singular line of one module, weight space by weight
-    space in sorted order, as (space, v on the space's coordinates).
-    spaces lists (space, (d, D, k) singular vectors); a space with d at
-    most max_enumerate yields all its lines, any other a seeded random
-    sample of combinations.  The combinations are formed in chunks, one
+    space in sorted order, as (method, space, v on the space's
+    coordinates).  spaces lists (space, (d, D, k) singular vectors); a
+    space with d at most max_enumerate yields all its lines, any other a
+    seeded random sample of combinations, and marks its lines and all
+    later ones "randomized".  The combinations are formed in chunks, one
     product each."""
+    method = "exhaustive"
     for s, vecs in spaces:
         d = len(vecs)
         if d <= max_enumerate:
             combos = _unit_lines(F, d)
         else:
+            method = "randomized"
             combos = ([rng.randrange(F.q) for _ in range(d)]
                       for _ in range(samples))
         while True:
@@ -1004,7 +1009,7 @@ def _lines(F, spaces, max_enumerate, samples, rng):
                 break
             V = digit_product(F, F.codes_to_array(chunk), vecs, np.matmul)
             for v in V[nonzero_digits(V).any(axis=1)]:
-                yield s, v
+                yield method, s, v
 
 
 def _span(F, W, line, space, n, basis=False):
@@ -1032,6 +1037,18 @@ def _span(F, W, line, space, n, basis=False):
     return rank, (R[gg, tt], gline[gg], space[first][gg])
 
 
+def _apply(F, blocks, at, W):
+    """blocks[at[i]] @ W[i] for every word W[i] (D, k), in one
+    `digit_product` per run of words whose gathered blocks fit in _SLAB
+    cells."""
+    D = W.shape[1]
+    step = max(1, _SLAB // (D * D * F.k))
+    out = [digit_product(F, blocks[at[i:i + step]],
+                         W[i:i + step, :, None], np.matmul)[:, :, 0]
+           for i in range(0, len(W), step)]
+    return np.concatenate(out) if out else W
+
+
 def _word_span_ranks(gathered, lines, D):
     """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v
     of every line (module number, space, v), each a_i below the cap of f_i.
@@ -1039,7 +1056,8 @@ def _word_span_ranks(gathered, lines, D):
     Every word lies in one weight space, so a word is its D coordinates
     there plus its line and space.  The words of all lines are built
     together, last letter first: each of a letter's cap - 1 powers is one
-    `digit_product` of the gathered (words, D, D) blocks with the words.
+    `digit_product` of the gathered (words, D, D) blocks with the words
+    (`_apply`).
     Before a letter would take a line past dim words, that line is cut down
     to a basis of its span (and a full span is done at once), so a line
     never holds more than max(cap) * dim words."""
@@ -1083,8 +1101,7 @@ def _word_span_ranks(gathered, lines, D):
             fW, fline, fspace = parts[-1]
             go = cap[fline] > a
             at = off[fline[go], j] + fspace[go]
-            fW = digit_product(F, blocks[at], fW[go][..., None, :],
-                               np.matmul)[..., 0, :]
+            fW = _apply(F, blocks, at, fW[go])
             fline, fspace = fline[go], targets[at]
             live = (fspace >= 0) & nonzero_digits(fW).any(axis=1)
             parts.append((fW[live], fline[live], fspace[live]))
@@ -1120,15 +1137,9 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
         for _b, s, V in found:
             by_space.setdefault(s, []).append(V)
         spaces = [(s, np.concatenate(by_space[s])) for s in sorted(by_space)]
-        # a space sampled at random marks the verdicts reached at it or
-        # after it; the last entry marks "simple"
-        method, marks = "exhaustive", {}
-        for s, vecs in spaces:
-            if len(vecs) > max_enumerate:
-                method = "randomized"
-            marks[s] = method
-        marks[None] = method
-        methods.append(marks)
+        methods.append("randomized" if any(len(vecs) > max_enumerate
+                                           for _s, vecs in spaces)
+                       else "exhaustive")
         streams.append(_lines(F, spaces, max_enumerate, samples,
                               random.Random(seed)))
     verdicts = [None] * len(gathered)
@@ -1139,14 +1150,15 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
         for m in undecided:
             nxt = next(streams[m], None)
             if nxt is None:
-                verdicts[m] = {"simple": True, "method": methods[m][None],
+                verdicts[m] = {"simple": True, "method": methods[m],
                                "lines": lines[m], "weight": None,
                                "witness": None}
             else:
                 lines[m] += 1
                 batch.append((m,) + nxt)
-        ranks = _word_span_ranks(gathered, batch, D) if batch else []
-        for (m, s, v), rank in zip(batch, ranks):
+        ranks = _word_span_ranks(gathered, [(m, s, v) for m, _method, s, v
+                                            in batch], D) if batch else []
+        for (m, method, s, v), rank in zip(batch, ranks):
             g = gathered[m]
             if rank == g.dim:
                 continue
@@ -1155,7 +1167,7 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
             full[cols] = v[:len(cols)]
             if _spin(F, g.letters(), full, stop=g.dim).dim < g.dim:
                 verdicts[m] = {
-                    "simple": False, "method": methods[m][s],
+                    "simple": False, "method": method,
                     "lines": lines[m],
                     "weight": [int(c) for c in g.weights[s]],
                     "witness": [int(c) for c in F.array_to_codes(full)]}
