@@ -8,7 +8,9 @@ PCharacter through chi_reduce.
 
 The module grows downward from there: root data with heights, orderings of
 the non-Levi positive roots, induced highest-weight modules, the
-singular-vector simplicity test and its closed-form counterpart.
+closed-form counterparts of the simplicity test (the brute-force test
+itself lives in `oracle`, and `is_simple` and `singular_vectors` are
+imported here for their callers) and the weight sweeps that compare them.
 """
 
 import itertools
@@ -22,12 +24,13 @@ from .algebra import bracket_eval, pmap_eval
 from .envelope import (NormalElement, _basis_table, chi_reduce, engine_for,
                        harish_chandra, monomial_degree, monomial_weight,
                        nf_letter, nf_one, require_standard, uchi_basis)
-from .errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
+from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
                      NotWeightZero, OddElement, TooLarge)
 from .field import _SLAB, digit_power, digit_product, nonzero_digits
-from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
+from .linalg import Echelon, Mat
+from .oracle import _gather, _judge, _spin, is_simple, singular_vectors
 
 
 class PowerClass:
@@ -773,425 +776,6 @@ def module_from_wire(spec, wire):
                         labels=labels, check=False)
 
 
-# -- singular vectors and brute-force simplicity ----------------------------------
-
-def _group_rows(K):
-    """Group number of each row of the (n, m) int array K, groups numbered
-    in sorted row order, and the first row of each group."""
-    order = np.lexsort(K.T[::-1])
-    ks = K[order]
-    new = np.ones(len(K), dtype=bool)
-    new[1:] = (ks[1:] != ks[:-1]).any(axis=1)
-    group = np.empty(len(K), dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    return group, order[new]
-
-
-def _pad(a, D, axes):
-    """a zero-padded to length D along each of the given axes."""
-    shape = list(a.shape)
-    for ax in axes:
-        shape[ax] = D
-    if tuple(shape) == a.shape:
-        return a
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    return out
-
-
-class _Blocks:
-    """What the simplicity oracle reads of one module, gathered from its
-    dense letters by `_gather`.
-
-    The basis falls into the recorded weight spaces, numbered in sorted
-    weight order: idx (S, D) lists each space's basis indices, padded with
-    -1 to the largest size D.  The singular buckets (weight, color degree,
-    height) are numbered in sorted order: bucket (S, D) holds the bucket of
-    each basis vector in the same places, and bfirst the first basis
-    vector of each bucket.  raising holds, per height-one raising letter,
-    its (S, D, D, k) blocks from each space to the one it maps into;
-    lowering holds the same per lowering letter, in the order the words
-    apply them (the last positive root first), with that target space (-1
-    where the letter acts as zero) and the letter's cap.  letters returns the dense letters
-    for the spin-up; cells counts the gathered digit cells."""
-
-
-def _gather(M, letters=None):
-    """The weight-space blocks of M (see _Blocks).  letters returns the
-    dense letters for the spin-up, by default M's own.  A letter whose
-    entries from one weight space land in two raises InvariantError."""
-    A = M.spec.algebra
-    F, tri = A.F, root_datum(A)
-    dim = M.dim
-    g = _Blocks()
-    g.F, g.spec, g.dim = F, M.spec, dim
-    weights = np.fromiter(itertools.chain.from_iterable(M.weights),
-                          dtype=np.int64, count=dim * len(tri.cartan))
-    space, first = _group_rows(weights.reshape(dim, len(tri.cartan)))
-    S = len(first)
-    sizes = np.bincount(space, minlength=S)
-    D = g.D = int(sizes.max()) if S else 1
-    order = np.argsort(space, kind="stable")
-    local = np.empty(dim, dtype=np.int64)
-    local[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[space[order]]
-    # a last row of padding only, read through a target of -1
-    idx = np.full((S + 1, D), -1, dtype=np.int64)
-    idx[space, local] = np.arange(dim)
-    g.idx = idx[:S]
-    g.weights = [M.weights[u] for u in first.tolist()]
-
-    keys = [space[:, None], np.array(M.heights, dtype=np.int64)[:, None]]
-    if dim and len(M.degrees[0]):
-        keys.insert(1, np.array([tuple(d) for d in M.degrees],
-                                dtype=np.int64))
-    bucket, g.bfirst = _group_rows(np.concatenate(keys, axis=1))
-    g.bucket = np.full((S, D), -1, dtype=np.int64)
-    g.bucket[space, local] = bucket
-
-    # digits are nonnegative, so an entry is nonzero exactly when its
-    # digit sum is: hits[t, s] counts the digits from space s to space t
-    onehot = np.zeros((S, dim), dtype=np.float32)
-    onehot[space, np.arange(dim)] = 1
-    digit_onehot = np.repeat(onehot.T, F.k, axis=0)
-    padded = bool((g.idx < 0).any())
-
-    def blocks(i):
-        a = M.action[i].a
-        hits = onehot @ a.reshape(dim, dim * F.k).astype(np.float32)
-        hits = hits @ digit_onehot > 0
-        if (hits.sum(axis=0) > 1).any():
-            raise InvariantError("letter %s maps one weight space into two "
-                                 "recorded weight spaces" % A.names[i])
-        target = np.where(hits.any(axis=0), np.arange(S) @ hits, -1)
-        rows = idx[target]
-        out = a[rows[:, :, None], g.idx[:, None, :]]
-        if padded or (target < 0).any():
-            out[(rows[:, :, None] < 0) | (g.idx[:, None, :] < 0)] = 0
-        return out, target
-
-    g.raising = [blocks(t)[0] for t in tri.pos if tri.heights[t] == 1]
-    g.lowering = [blocks(f) + (M.spec.caps[f],)
-                  for f in (tri.pairs[t][1] for t in reversed(tri.pos))]
-    g.cells = sum(blk.size for blk in g.raising) + sum(
-        blk.size for blk, _target, _cap in g.lowering)
-    if letters is None:
-        mats = [M.action[i] for i in range(A.dim)]
-        letters = lambda: mats
-    g.letters = letters
-    return g
-
-
-def _singular(gathered):
-    """Singular vectors of every gathered module: per module a list of
-    (bucket, weight space, (n, D, k) vectors on the space's coordinates)
-    in bucket order.
-
-    Each weight space's system is the stack of the blocks of the raising
-    letters from it, and the systems of all spaces of all modules are
-    reduced by one `batch_rref`.  The raising letters keep the buckets of
-    one space apart (a letter shifts color degree and height by its own),
-    so the system is block diagonal up to the order of its columns: no
-    elimination step mixes two buckets, and every kernel vector read off
-    the reduced form lies in the bucket of its free column and equals the
-    one of that bucket's own system.  A row that meets two buckets raises
-    InvariantError."""
-    F = gathered[0].F
-    D = max(g.D for g in gathered)
-    R = max(len(g.raising) for g in gathered)
-    rows, labels, owner = [], [], []
-    for m, g in enumerate(gathered):
-        S = len(g.idx)
-        stack = np.zeros((S, R, D, D, F.k), dtype=np.int64)
-        for x, blk in enumerate(g.raising):
-            stack[:, x, :g.D, :g.D] = blk
-        rows.append(stack.reshape(S, R * D, D, F.k))
-        label = np.full((S, D), -1, dtype=np.int64)
-        label[:, :g.D] = g.bucket
-        labels.append(label)
-        owner += [(m, s) for s in range(S)]
-    rows = np.concatenate(rows)
-    labels = np.concatenate(labels)
-    found = [[] for _ in gathered]
-    if not len(rows):
-        return found
-    live = nonzero_digits(rows)
-    high = np.where(live, labels[:, None], -1).max(axis=2)
-    if (live & (labels[:, None] != high[..., None])).any():
-        raise InvariantError("a raising letter mixes two singular buckets "
-                             "of one weight space")
-    # each system's nonzero rows first, cut to the longest such run
-    live = live.any(axis=2)
-    keep = np.argsort(~live, axis=1, kind="stable")[
-        :, :int(live.sum(axis=1).max())]
-    red, pivots = batch_rref(F, rows[np.arange(len(rows))[:, None], keep])
-    width = (labels >= 0).sum(axis=1)
-    for j in np.flatnonzero(pivots.sum(axis=1) < width):
-        m, s = owner[j]
-        c = width[j]
-        K = kernel_from_rref(F, red[j, :, :c], np.flatnonzero(pivots[j]))
-        free = np.flatnonzero(~pivots[j, :c])
-        vecs = _pad(K.swapaxes(0, 1), D, [1])
-        for b in np.unique(labels[j, free]).tolist():
-            found[m].append((b, s, vecs[labels[j, free] == b]))
-    for f in found:
-        f.sort(key=lambda item: item[0])
-    return found
-
-
-def singular_vectors(M):
-    """Joint kernel of the height-one raising letters, bucketed by the full
-    (weight, color degree, height) grading; returns {grading: [vectors]} in
-    sorted grading order, with vectors as (dim, k) digit arrays, read off
-    the gathered weight-space blocks by `_singular`."""
-    F = M.spec.algebra.F
-    g = _gather(M)
-    out = {}
-    for b, s, V in _singular([g])[0]:
-        cols = g.idx[s][g.idx[s] >= 0]
-        vecs = np.zeros((len(V), M.dim, F.k), dtype=np.int64)
-        vecs[:, cols] = V[:, :len(cols)]
-        u = int(g.bfirst[b])
-        out[(M.weights[u], tuple(M.degrees[u]), M.heights[u])] = list(vecs)
-    return out
-
-
-def _unit_lines(F, d):
-    """Coefficient tuples covering every line of an F-space of dimension d,
-    first nonzero coordinate pinned to one."""
-    for lead in range(d):
-        for tail in itertools.product(F.elements(), repeat=d - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
-def _spin(F, mats, v, stop=None):
-    """Echelon basis of the submodule generated by v (early exit once its
-    dimension reaches stop).
-
-    Breadth-first closure; each layer is hit with every letter in one
-    batched product, and each letter's image block is inserted at once."""
-    ech = Echelon(F, v.shape[0])
-    ech.insert(v)
-    if not mats or (stop is not None and ech.dim >= stop):
-        return ech
-    layer = v[:, None]
-    while layer.shape[1]:
-        block = Mat(F, layer)
-        found = []
-        for Mx in mats:
-            out = (Mx @ block).a
-            found.append(out[:, ech.insert(out.swapaxes(0, 1))])
-            if stop is not None and ech.dim >= stop:
-                return ech
-        layer = np.concatenate(found, axis=1)
-    return ech
-
-
-def _lines(F, spaces, max_enumerate, samples, rng):
-    """Every nonzero singular line of one module, weight space by weight
-    space in sorted order, as (method, space, v on the space's
-    coordinates).  spaces lists (space, (d, D, k) singular vectors); a
-    space with d at most max_enumerate yields all its lines, any other a
-    seeded random sample of combinations, and marks its lines and all
-    later ones "randomized".  The combinations are formed in chunks, one
-    product each."""
-    method = "exhaustive"
-    for s, vecs in spaces:
-        d = len(vecs)
-        if d <= max_enumerate:
-            combos = _unit_lines(F, d)
-        else:
-            method = "randomized"
-            combos = ([rng.randrange(F.q) for _ in range(d)]
-                      for _ in range(samples))
-        while True:
-            chunk = list(itertools.islice(combos, 256))
-            if not chunk:
-                break
-            V = digit_product(F, F.codes_to_array(chunk), vecs, np.matmul)
-            for v in V[nonzero_digits(V).any(axis=1)]:
-                yield method, s, v
-
-
-def _span(F, W, line, space, n, basis=False):
-    """Rank per line (n of them) of the words W (N, D, k), each tagged with
-    its line and weight space, ranked one (line, space) group at a time in
-    one `batch_rref`.  With basis set, also returns rows spanning the same
-    groups, with their line and space tags."""
-    if not len(W):
-        empty = np.zeros(0, dtype=np.int64)
-        rank = np.zeros(n, dtype=np.int64)
-        return (rank, (W, empty, empty)) if basis else rank
-    group, first = _group_rows(np.column_stack([line, space]))
-    counts = np.bincount(group)
-    order = np.argsort(group, kind="stable")
-    starts = np.cumsum(counts) - counts
-    arr = np.zeros((len(first), counts.max()) + W.shape[1:], dtype=np.int64)
-    arr[group[order], np.arange(len(W)) - starts[group[order]]] = W[order]
-    R, pivots = batch_rref(F, arr)
-    ranks = pivots.sum(axis=1)
-    gline = line[first]
-    rank = np.bincount(gline, weights=ranks, minlength=n).astype(np.int64)
-    if not basis:
-        return rank
-    gg, tt = np.nonzero(np.arange(R.shape[1]) < ranks[:, None])
-    return rank, (R[gg, tt], gline[gg], space[first][gg])
-
-
-def _apply(F, blocks, at, W):
-    """blocks[at[i]] @ W[i] for every word W[i] (D, k), in one
-    `digit_product` per run of words whose gathered blocks fit in _SLAB
-    cells."""
-    D = W.shape[1]
-    step = max(1, _SLAB // (D * D * F.k))
-    out = [digit_product(F, blocks[at[i:i + step]],
-                         W[i:i + step, :, None], np.matmul)[:, :, 0]
-           for i in range(0, len(W), step)]
-    return np.concatenate(out) if out else W
-
-
-def _word_span_ranks(gathered, lines, D):
-    """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v
-    of every line (module number, space, v), each a_i below the cap of f_i.
-
-    Every word lies in one weight space, so a word is its D coordinates
-    there plus its line and space.  The words of all lines are built
-    together, last letter first: each of a letter's cap - 1 powers is one
-    `digit_product` of the gathered (words, D, D) blocks with the words
-    (`_apply`).
-    Before a letter would take a line past dim words, that line is cut down
-    to a basis of its span (and a full span is done at once), so a line
-    never holds more than max(cap) * dim words."""
-    F = gathered[0].F
-    n = len(lines)
-    mods = [gathered[m] for m, _s, _v in lines]
-    dims = np.array([g.dim for g in mods], dtype=np.int64)
-    steps = max(len(g.lowering) for g in mods)
-    off = np.zeros((n, steps), dtype=np.int64)
-    caps = np.ones((n, steps), dtype=np.int64)
-    blocks = [np.zeros((0, D, D, F.k), dtype=np.int64)]
-    targets = [np.zeros(0, dtype=np.int64)]
-    at = 0
-    for l, g in enumerate(mods):
-        for j, (blk, target, cap) in enumerate(g.lowering):
-            blocks.append(_pad(blk, D, [1, 2]))
-            targets.append(target)
-            off[l, j], caps[l, j] = at, cap
-            at += len(target)
-    blocks = np.concatenate(blocks)
-    targets = np.concatenate(targets)
-    W = np.stack([v for _m, _s, v in lines])
-    line = np.arange(n)
-    space = np.array([s for _m, s, _v in lines], dtype=np.int64)
-    rank = np.full(n, -1, dtype=np.int64)
-    for j in range(steps):
-        cap = caps[:, j]
-        cut = (np.bincount(line, minlength=n) * cap > dims) & (rank < 0)
-        if cut.any():
-            sel = cut[line]
-            got, (W2, line2, space2) = _span(F, W[sel], line[sel],
-                                             space[sel], n, basis=True)
-            full = cut & (got == dims)
-            rank[full] = dims[full]
-            keep = ~full[line2]
-            W = np.concatenate([W[~sel], W2[keep]])
-            line = np.concatenate([line[~sel], line2[keep]])
-            space = np.concatenate([space[~sel], space2[keep]])
-        parts = [(W, line, space)]
-        for a in range(1, int(cap.max())):
-            fW, fline, fspace = parts[-1]
-            go = cap[fline] > a
-            at = off[fline[go], j] + fspace[go]
-            fW = _apply(F, blocks, at, fW[go])
-            fline, fspace = fline[go], targets[at]
-            live = (fspace >= 0) & nonzero_digits(fW).any(axis=1)
-            parts.append((fW[live], fline[live], fspace[live]))
-        W, line, space = (np.concatenate(p) for p in zip(*parts))
-    left = rank < 0
-    rank[left] = _span(F, W, line, space, n)[left]
-    return rank
-
-
-def _judge(gathered, max_enumerate=3, samples=40, seed=0):
-    """The `is_simple` verdicts of many modules over one field at once, from
-    their gathered blocks (`_gather`), in order.
-
-    The singular systems of all modules are reduced together.  The lines
-    then run in rounds: round n takes the n-th singular line of every
-    module not yet decided, and the word spans of all of them advance
-    together (`_word_span_ranks`).  Each module keeps its own seeded
-    random sample and its own weight order, so every verdict is the one
-    the module gets alone."""
-    F = gathered[0].F
-    for g in gathered:
-        tri = root_datum(g.spec.algebra)
-        for t in tri.pos:
-            if g.spec.chi.value(tri.pairs[t][0]):
-                raise ChiOnNplus("character must vanish on the raising "
-                                 "letters")
-    D = max(g.D for g in gathered)
-    streams, methods = [], []
-    for g, found in zip(gathered, _singular(gathered)):
-        if g.dim and not found:
-            raise InvariantError("a nonzero module without singular vectors")
-        by_space = {}
-        for _b, s, V in found:
-            by_space.setdefault(s, []).append(V)
-        spaces = [(s, np.concatenate(by_space[s])) for s in sorted(by_space)]
-        methods.append("randomized" if any(len(vecs) > max_enumerate
-                                           for _s, vecs in spaces)
-                       else "exhaustive")
-        streams.append(_lines(F, spaces, max_enumerate, samples,
-                              random.Random(seed)))
-    verdicts = [None] * len(gathered)
-    lines = [0] * len(gathered)
-    undecided = list(range(len(gathered)))
-    while undecided:
-        batch = []
-        for m in undecided:
-            nxt = next(streams[m], None)
-            if nxt is None:
-                verdicts[m] = {"simple": True, "method": methods[m],
-                               "lines": lines[m], "weight": None,
-                               "witness": None}
-            else:
-                lines[m] += 1
-                batch.append((m,) + nxt)
-        ranks = _word_span_ranks(gathered, [(m, s, v) for m, _method, s, v
-                                            in batch], D) if batch else []
-        for (m, method, s, v), rank in zip(batch, ranks):
-            g = gathered[m]
-            if rank == g.dim:
-                continue
-            cols = g.idx[s][g.idx[s] >= 0]
-            full = np.zeros((g.dim, F.k), dtype=np.int64)
-            full[cols] = v[:len(cols)]
-            if _spin(F, g.letters(), full, stop=g.dim).dim < g.dim:
-                verdicts[m] = {
-                    "simple": False, "method": method,
-                    "lines": lines[m],
-                    "weight": [int(c) for c in g.weights[s]],
-                    "witness": [int(c) for c in F.array_to_codes(full)]}
-        undecided = [m for m in undecided if verdicts[m] is None]
-    return verdicts
-
-
-def is_simple(M, max_enumerate=3, samples=40, seed=0):
-    """Brute-force simplicity verdict: every singular line (grouped per
-    Cartan weight) must generate the whole module.  Exhaustive when each
-    weight's singular space has dimension at most max_enumerate, otherwise
-    a seeded random sample of lines, flagged in the verdict.
-
-    Each line v is first checked against the span of its ordered lowering
-    words (`_word_span_ranks`).  Every word lies in the submodule v
-    generates, so a full span proves that v generates the module.  Only a
-    line whose word span falls short is spun up under every letter, and
-    that closure alone decides "not simple".  A nonzero module without a
-    singular vector raises InvariantError: n+ acts nilpotently, so the
-    singular space cannot be empty.  This is the one-module case of
-    `_judge`, which judges many modules in one batched pass."""
-    return _judge([_gather(M)], max_enumerate, samples, seed)[0]
-
-
 # -- the simplicity value, two ways ----------------------------------------------
 
 def _no_doubled(triple):
@@ -1602,9 +1186,9 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
         M = verma_build(spec, triple, base=base, check=False, max_dim=max_dim)
         g = _gather(M, _rebuild(spec, triple, base, max_dim))
         del M
+        row["ms"] = (time.perf_counter() - t0) * 1000.0
         if pending and sum(h.cells for _row, h in pending) + g.cells > _SLAB:
             judge()
-        row["ms"] = (time.perf_counter() - t0) * 1000.0
         pending.append((row, g))
     if pending:
         judge()

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from colorlie import repmod
+from colorlie import oracle, repmod
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
@@ -770,7 +770,7 @@ def test_judge_mixed_modules_in_one_call():
     modules.append(verma_build(spec, levi, base=natural_base(spec, levi)))
     for how in ((), (0, 5, 3)):
         want = [is_simple(M, *how) for M in modules]
-        got = repmod._judge([repmod._gather(M) for M in modules], *how)
+        got = oracle._judge([oracle._gather(M) for M in modules], *how)
         assert got == want
         assert {v["simple"] for v in want} == {True, False}
     assert {M.dim for M in modules} == {125, 25, 50}
@@ -799,7 +799,7 @@ def test_word_span_matches_rank_of_all_words():
     for M in modules:
         tri = M.spec.algebra.triangular
         fs = [tri.pairs[t][1] for t in tri.pos]
-        g = repmod._gather(M)
+        g = oracle._gather(M)
         space = np.zeros(M.dim, dtype=np.int64)
         for s, cols in enumerate(g.idx):
             space[cols[cols >= 0]] = s
@@ -821,10 +821,10 @@ def test_word_span_matches_rank_of_all_words():
                 spaces = np.array([s[0] for s in spaces])
                 local = np.stack([_on_space(g, w, s)
                                   for w, s in zip(live, spaces)])
-                assert repmod._span(F5, local, np.zeros(len(live), int),
+                assert oracle._span(F5, local, np.zeros(len(live), int),
                                     spaces, 1)[0] == rank
                 s0 = space[np.flatnonzero(v.any(axis=-1))[0]]
-                assert repmod._word_span_ranks(
+                assert oracle._word_span_ranks(
                     [g], [(0, s0, _on_space(g, v, s0))], g.D)[0] == rank
                 short += rank < M.dim
     assert short >= 3
@@ -834,7 +834,7 @@ def test_is_simple_raises_on_empty_singular_space(monkeypatch):
     # n+ acts nilpotently, so a nonzero module always has a singular vector
     A = gl2()
     M = verma_build(zero_spec(A), fp_order(A), weight=(4, 0))
-    monkeypatch.setattr(repmod, "_singular",
+    monkeypatch.setattr(oracle, "_singular",
                         lambda gathered: [[] for _ in gathered])
     with pytest.raises(InvariantError, match="without singular vectors"):
         is_simple(M)
