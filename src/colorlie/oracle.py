@@ -294,10 +294,9 @@ def _word_span_ranks(gathered, lines, D):
     there plus its line and space.  The words of all lines are built
     together, last letter first: each of a letter's cap - 1 powers is one
     `digit_product` of the gathered (words, D, D) blocks with the words
-    (`_apply`).
-    Before a letter would take a line past dim words, that line is cut down
-    to a basis of its span (and a full span is done at once), so a line
-    never holds more than max(cap) * dim words."""
+    (`_apply`).  Before a letter would take a line past dim words, that
+    line is cut down to a basis of its span (and a full span is done at
+    once), so a line never holds more than max(cap) * dim words."""
     F = gathered[0].F
     n = len(lines)
     mods = [gathered[m] for m, _s, _v in lines]
