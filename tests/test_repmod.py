@@ -840,6 +840,35 @@ def test_is_simple_raises_on_empty_singular_space(monkeypatch):
         is_simple(M)
 
 
+def test_singular_vectors_reject_buckets_sharing_rows():
+    # f_31^2 . v and f_21 f_31 f_32 . v share weight and height; moved to
+    # another height they form two buckets whose raising rows meet
+    A = gl3()
+    spec = zero_spec(A)
+    M = verma_build(spec, fp_order(A), weight=(2, 0, 0))
+    g = oracle._gather(M)
+    x, y = g.idx[0][g.bucket[0] == 0][:2]
+    assert M.heights[x] == M.heights[y]
+    heights = list(M.heights)
+    heights[y] += 100
+    moved = GradedModule(spec, M.action, M.weights, M.degrees, heights,
+                         check=False)
+    with pytest.raises(InvariantError, match="mixes two singular buckets"):
+        singular_vectors(moved)
+
+
+def test_word_span_products_in_runs_of_slab_cells(monkeypatch):
+    # with room for one block per product, every power of a letter takes
+    # one digit_product per word; the verdicts stay the same
+    spec = zero_spec(gl3())
+    trip = fp_order(spec.algebra)
+    modules = [verma_build(spec, trip, weight=lam)
+               for lam in admissible_lambdas(spec)[:3]]
+    want = [is_simple(M) for M in modules]
+    monkeypatch.setattr(oracle, "_SLAB", 1)
+    assert [is_simple(M) for M in modules] == want
+
+
 def test_is_simple_rejects_word_across_weight_spaces():
     A = gl3()
     spec = zero_spec(A)
