@@ -9,8 +9,11 @@ The layers, bottom to top:
   constructors, character standardization.
 * :mod:`colorlie.envelope` -- chi-reduced enveloping algebras: PBW bases,
   normal-form arithmetic, Frobenius form, Harish-Chandra projection.
-* :mod:`colorlie.repmod` -- induced modules, simplicity tests (closed form,
-  Harish-Chandra route, and brute-force oracle), parameter sweeps.
+* :mod:`colorlie.oracle` -- the brute-force simplicity oracle (singular
+  vectors, lowering-word spans, spin-up), many modules judged in one pass.
+* :mod:`colorlie.repmod` -- induced modules, the closed-form and
+  Harish-Chandra simplicity routes, parameter sweeps; it imports the
+  oracle's ``is_simple`` and ``singular_vectors``.
 * :mod:`colorlie.cli` -- the ``colorlie`` command (imported on its own, not
   by the package, so ``python -m colorlie.cli`` runs it cleanly).
 """
@@ -27,13 +30,13 @@ from .envelope import (ReducedAlgebraSpec, chi_reduce, NormalElement, nf_one,
                        central_check, uchi_basis, frobenius_gram,
                        harish_chandra, monomial_degree)
 from .qbinom import quantum_binomial, quantum_integer
+from .oracle import singular_vectors, is_simple
 from .repmod import (PowerClass, PCharacter, pchar_zero, pchar_from_standard,
                      root_datum, FPTriple, fp_order, weight_tuple,
                      admissible_lambdas, BaseModule, verma_build,
-                     GradedModule, module_from_wire, singular_vectors,
-                     is_simple, f_closed, f_via_hc, extract_kappa,
-                     unipotent_socle, regular_module, simple_quotient,
-                     module_isomorphism, sweep_rows)
+                     GradedModule, module_from_wire, f_closed, f_via_hc,
+                     extract_kappa, unipotent_socle, regular_module,
+                     simple_quotient, module_isomorphism, sweep_rows)
 from .errors import (ColorLieError, NonPrime, BadCharacteristic,
                      ReducibleModulus, NeedsExtension, ZeroEntry,
                      EmptyAlgebra, NoMatrixRealization, NotZeroDegree,
