@@ -14,7 +14,8 @@ import random
 
 import numpy as np
 
-from .errors import ChiOnNplus, InvariantError, NoMatrixRealization
+from .errors import (ChiOnNplus, InvariantError, MixedSpecs,
+                     NoMatrixRealization)
 from .field import _SLAB, digit_product, nonzero_digits
 from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
 
@@ -358,6 +359,8 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
     the module gets alone."""
     F = gathered[0].F
     for g in gathered:
+        if g.F != F:
+            raise MixedSpecs("modules judged together must share one field")
         tri = g.spec.algebra.triangular
         for t in tri.pos:
             if g.spec.chi.value(tri.pairs[t][0]):
