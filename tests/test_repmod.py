@@ -774,9 +774,9 @@ def test_judge_mixed_modules_in_one_call():
         assert got == want
         assert {v["simple"] for v in want} == {True, False}
     assert {M.dim for M in modules} == {125, 25, 50}
-    F25 = _regss_gl3_f25()
-    other = verma_build(F25, fp_order(F25.algebra),
-                        weight=admissible_lambdas(F25)[0])
+    regss = _regss_gl3_f25()
+    other = verma_build(regss, fp_order(regss.algebra),
+                        weight=admissible_lambdas(regss)[0])
     with pytest.raises(MixedSpecs):
         oracle._judge([oracle._gather(modules[0]), oracle._gather(other)])
 
