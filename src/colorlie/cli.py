@@ -176,9 +176,7 @@ def _resolve_chi(args, bundle):
         return pchar_zero(A)
     if choice:
         return _character(A, _load_json(choice))
-    if bundle["character"] is not None:
-        return bundle["character"]
-    return pchar_zero(A)
+    return bundle["character"] or pchar_zero(A)
 
 
 def _resolve_max_dim(args, options):

@@ -20,7 +20,7 @@ so that induced modules can push non-induced letters to the right.
 """
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class ReducedAlgebraSpec:
         p = F.p
         self.J = frozenset(cls.xi for cls in chi.fclasses)
         self.s_of = {cls.xi: cls.s for cls in chi.fclasses}
-        self.class_of_xi = {cls.xi: cls for cls in chi.fclasses}
         by_degree = {cls.degree: cls for cls in chi.fclasses}
         self.class_of = {}
         self.linear_pow = {}
@@ -103,10 +102,7 @@ class ReducedAlgebraSpec:
         self._engines = {}
 
     def dimension(self):
-        n = 1
-        for c in self.caps:
-            n *= c
-        return n
+        return prod(self.caps)
 
     def __repr__(self):
         return "ReducedAlgebraSpec(dim %d, caps %r)" % (self.dimension(),
@@ -333,9 +329,7 @@ def _zero_at(mono, j):
 def engine_for(algebra, spec=None, order=None):
     """The shared rewrite engine for (algebra, spec, letter order)."""
     host = spec if spec is not None else algebra
-    cache = getattr(host, "_engines", None)
-    if cache is None:
-        cache = host._engines = {}
+    cache = vars(host).setdefault("_engines", {})
     key = None if order is None else tuple(order)
     eng = cache.get(key)
     if eng is None:
@@ -456,16 +450,12 @@ def nf_one(alg, spec=None):
 
 
 def nf_letter(alg, i, spec=None):
-    mono = [0] * alg.dim
-    mono[i] = 1
-    return NormalElement(alg, spec, {tuple(mono): alg.F.embed(1)})
+    return nf_from_element(alg, {i: alg.F.embed(1)}, spec)
 
 
 def nf_monomial(alg, mono, spec=None):
     mono = tuple(int(a) for a in mono)
     _check_monomial(alg, spec, mono)
-    if all(a == 0 for a in mono):
-        return nf_one(alg, spec)
     return NormalElement(alg, spec, {mono: alg.F.embed(1)})
 
 

@@ -7,7 +7,7 @@ axiom on generator pairs and the order compatibilities that make the
 biadditive extension well defined on the quotient.
 """
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 import itertools
 
 from .errors import ZeroEntry
@@ -50,10 +50,7 @@ class GradedGroup:
 
     @property
     def size(self):
-        v = 1
-        for n in self.orders:
-            v *= n
-        return v
+        return prod(self.orders)
 
     def __eq__(self, other):
         return isinstance(other, GradedGroup) and self.orders == other.orders

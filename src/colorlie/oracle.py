@@ -1,7 +1,7 @@
 """The brute-force simplicity oracle: singular vectors, the span of the
 ordered lowering words, and the spin-up under every letter.
 
-The oracle reads a module through blocks gathered from its dense letters
+The oracle reads a module through blocks cut from its nonzero cells
 (`_gather`): the basis splits into the recorded weight spaces, and each
 letter maps a space into one other space, so it is kept as one small block
 per space.  `_judge` gives the verdicts of many modules in one batched
@@ -33,8 +33,8 @@ def _group_rows(K):
 
 
 class _Blocks:
-    """What the simplicity oracle reads of one module, gathered from its
-    dense letters by `_gather`.
+    """What the simplicity oracle reads of one module, cut from its nonzero
+    cells by `_gather`.
 
     The basis falls into the recorded weight spaces, numbered in sorted
     weight order: idx (S, D) lists each space's basis indices, padded with
@@ -46,14 +46,24 @@ class _Blocks:
     lowering holds the same per lowering letter, in the order the words
     apply them (the last positive root first), with that target space (-1
     where the letter acts as zero) and the letter's cap.  letters returns
-    the dense letters for the spin-up; cells counts the gathered digit
-    cells."""
+    the dense letters for the spin-up, built from the cells on each call;
+    cells counts the digit cells of the blocks."""
 
 
-def _gather(M, letters=None):
-    """The weight-space blocks of M (see _Blocks).  letters returns the
-    dense letters for the spin-up, by default M's own.  A letter whose
-    entries from one weight space land in two raises InvariantError."""
+def _dense_letters(F, n, dim, cells):
+    """The dense (dim, dim) letters {0, ..., n - 1: Mat} holding the
+    nonzero cells (letter, row, column, digits)."""
+    letter, row, col, digits = cells
+    arr = np.zeros((n, dim, dim, F.k), dtype=np.int64)
+    arr[letter, row, col] = digits
+    return {i: Mat(F, a) for i, a in enumerate(arr)}
+
+
+def _gather(M):
+    """The weight-space blocks of M (see _Blocks), from the nonzero cells
+    that verma_build keeps on M (M.cells), or else from those of its dense
+    letters.  A letter whose cells from one weight space land in two
+    raises InvariantError."""
     A = M.spec.algebra
     F, tri = A.F, A.triangular
     if tri is None:
@@ -71,10 +81,8 @@ def _gather(M, letters=None):
     order = np.argsort(space, kind="stable")
     local = np.empty(dim, dtype=np.int64)
     local[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[space[order]]
-    # a last row of padding only, read through a target of -1
-    idx = np.full((S + 1, D), -1, dtype=np.int64)
-    idx[space, local] = np.arange(dim)
-    g.idx = idx[:S]
+    g.idx = np.full((S, D), -1, dtype=np.int64)
+    g.idx[space, local] = np.arange(dim)
     g.weights = [M.weights[u] for u in first.tolist()]
 
     keys = [space[:, None], np.array(M.heights, dtype=np.int64)[:, None]]
@@ -85,36 +93,34 @@ def _gather(M, letters=None):
     g.bucket = np.full((S, D), -1, dtype=np.int64)
     g.bucket[space, local] = bucket
 
-    # digits are nonnegative, so an entry is nonzero exactly when its
-    # digit sum is: hits[t, s] counts the digits from space s to space t
-    onehot = np.zeros((S, dim), dtype=np.float32)
-    onehot[space, np.arange(dim)] = 1
-    digit_onehot = np.repeat(onehot.T, F.k, axis=0)
-    padded = bool((g.idx < 0).any())
-
-    def blocks(i):
-        a = M.action[i].a
-        hits = onehot @ a.reshape(dim, dim * F.k).astype(np.float32)
-        hits = hits @ digit_onehot > 0
-        if (hits.sum(axis=0) > 1).any():
+    cells = M.cells
+    if cells is None:
+        arr = np.stack([M.action[i].a for i in range(A.dim)])
+        cells = np.nonzero(nonzero_digits(arr))
+        cells += (arr[cells],)
+    letter, row, col, digits = cells
+    source, dest = space[col], space[row]
+    # every cell of a letter from one space must land in the same space
+    target = np.full((A.dim, S), -1, dtype=np.int64)
+    target[letter, source] = dest
+    two = set(letter[target[letter, source] != dest].tolist())
+    raising = [t for t in tri.pos if tri.heights[t] == 1]
+    lowering = [tri.pairs[t][1] for t in reversed(tri.pos)]
+    for i in raising + lowering:
+        if i in two:
             raise InvariantError("letter %s maps one weight space into two "
                                  "recorded weight spaces" % A.names[i])
-        target = np.where(hits.any(axis=0), np.arange(S) @ hits, -1)
-        rows = idx[target]
-        out = a[rows[:, :, None], g.idx[:, None, :]]
-        if padded or (target < 0).any():
-            out[(rows[:, :, None] < 0) | (g.idx[:, None, :] < 0)] = 0
-        return out, target
 
-    g.raising = [blocks(t)[0] for t in tri.pos if tri.heights[t] == 1]
-    g.lowering = [blocks(f) + (M.spec.caps[f],)
-                  for f in (tri.pairs[t][1] for t in reversed(tri.pos))]
-    g.cells = sum(blk.size for blk in g.raising) + sum(
-        blk.size for blk, _target, _cap in g.lowering)
-    if letters is None:
-        mats = [M.action[i] for i in range(A.dim)]
-        letters = lambda: mats
-    g.letters = letters
+    def blocks(i):
+        on = letter == i
+        out = np.zeros((S, D, D, F.k), dtype=np.int64)
+        out[source[on], local[row[on]], local[col[on]]] = digits[on]
+        return out
+
+    g.raising = [blocks(t) for t in raising]
+    g.lowering = [(blocks(f), target[f], M.spec.caps[f]) for f in lowering]
+    g.cells = (len(raising) + len(lowering)) * S * D * D * F.k
+    g.letters = lambda: _dense_letters(F, A.dim, dim, cells).values()
     return g
 
 
@@ -169,7 +175,7 @@ def _singular(gathered):
         free = np.flatnonzero(~pivots[j, :c])
         vecs = np.zeros((K.shape[1], D, F.k), dtype=np.int64)
         vecs[:, :c] = K.swapaxes(0, 1)
-        for b in np.unique(labels[j, free]).tolist():
+        for b in sorted(set(labels[j, free].tolist())):
             found[m].append((b, s, vecs[labels[j, free] == b]))
     for f in found:
         f.sort(key=lambda item: item[0])

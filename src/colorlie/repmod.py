@@ -30,7 +30,8 @@ from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
                      NotWeightZero, OddElement, TooLarge)
 from .field import _SLAB, digit_power, digit_product, nonzero_digits
 from .linalg import Echelon, Mat
-from .oracle import _gather, _judge, _spin, is_simple, singular_vectors
+from .oracle import (_dense_letters, _gather, _judge, _spin, is_simple,
+                     singular_vectors)
 
 
 class PowerClass:
@@ -169,29 +170,26 @@ def _two_root_combo(r, a, b):
     return (c * q.denominator).denominator == 1
 
 
-def _is_subsystem(Phi, phi1):
-    """No two members may combine integrally into a root outside phi1."""
+def _levi_roots(tri, levi):
+    """The root system Phi and the positive Levi roots; ValueError when two
+    Levi roots combine integrally into a root outside the Levi subsystem."""
+    pos_roots = [tri.roots[t] for t in tri.pos]
+    Phi = frozenset(pos_roots) | frozenset(map(_tneg, pos_roots))
+    levi_pos = [tri.roots[t] for t in levi]
+    phi1 = set(levi_pos) | set(map(_tneg, levi_pos))
     members = list(phi1)
     outside = [r for r in Phi if r not in phi1]
     for x in range(len(members)):
         for y in range(x, len(members)):
             for r in outside:
                 if _two_root_combo(r, members[x], members[y]):
-                    return False
-    return True
-
-
-def _is_additive(Phi, S):
-    S = set(S)
-    for a in S:
-        for b in S:
-            s = _tadd(a, b)
-            if s in Phi and s not in S:
-                return False
-    return True
+                    raise ValueError("the Levi roots do not form a subsystem")
+    return Phi, levi_pos
 
 
 def _is_normalized(Phi, S, normalizer):
+    """No sum of a member of normalizer and one of S is a root outside S
+    (with normalizer = S: S is closed under root addition)."""
     S = set(S)
     for a in normalizer:
         for d in S:
@@ -208,7 +206,7 @@ def _is_positive_system(Phi, S):
     for r in S:
         if r not in Phi or _tneg(r) in S:
             return False
-    return _is_additive(Phi, S)
+    return _is_normalized(Phi, S, S)
 
 
 def _is_simple_root(S, d):
@@ -229,7 +227,7 @@ def _step_certificate(Phi, levi_pos, prefix, rem):
     return {
         "positive_system": _is_positive_system(Phi, system),
         "simple_root": _is_simple_root(system, d),
-        "prefix_additive": _is_additive(Phi, reflected),
+        "prefix_additive": _is_normalized(Phi, reflected, reflected),
         "prefix_normalized": _is_normalized(Phi, reflected, levi_pos),
     }
 
@@ -261,13 +259,8 @@ class FPTriple:
         self.levi = levi
         self.deltas = deltas
         self.m = len(deltas)
-        roots = tri.roots
-        pos_roots = [roots[t] for t in tri.pos]
-        Phi = frozenset(pos_roots) | frozenset(map(_tneg, pos_roots))
-        levi_pos = [roots[t] for t in levi]
-        if not _is_subsystem(Phi, set(levi_pos) | set(map(_tneg, levi_pos))):
-            raise ValueError("the Levi roots do not form a subsystem")
-        droots = [roots[t] for t in deltas]
+        Phi, levi_pos = _levi_roots(tri, levi)
+        droots = [tri.roots[t] for t in deltas]
         steps = []
         for i in range(self.m):
             cert = _step_certificate(Phi, levi_pos, droots[:i], droots[i:])
@@ -304,11 +297,7 @@ def fp_order(algebra, levi=()):
         if t not in posset:
             raise ValueError("index %d is not a positive-root letter" % t)
     roots = tri.roots
-    pos_roots = [roots[t] for t in tri.pos]
-    Phi = frozenset(pos_roots) | frozenset(map(_tneg, pos_roots))
-    levi_pos = [roots[t] for t in levi]
-    if not _is_subsystem(Phi, set(levi_pos) | set(map(_tneg, levi_pos))):
-        raise ValueError("the Levi roots do not form a subsystem")
+    Phi, levi_pos = _levi_roots(tri, levi)
     todo = [t for t in tri.pos if t not in set(levi)]
     dead = set()
 
@@ -407,25 +396,29 @@ def admissible_lambdas(spec):
 
 # -- shared module validation ----------------------------------------------------
 
-def _check_module(M, letters, zero=()):
+def _check_module(M, letters, zero=(), value=None):
     """The module relations of M on the acting letters: the letters in zero
     act as zero and the Cartan letters diagonally with the recorded weights;
     every nonzero entry shifts color degree, Cartan weight and height as its
     letter's root data prescribes; rho([x, y]) = rho(x) rho(y) - eps rho(y)
     rho(x) on all letter pairs, and rho(x)^p - rho(x^[p]) = chi(x)^p on the
-    even letters."""
+    even letters.  For a line base, value gives the scalar {letter: code}
+    by which each letter acts (zero on the root letters and the weight on
+    the Cartan letters, so those two checks are skipped), and the
+    relations are read on those scalars."""
     spec, action = M.spec, M.action
     A = spec.algebra
     F, tri = A.F, A.triangular
-    for i in zero:
-        if not action[i].is_zero():
-            raise ValueError("induced raising letter %s must act as zero "
-                             "on the base" % A.names[i])
-    for n, h in enumerate(tri.cartan):
-        diag = np.diag([w[n] for w in M.weights])
-        if action[h] != Mat.from_codes(F, diag):
-            raise ValueError("Cartan letter %s is not diagonal with the "
-                             "recorded weights" % A.names[h])
+    if value is None:
+        for i in zero:
+            if not action[i].is_zero():
+                raise ValueError("induced raising letter %s must act as "
+                                 "zero on the base" % A.names[i])
+        for n, h in enumerate(tri.cartan):
+            diag = np.diag([w[n] for w in M.weights])
+            if action[h] != Mat.from_codes(F, diag):
+                raise ValueError("Cartan letter %s is not diagonal with the "
+                                 "recorded weights" % A.names[h])
     posset, negset = set(tri.pos), set(tri.neg)
     for i in letters:
         rows, cols = np.nonzero(nonzero_digits(action[i].a))
@@ -445,46 +438,61 @@ def _check_module(M, letters, zero=()):
             if M.weights[u] != want:
                 raise ValueError("action of %s is not weight homogeneous"
                                  % A.names[i])
-    # the relations of as many letter pairs (or even letters) at once as
-    # fit in _SLAB cells, then the first failure in loop order is reported
-    dim = M.dim
-    step = max(1, _SLAB // max(1, dim * dim))
     pairs = [(i, j) for x, i in enumerate(letters) for j in letters[:x + 1]]
-    for p0 in range(0, len(pairs), step):
-        batch = pairs[p0:p0 + step]
-        Mi = np.stack([action[i].a for i, _j in batch])
-        Mj = np.stack([action[j].a for _i, j in batch])
-        sign = F.codes_to_array([A.eps.value(A.degree(i), A.degree(j))
-                                 for i, j in batch])
-        lhs = digit_product(F, Mi, Mj, np.matmul) - digit_product(
-            F, digit_product(F, Mj, Mi, np.matmul), sign[:, None, None],
-            np.multiply)
-        brackets = [A.bracket(i, j) for i, j in batch]
-        rhs = _rho_batch(F, action, brackets, dim)
-        bad = ((lhs - rhs) % F.p).reshape(len(batch), -1).any(axis=1)
-        for (i, j), brk, b in zip(batch, brackets, bad):
-            if any(t not in action for t in brk):
-                raise ValueError("bracket of %s and %s leaves the acting "
-                                 "letters" % (A.names[i], A.names[j]))
-            if b:
-                raise ValueError("bracket relation fails at (%s, %s)"
-                                 % (A.names[i], A.names[j]))
+    brackets = [A.bracket(i, j) for i, j in pairs]
     even = [i for i in letters if A.is_even(i) and i not in spec.J]
-    for p0 in range(0, len(even), step):
-        batch = even[p0:p0 + step]
-        Z = digit_power(F, np.stack([action[i].a for i in batch]), F.p,
-                        np.matmul)
-        pmaps = [A.pmap.get(i, {}) for i in batch]
-        rhs = _rho_batch(F, action, pmaps, dim,
-                         [spec.linear_pow.get(i, 0) for i in batch])
-        bad = (Z != rhs).reshape(len(batch), -1).any(axis=1)
-        for i, pm, b in zip(batch, pmaps, bad):
-            if any(t not in action for t in pm):
-                raise ValueError("p-map of %s leaves the acting letters"
-                                 % A.names[i])
-            if b:
-                raise ValueError("reduced power relation fails at %s"
-                                 % A.names[i])
+    pmaps = [A.pmap.get(i, {}) for i in even]
+    chi_p = [spec.linear_pow.get(i, 0) for i in even]
+    if value is None:
+        # the relations of as many letter pairs (or even letters) at once
+        # as fit in _SLAB cells
+        step = max(1, _SLAB // max(1, M.dim ** 2))
+        bad, bad_even = [], []
+        for p0 in range(0, len(pairs), step):
+            batch = pairs[p0:p0 + step]
+            Mi = np.stack([action[i].a for i, _j in batch])
+            Mj = np.stack([action[j].a for _i, j in batch])
+            sign = F.codes_to_array([A.eps.value(A.degree(i), A.degree(j))
+                                     for i, j in batch])
+            lhs = digit_product(F, Mi, Mj, np.matmul) - digit_product(
+                F, digit_product(F, Mj, Mi, np.matmul), sign[:, None, None],
+                np.multiply)
+            rhs = _rho_batch(F, action, brackets[p0:p0 + step], M.dim)
+            bad += list(((lhs - rhs) % F.p).reshape(len(batch), -1).any(
+                axis=1))
+        for p0 in range(0, len(even), step):
+            batch = even[p0:p0 + step]
+            Z = digit_power(F, np.stack([action[i].a for i in batch]), F.p,
+                            np.matmul)
+            rhs = _rho_batch(F, action, pmaps[p0:p0 + step], M.dim,
+                             chi_p[p0:p0 + step])
+            bad_even += list((Z != rhs).reshape(len(batch), -1).any(axis=1))
+    else:
+        def rho(x, out=0):
+            for t, c in x.items():
+                out = F.add(out, F.mul(c, value.get(t, 0)))
+            return out
+
+        bad = [F.mul(F.mul(value[i], value[j]), F.sub(F.one, A.eps.value(
+            A.degree(i), A.degree(j)))) != rho(brk)
+            for (i, j), brk in zip(pairs, brackets)]
+        bad_even = [F.pow(value[i], F.p) != rho(pm, c)
+                    for i, pm, c in zip(even, pmaps, chi_p)]
+    # the first failure in loop order is reported
+    for (i, j), brk, b in zip(pairs, brackets, bad):
+        if any(t not in action for t in brk):
+            raise ValueError("bracket of %s and %s leaves the acting "
+                             "letters" % (A.names[i], A.names[j]))
+        if b:
+            raise ValueError("bracket relation fails at (%s, %s)"
+                             % (A.names[i], A.names[j]))
+    for i, pm, b in zip(even, pmaps, bad_even):
+        if any(t not in action for t in pm):
+            raise ValueError("p-map of %s leaves the acting letters"
+                             % A.names[i])
+        if b:
+            raise ValueError("reduced power relation fails at %s"
+                             % A.names[i])
     return True
 
 
@@ -556,22 +564,18 @@ def _line_base(spec, triple, lam):
     """The one-dimensional base: Cartan letters act by the weight, all root
     letters by zero.  Obstructions (weight not compatible with the
     character, character or weight alive on the Levi part) surface from the
-    relation checks as BadWeight."""
+    relation checks, read on scalars, as BadWeight."""
     A = spec.algebra
-    F = A.F
-    tri = A.triangular
+    F, tri = A.F, A.triangular
     cpos = {h: n for n, h in enumerate(tri.cartan)}
     f_letters = set(tri.pairs[t][1] for t in triple.deltas)
-    action = {}
-    for i in range(A.dim):
-        if i in f_letters:
-            continue
-        c = lam[cpos[i]] if i in cpos else 0
-        action[i] = Mat.from_codes(F, [[c]])
-    base = BaseModule(spec, triple, action, [lam], [A.group.zero], [0],
-                      check=False)
+    value = {i: lam[cpos[i]] if i in cpos else 0
+             for i in range(A.dim) if i not in f_letters}
+    base = BaseModule(spec, triple, {i: Mat.from_codes(F, [[c]])
+                                     for i, c in value.items()},
+                      [lam], [A.group.zero], [0], check=False)
     try:
-        base.validate()
+        _check_module(base, base.letters, value=value)
     except ValueError as exc:
         raise BadWeight("the weight does not extend to the parabolic: %s"
                         % exc)
@@ -590,9 +594,7 @@ def _induction_table(spec, triple):
     one per term c f^a2 r: the row of a2, the column of a, the digits of c
     and the exponents of r over the rest letters.  The entries of all
     letters are concatenated, those of x_i at bounds[i]:bounds[i + 1]."""
-    tables = getattr(spec, "_induction_tables", None)
-    if tables is None:
-        tables = spec._induction_tables = {}
+    tables = vars(spec).setdefault("_induction_tables", {})
     table = tables.get(triple.deltas)
     if table is not None:
         return table
@@ -704,29 +706,35 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
         for _ in range(int(col.max()) - 1):
             pw.append(digit_product(F, pw[-1], B, op))
         vals = digit_product(F, vals, np.stack(pw)[col], op)
+    # the nonzero cells of every letter: each entry's block cell by cell,
+    # cells that coincide summed (sorted by letter, row and column)
     span = np.arange(bd)
-    brows = (rows * bd)[:, None, None] + span[:, None]
-    bcols = (cols * bd)[:, None, None] + span
-    action = {}
-    for i in range(A.dim):
-        s = slice(bounds[i], bounds[i + 1])
-        arr = np.zeros((count, count, F.k), dtype=np.int64)
-        cell = brows[s], bcols[s]
-        np.add.at(arr, cell, vals[s])
-        arr[cell] %= F.p
-        action[i] = Mat(F, arr)
-    return GradedModule(spec, action, weights, degrees, heights,
-                        labels=labels, triple=triple, check=check)
+    letter = np.repeat(np.arange(A.dim), np.diff(bounds))
+    key = ((letter[:, None, None] * count + (rows * bd)[:, None, None]
+            + span[:, None]) * count + (cols * bd)[:, None, None] + span)
+    key = key.ravel()
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    digits = np.add.reduceat(vals.reshape(-1, F.k)[order], start) % F.p
+    live = nonzero_digits(digits)
+    letter, cell = np.divmod(key[start][live], count * count)
+    cells = (letter,) + np.divmod(cell, count) + (digits[live],)
+    return GradedModule(spec, None, weights, degrees, heights, labels=labels,
+                        triple=triple, check=check, cells=cells)
 
 
 class GradedModule:
     """A module over a reduced quotient: one action matrix per algebra
-    letter plus per-vector gradings (Cartan weight, color degree, height)."""
+    letter plus per-vector gradings (Cartan weight, color degree, height).
+    An induced module keeps the nonzero cells (letter, row, column, digits)
+    of its letters, and builds the matrices from them when action is read."""
 
     def __init__(self, spec, action, weights, degrees, heights, labels=None,
-                 triple=None, check=True):
+                 triple=None, check=True, cells=None):
         self.spec = spec
-        self.action = dict(action)
+        self._action = None if action is None else dict(action)
+        self.cells = cells
         self.weights = [tuple(w) for w in weights]
         self.degrees = list(degrees)
         self.heights = list(heights)
@@ -735,6 +743,13 @@ class GradedModule:
         self.dim = len(self.weights)
         if check:
             self.validate()
+
+    @property
+    def action(self):
+        if self._action is None:
+            A = self.spec.algebra
+            self._action = _dense_letters(A.F, A.dim, self.dim, self.cells)
+        return self._action
 
     def validate(self):
         return _check_module(self, list(range(self.spec.algebra.dim)))
@@ -900,9 +915,7 @@ def f_via_hc(spec, triple, lam):
     tri = require_standard(spec)
     _no_doubled(triple)
     lam = weight_tuple(A, lam)
-    cache = getattr(spec, "_hc_cache", None)
-    if cache is None:
-        cache = spec._hc_cache = {}
+    cache = vars(spec).setdefault("_hc_cache", {})
     ent = cache.get(triple.deltas)
     if ent is None:
         cache[triple.deltas] = ent = _cartan_terms(spec, triple)
@@ -1025,12 +1038,11 @@ def regular_module(spec, max_dim=2000):
     mons = list(it)
     pos = {m: t for t, m in enumerate(mons)}
     eng = engine_for(A, spec)
-    action = {}
-    for i in range(A.dim):
-        rows, cols, coeffs = _basis_table(eng, mons, pos, i, left=True)
-        arr = np.zeros((count, count, F.k), dtype=np.int64)
-        arr[rows, cols] = coeffs
-        action[i] = Mat(F, arr)
+    tables = [_basis_table(eng, mons, pos, i, left=True)
+              for i in range(A.dim)]
+    letter = np.repeat(np.arange(A.dim), [len(t[0]) for t in tables])
+    cells = (letter,) + tuple(np.concatenate(c) for c in zip(*tables))
+    action = _dense_letters(F, A.dim, count, cells)
     return {"dim": count, "monomials": mons, "action": action,
             "degrees": [monomial_degree(A, m) for m in mons]}
 
@@ -1082,10 +1094,9 @@ def simple_quotient(spec, seed=0, max_dim=2000):
             "generator": gen}
 
 
-def _mod_view(M):
-    if isinstance(M, dict):
-        return M["dim"], M["action"], M["degrees"]
-    return M.dim, M.action, M.degrees
+def _mod_view(M, key):
+    """The field key of a module or of a module dict."""
+    return M[key] if isinstance(M, dict) else getattr(M, key)
 
 
 def module_isomorphism(algebra, M1, M2):
@@ -1097,16 +1108,22 @@ def module_isomorphism(algebra, M1, M2):
     letter, the space is cut to the kernel of X -> R2 X - X R1, computed
     on whole matrices, so a letter of any degree imposes all of its
     equations.  The basis of what is left and seeded random combinations
-    of it are the candidates, checked for rank and intertwining."""
+    of it are the candidates, checked for rank and intertwining.  The
+    start stack holds one d x d matrix per unit; TooLarge is raised before
+    it is allocated when it would exceed 2^23 digit cells (64 MiB)."""
     F = algebra.F
-    d1, a1, deg1 = _mod_view(M1)
-    d2, a2, deg2 = _mod_view(M2)
+    d1, deg1 = _mod_view(M1, "dim"), _mod_view(M1, "degrees")
+    d2, deg2 = _mod_view(M2, "dim"), _mod_view(M2, "degrees")
     if d1 != d2:
         raise ValueError("modules have different dimensions")
     u2, u1 = np.nonzero(np.array([g2 == g1 for g2 in deg2 for g1 in deg1],
                                  dtype=bool).reshape(d2, d1))
     if not u2.size:
         raise ValueError("no degree-preserving maps exist")
+    if u2.size * d2 * d1 * F.k > 1 << 23:
+        raise TooLarge("the start stack of %d units of dimension %d exceeds "
+                       "2^23 digit cells" % (u2.size, d1), dimension=d1)
+    a1, a2 = _mod_view(M1, "action"), _mod_view(M2, "action")
     S = np.zeros((u2.size, d2 * d1, F.k), dtype=np.int64)
     S[np.arange(u2.size), u2 * d1 + u1, 0] = 1
     for i in range(algebra.dim):
@@ -1145,10 +1162,10 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     when no weight extends.
 
     The oracle judges the rows in batches (`_judge`).  Each row keeps only
-    its module's gathered blocks and its line base; a batch is judged
-    before the next row's blocks would take it past _SLAB cells.  A line
-    whose word span falls short is spun up on the module rebuilt from the
-    base.  A row's ms is its own time plus an equal share of its batch's."""
+    its module's blocks and nonzero cells; a batch is judged before the
+    next row's blocks would take it past _SLAB cells.  A line whose word
+    span falls short is spun up on dense letters built from the cells.  A
+    row's ms is its own time plus an equal share of its batch's."""
     fix = fix or {}
     rows = []
     pending = []
@@ -1183,9 +1200,8 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
         if not oracle:
             row["ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
             continue
-        M = verma_build(spec, triple, base=base, check=False, max_dim=max_dim)
-        g = _gather(M, _rebuild(spec, triple, base, max_dim))
-        del M
+        g = _gather(verma_build(spec, triple, base=base, check=False,
+                                max_dim=max_dim))
         row["ms"] = (time.perf_counter() - t0) * 1000.0
         if pending and sum(h.cells for _row, h in pending) + g.cells > _SLAB:
             judge()
@@ -1195,11 +1211,3 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     if not rows and unextended is not None:
         raise unextended
     return rows
-
-
-def _rebuild(spec, triple, base, max_dim):
-    """The dense letters of the module induced from base, built again."""
-    def letters():
-        M = verma_build(spec, triple, base=base, check=False, max_dim=max_dim)
-        return [M.action[i] for i in range(spec.algebra.dim)]
-    return letters

@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,49 @@ def test_line_base_reports_exact_relation():
         verma_build(chi_reduce(B, chi), fp_order(B), weight=(0, 0))
     assert str(exc.value) == ("the weight does not extend to the parabolic: "
                               "reduced power relation fails at e_11")
+
+
+def _line_chi(A, name):
+    return chi_reduce(A, PCharacter(A, linear={A.index_of(name): 1}))
+
+
+@pytest.mark.parametrize("make, levi", [
+    (lambda: zero_spec(gl2()), ()),
+    (lambda: _line_chi(gl2(), "e_11"), ()),
+    (lambda: zero_spec(gl3()), ("e_12",)),
+    (lambda: zero_spec(gl21()), ("e_23",)),
+    (lambda: zero_spec(anti_gl3()), ("e_12",)),
+    (lambda: _regss_gl3_f25(), ("e_23",)),
+], ids=["gl2", "gl2_chi", "gl3_levi", "gl21_odd_levi", "anti_gl3_levi",
+        "gl3_f25_regss_levi"])
+def test_line_base_check_matches_module_check(make, levi):
+    # the scalar check of a line base reports what the matrix check of the
+    # same base reports, first failure included, at every sampled weight
+    spec = make()
+    A = spec.algebra
+    F, tri = A.F, A.triangular
+    trip = fp_order(A, levi=[A.index_of(n) for n in levi])
+    cpos = {h: n for n, h in enumerate(tri.cartan)}
+    fs = {tri.pairs[t][1] for t in trip.deltas}
+    zero = [tri.pairs[t][0] for t in trip.deltas]
+    lams = list(itertools.product(range(F.q), repeat=len(cpos)))
+    lams = random.Random(0).sample(lams, min(len(lams), 150))
+    for lam in lams:
+        try:
+            repmod._line_base(spec, trip, lam)
+            got = None
+        except BadWeight as exc:
+            got = str(exc).split(": ", 1)[1]
+        base = BaseModule(spec, trip, {
+            i: Mat.from_codes(F, [[lam[cpos[i]] if i in cpos else 0]])
+            for i in range(A.dim) if i not in fs},
+            [lam], [A.group.zero], [0], check=False)
+        try:
+            repmod._check_module(base, base.letters, zero)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        assert got == want, lam
 
 
 def _graded_basis(spec, triple, weights, degrees, heights):
@@ -1213,6 +1257,124 @@ def test_sweep_batches_stay_within_slab(monkeypatch):
     assert max(cells for _n, cells in batches) <= _SLAB
 
 
+def _dense_blocks(M):
+    """The oracle's view of M read straight off its dense letters: weight
+    spaces in sorted weight order, singular buckets in sorted (weight,
+    color degree, height) order, and per letter one block and one target
+    per space (see oracle._Blocks)."""
+    A = M.spec.algebra
+    tri = A.triangular
+    spaces = sorted(set(M.weights))
+    members = [[u for u in range(M.dim) if M.weights[u] == w]
+               for w in spaces]
+    S, D = len(spaces), max(len(m) for m in members)
+    grading = [(M.weights[u], tuple(M.degrees[u]), M.heights[u])
+               for u in range(M.dim)]
+    order = sorted(set(grading))
+    idx = np.full((S, D), -1)
+    bucket = np.full((S, D), -1)
+    for s, m in enumerate(members):
+        idx[s, :len(m)] = m
+        bucket[s, :len(m)] = [order.index(grading[u]) for u in m]
+    bfirst = np.array([grading.index(b) for b in order])
+    where = {u: s for s, m in enumerate(members) for u in m}
+
+    def cut(i):
+        a = M.action[i].a
+        blocks = np.zeros((S, D, D, A.F.k), dtype=np.int64)
+        target = np.full(S, -1)
+        for s, cols in enumerate(members):
+            live = np.flatnonzero(a[:, cols].any(axis=(1, 2)))
+            hit = {where[u] for u in live}
+            assert len(hit) <= 1
+            if hit:
+                target[s] = t = hit.pop()
+                blocks[s, :len(members[t]), :len(cols)] = a[np.ix_(
+                    members[t], cols)]
+        return blocks, target
+
+    raising = [cut(t)[0] for t in tri.pos if tri.heights[t] == 1]
+    lowering = [cut(tri.pairs[t][1]) + (M.spec.caps[tri.pairs[t][1]],)
+                for t in reversed(tri.pos)]
+    return idx, bucket, bfirst, spaces, raising, lowering
+
+
+def test_blocks_from_cells_match_dense_letters():
+    # the blocks cut from verma_build's cells, and from the nonzero cells
+    # of the same module's dense letters, equal those read off the dense
+    # letters directly (gl(3) at a weight of the golden slice, e_33 = 0)
+    regss = _regss_gl3_f25()
+    modules = [verma_build(spec, fp_order(spec.algebra), weight=lam)
+               for spec, lam in ((zero_spec(gl2()), (3, 1)),
+                                 (zero_spec(gl11()), (2, 4)),
+                                 (zero_spec(gl21()), (1, 2, 4)),
+                                 (zero_spec(gl3()), (1, 3, 0)),
+                                 (regss, admissible_lambdas(regss)[7]))]
+    A = gl3()
+    spec = zero_spec(A)
+    levi = fp_order(A, levi=[A.index_of("e_12")])
+    modules += [verma_build(spec, levi, weight=(2, 2, 0)),
+                verma_build(spec, levi, base=natural_base(spec, levi))]
+    assert [M.dim for M in modules] == [5, 2, 20, 125, 125, 25, 50]
+    for M in modules:
+        assert M.cells is not None
+        dense = GradedModule(M.spec, M.action, M.weights, M.degrees,
+                             M.heights, check=False)
+        idx, bucket, bfirst, weights, raising, lowering = _dense_blocks(M)
+        for g in (oracle._gather(M), oracle._gather(dense)):
+            assert np.array_equal(g.idx, idx)
+            assert np.array_equal(g.bucket, bucket)
+            assert np.array_equal(g.bfirst, bfirst)
+            assert g.weights == weights
+            assert len(g.raising) == len(raising)
+            for got, blk in zip(g.raising, raising):
+                assert np.array_equal(got, blk)
+            assert len(g.lowering) == len(lowering)
+            for (got, tgt, cap), (blk, target, c) in zip(g.lowering,
+                                                         lowering):
+                assert np.array_equal(got, blk)
+                assert np.array_equal(tgt, target) and cap == c
+
+
+def test_all_simple_sweep_builds_no_dense_letter(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense letters built")
+
+    monkeypatch.setattr(oracle, "_dense_letters", dense)
+    monkeypatch.setattr(repmod, "_dense_letters", dense)
+    spec = _regss_gl3_f25()
+    rows = sweep_rows(spec, fp_order(spec.algebra), fix={2: 3})
+    assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
+
+
+def test_not_simple_sweep_rows_induce_each_module_once(monkeypatch):
+    # gl(2|2) at chi = 0 with e_11, e_22, e_33 fixed: four of the five
+    # 400-dim modules are not simple, and each is spun up from its cells
+    _, eps = super_bicharacter(F5)
+    A = make_gl(eps, {(0,): 2, (1,): 2})
+    spec = zero_spec(A)
+    trip = fp_order(A)
+    calls = []
+    build = repmod.verma_build
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(repmod, "verma_build", counted)
+    rows = sweep_rows(spec, trip, fix={0: 1, 1: 2, 2: 0})
+    assert len(calls) == len(rows) == 5
+    monkeypatch.undo()
+    assert [r["oracle"] for r in rows] == [
+        "not-simple", "simple", "not-simple", "not-simple", "not-simple"]
+    for r in rows:
+        M = verma_build(spec, trip, weight=r["lambda"], check=False)
+        assert M.dim == 400
+        assert r["oracle"] == ("simple" if is_simple(M)["simple"]
+                               else "not-simple")
+        assert r["agree"] and (r["f_closed"] == 0) == (r["oracle"] != "simple")
+
+
 # -- the p-power scalar ------------------------------------------------------------
 
 
@@ -1413,6 +1575,28 @@ def test_module_isomorphism_constrains_every_position():
         X = module_isomorphism(A, M, M)
         assert X.rank() == M.dim
         assert all(M.action[i] @ X == X @ M.action[i] for i in range(A.dim))
+
+
+def test_module_isomorphism_refuses_large_start_stack(monkeypatch):
+    # 125^2 degree-preserving units of 125 x 125 cells would take 1.9 GB:
+    # refused before the stack, or the dense letters, are allocated
+    spec = zero_spec(gl3())
+    M = verma_build(spec, fp_order(spec.algebra), weight=(1, 3, 0),
+                    check=False)
+    assert M.dim == 125
+
+    def dense(*args):
+        raise AssertionError("dense letters built")
+
+    monkeypatch.setattr(repmod, "_dense_letters", dense)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            module_isomorphism(spec.algebra, M, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("lam1, lam2", [((4, 3), (2, 0)), ((4, 0), (0, 1))],

@@ -5,6 +5,8 @@ import glob
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "colorlie")
@@ -60,3 +62,22 @@ def test_benchmark_tracer_layers_resolve():
         if not callable(obj):
             missing.append(layer)
     assert missing == []
+
+
+_SWEEP_IMPORTS = """
+import sys
+from colorlie.cli import cli_main
+code = cli_main(["sweep", sys.argv[1], "--chi", "zero"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_sweep_does_not_import_numpy_ma():
+    # numpy.ma costs every fresh sweep interpreter some 17 ms and 1.2 MB;
+    # np.unique pulls it in lazily (numpy 2.4), so the oracle avoids it
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _SWEEP_IMPORTS,
+         os.path.join(ROOT, "tests", "specs", "gl2.json")],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
