@@ -1,6 +1,10 @@
 """Exact linear algebra: elimination against brute-force oracles."""
 
+import hashlib
 import itertools
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -323,3 +327,203 @@ def test_echelon_block_insert_matches_single_inserts():
             assert block.dim == one.dim
             assert all(np.array_equal(u, v)
                        for u, v in zip(block.basis(), one.basis()))
+
+
+# -- pinned outputs on larger matrices ------------------------------------------
+#
+# Recorded in tests/pins/linalg.json.  Matrices are compared by a digest of
+# their codes, so the file stays small; ranks, pivots and accepted row
+# indices are stored as they are.  When an output is meant to change,
+# regenerate the file with ``PYTHONPATH=src python tests/test_linalg.py``
+# and review the diff.
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PINS = os.path.join(HERE, "pins", "linalg.json")
+F2401 = Field(7, 4)                  # above the table limit: no inverse table
+PIN_FIELDS = {5: F5, 7: F7, 25: F25, 125: F125, 2401: F2401}
+
+# name -> (q, rows, cols, planted rank or None for uniform entries, pivot-free
+# columns, seed); a planted-rank matrix is the product of two uniform
+# factors, and the pivot-free columns are two zero columns and a repeat of
+# column 1 in the last column
+PIN_CASES = {
+    "f5_150x150": (5, 150, 150, None, True, 1),
+    "f5_150x120_rank60": (5, 150, 120, 60, True, 2),
+    "f5_140x140_rank139": (5, 140, 140, 139, False, 3),
+    "f5_100x100_invertible": (5, 100, 100, None, False, 18),
+    "f5_zero_6x9": (5, 6, 9, 0, False, 4),
+    "f5_one_row_1x12": (5, 1, 12, None, True, 5),
+    "f5_one_col_11x1": (5, 11, 1, None, False, 6),
+    "f5_no_rows_0x6": (5, 0, 6, None, False, 7),
+    "f5_no_cols_4x0": (5, 4, 0, None, False, 8),
+    "f5_zero_rows_40x30": (5, 40, 30, None, True, 9),
+    "f7_130x150": (7, 130, 150, None, True, 10),
+    "f7_150x110_rank45": (7, 150, 110, 45, True, 11),
+    "f7_80x80_invertible": (7, 80, 80, None, False, 19),
+    "f25_90x90": (25, 90, 90, None, True, 12),
+    "f25_120x130_rank70": (25, 120, 130, 70, True, 13),
+    "f25_60x60_invertible": (25, 60, 60, None, False, 20),
+    "f125_70x80": (125, 70, 80, None, True, 14),
+    "f125_80x80_rank30": (125, 80, 80, 30, False, 15),
+    "f125_50x50_invertible": (125, 50, 50, None, False, 21),
+    "f2401_40x40": (2401, 40, 40, None, True, 16),
+    "f2401_50x45_rank20": (2401, 50, 45, 20, True, 17),
+    "f2401_30x30_invertible": (2401, 30, 30, None, False, 22),
+}
+
+
+def _codes(F, a):
+    return np.asarray(F.array_to_codes(a), dtype=np.int64).reshape(a.shape[:-1])
+
+
+def _digest(F, a):
+    """Shape and a short hash of the codes of a digit array."""
+    codes = np.ascontiguousarray(_codes(F, a))
+    return "%s:%s" % ("x".join(map(str, codes.shape)),
+                      hashlib.sha256(codes.tobytes()).hexdigest()[:20])
+
+
+def _pin_matrix(name):
+    """The case's matrix; in the zero-rows case every third row is
+    cleared."""
+    q, r, c, rank, gaps, seed = PIN_CASES[name]
+    F = PIN_FIELDS[q]
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        codes = rng.integers(0, q, size=(r, c))
+        a = F.codes_to_array(codes).reshape(r, c, F.k)
+    else:
+        left = F.codes_to_array(rng.integers(0, q, size=(r, rank)))
+        right = F.codes_to_array(rng.integers(0, q, size=(rank, c)))
+        a = digit_product(F, left.reshape(r, rank, F.k),
+                          right.reshape(rank, c, F.k), np.matmul)
+    if gaps:
+        a[:, [0, c // 2]] = 0
+        a[:, c - 1] = a[:, 1]
+    if name.startswith("f5_zero_rows"):
+        a[::3] = 0
+    return F, Mat(F, a)
+
+
+def _pin_rhs(F, A, seed):
+    """A consistent right-hand side A @ x and a uniform one (inconsistent
+    whenever A's rank is below its row count, with high probability)."""
+    r, c = A.shape
+    rng = np.random.default_rng(seed + 1000)
+    x = F.codes_to_array(rng.integers(0, F.q, size=(c, 3))).reshape(c, 3, F.k)
+    b = F.codes_to_array(rng.integers(0, F.q, size=(r, 2))).reshape(r, 2, F.k)
+    return (A @ Mat(F, x)), Mat(F, b)
+
+
+def _pin_blocks(r, seed):
+    """Split points of the rows into Echelon blocks: single rows, small
+    blocks and one large block."""
+    rng = np.random.default_rng(seed + 2000)
+    cuts, at = [], 0
+    for size in (1, 1, 3, 8) + tuple(rng.integers(1, 40, size=6)):
+        at = min(r, at + int(size))
+        cuts.append(at)
+    return sorted(set(cuts) | {r})
+
+
+def _pin_echelon(F, A, seed):
+    """Insert A's rows block by block, then one block of combinations of
+    inserted rows mixed with fresh rows, then one single vector."""
+    r, c = A.shape
+    E = Echelon(F, c)
+    accepted = []
+    start = 0
+    for stop in _pin_blocks(r, seed):
+        accepted.append(E.insert(A.a[start:stop]))
+        start = stop
+    rng = np.random.default_rng(seed + 3000)
+    coeffs = F.codes_to_array(rng.integers(0, F.q, size=(4, r)))
+    mixed = digit_product(F, coeffs.reshape(4, r, F.k), A.a, np.matmul)
+    fresh = F.codes_to_array(rng.integers(0, F.q, size=(3, c)))
+    block = np.concatenate([mixed, fresh.reshape(3, c, F.k), mixed[:1]])
+    accepted.append(E.insert(block))
+    vec = F.codes_to_array(rng.integers(0, F.q, size=(1, c))).reshape(c, F.k)
+    accepted.append(E.insert(vec))
+    return {"accepted": [[int(t) for t in ts] for ts in accepted],
+            "pivots": [int(j) for j in E.pivots],
+            "R": _digest(F, E.R), "dim": E.dim}
+
+
+def _pin_outputs(name):
+    F, A = _pin_matrix(name)
+    seed = PIN_CASES[name][-1]
+    R, pivots = A.rref()
+    consistent, uniform = _pin_rhs(F, A, seed)
+    out = {"rank": A.rank(), "R": _digest(F, R.a),
+           "pivots": [int(j) for j in pivots],
+           "nullspace": _digest(F, A.nullspace().a)}
+    for key, b in (("solve", consistent), ("solve_uniform", uniform)):
+        x = A.solve(b)
+        out[key] = None if x is None else _digest(F, x.a)
+    if A.shape[0] == A.shape[1]:
+        try:
+            out["inv"] = _digest(F, A.inv().a)
+        except ZeroDivisionError:
+            out["inv"] = "singular"
+    out["echelon"] = _pin_echelon(F, A, seed)
+    return out
+
+
+def _gram_specs():
+    """The three Frobenius Gram matrices of one benchmark `gram` pass: the
+    625-dimensional reduced gl(2) over F_5, gl(1|1) and n+ of gl(3) over
+    F_25 = F_5[t]/(t^2 + 3)."""
+    f25 = {"p": 5, "k": 2, "modulus": [3, 0, 1]}
+    return {
+        "gl2_f5": {"field": {"p": 5}, "algebra": {"type": "gl",
+                                                  "dims": {"": 2}}},
+        "gl11_f25": {"field": f25, "group": {"cyclic_orders": [2]},
+                     "bicharacter": {"table": [[[4, 0]]]},
+                     "algebra": {"type": "gl", "dims": {"0": 1, "1": 1}}},
+        "nplus_gl3_f25": {"field": f25, "algebra": {
+            "type": "explicit", "basis": ["e_12", "e_23", "e_13"],
+            "degrees": [[], [], []],
+            "structure": [[0, 1, [[2, [1, 0]]]]],
+            "pmap": [[0, []], [1, []], [2, []]]}},
+    }
+
+
+def _gram_outputs(name, workdir):
+    from colorlie.cli import load_spec
+    from colorlie.envelope import chi_reduce, frobenius_gram
+    from colorlie.repmod import pchar_zero
+
+    path = os.path.join(workdir, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(_gram_specs()[name], fh)
+    A = load_spec(path)["algebra"]
+    rep = frobenius_gram(chi_reduce(A, pchar_zero(A)))
+    return {"dimension": rep["dimension"], "rank": rep["rank"],
+            "color_symmetric": rep["color_symmetric"]}
+
+
+def _pins():
+    with open(PINS) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_elimination_outputs_pinned(name):
+    assert _pin_outputs(name) == _pins()["matrices"][name]
+
+
+@pytest.mark.parametrize("name", sorted(_gram_specs()))
+def test_gram_rank_pinned(name, tmp_path):
+    assert _gram_outputs(name, str(tmp_path)) == _pins()["gram"][name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {"matrices": {n: _pin_outputs(n) for n in sorted(PIN_CASES)},
+                "gram": {n: _gram_outputs(n, tmp) for n in sorted(_gram_specs())}}
+    with open(PINS, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stderr.write("wrote %s\n" % PINS)
