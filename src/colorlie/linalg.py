@@ -2,12 +2,14 @@
 
 Matrices hold their entries as numpy digit arrays of shape (rows, cols, k),
 one base-p digit vector per entry.  Every product of such arrays goes
-through `field.digit_product`.  Reductions of one matrix (rref, rank,
-kernel, solve, inverse and the incremental `Echelon`) run through the one
-Gaussian elimination step `_eliminate`; a batch of many small independent
-matrices is reduced by `batch_rref`, one column step for all of them at
-once.  Kernels are read off either reduced form by `kernel_from_rref`.
-Everything is deterministic: the pivot is always the first nonzero entry.
+through `field.digit_product`.  Reductions of one matrix run through one
+forward elimination pass, `_forward`, which clears only the rows below
+each pivot: `Mat.rank` counts its pivots, and `Mat.rref` (with it kernel,
+solve and inverse) and the incremental `Echelon` follow it with
+`_back_substitute`.  A batch of many small independent matrices is reduced
+by `batch_rref`, one column step for all of them at once.  Kernels are
+read off either reduced form by `kernel_from_rref`.  Everything is
+deterministic: the pivot is always the first nonzero entry.
 """
 
 import numpy as np
@@ -15,19 +17,63 @@ import numpy as np
 from .field import digit_product, nonzero_digits
 
 
-def _eliminate(F, a, row, col):
-    """One Gauss-Jordan step in place on the (r, c, k) digit array a: scale
-    row to a unit pivot at col, then clear col in every other row.  Entries
-    of row left of col must be zero."""
-    inv = F.to_digits(F.inv(int(F.array_to_codes(a[row, col]))))
-    a[row, col:] = digit_product(F, a[row, col:], np.array(inv), np.multiply)
-    rows = np.flatnonzero(nonzero_digits(a[:, col]))
-    rows = rows[rows != row]
-    if rows.size:
-        sub = a[rows, col:]
-        sub -= digit_product(F, a[rows, col], a[row, col:], np.multiply.outer)
-        sub %= F.p
-        a[rows, col:] = sub
+def _leading(nz):
+    """Column of the first True entry of each row of the (m, w) boolean
+    array nz, w for a row without one."""
+    return np.where(nz.any(axis=1), nz.argmax(axis=1), nz.shape[1])
+
+
+def _forward(F, a):
+    """Forward elimination in place on the (r, c, k) digit array a; returns
+    the pivot rows and their columns, both in column order.
+
+    The next pivot column is the first column in which a row without a
+    pivot is nonzero, and its pivot row is the first such row.  Only the
+    rows after it are cleared: every other row without a pivot is already
+    zero in the column.  Each row's leading column is kept, so a column
+    where no such row is nonzero costs nothing.  Rows are not moved and
+    pivots are not scaled, so a[rows] is a row echelon form, every row
+    without a pivot ends zero, and a row holds a pivot exactly when it is
+    independent of the rows above it."""
+    r, c, _ = a.shape
+    rows, cols = [], []
+    if not r or not c:
+        return rows, cols
+    lead = _leading(nonzero_digits(a))
+    while True:
+        col = int(lead.min())
+        if col == c:
+            return rows, cols
+        hit = np.flatnonzero(lead == col)
+        top, below = int(hit[0]), hit[1:]
+        if below.size:
+            inv = F.inv_array(a[top, col])
+            factor = digit_product(F, a[below, col], inv, np.multiply)
+            sub = (a[below, col:] - digit_product(F, factor, a[top, col:],
+                                                  np.multiply.outer)) % F.p
+            a[below, col:] = sub
+            lead[below] = col + _leading(nonzero_digits(sub))
+        lead[top] = c
+        rows.append(top)
+        cols.append(col)
+
+
+def _back_substitute(F, e, cols):
+    """Reduced form of the row echelon form e, in place: row t has its
+    pivot at cols[t]; every pivot is scaled to one and cleared from the
+    rows above it, last pivot first."""
+    n = len(cols)
+    if n:
+        e[:] = digit_product(F, e, F.inv_array(e[np.arange(n), cols])[:, None],
+                             np.multiply)
+    for t in range(n - 1, 0, -1):
+        col = cols[t]
+        above = np.flatnonzero(nonzero_digits(e[:t, col]))
+        if above.size:
+            sub = e[above, col:] - digit_product(F, e[above, col], e[t, col:],
+                                                 np.multiply.outer)
+            e[above, col:] = sub % F.p
+    return e
 
 
 def batch_rref(F, a):
@@ -44,10 +90,7 @@ def batch_rref(F, a):
     change the result.
 
     This serves many tiny independent systems, where the cost of Mat.rref
-    is per-call overhead, not arithmetic.  Mat.rref keeps its own driver
-    for one large matrix: sent through this one as batches of one, the
-    reductions of three Frobenius Gram matrices (two 625 x 625, one
-    100 x 100) took 0.32 s instead of 0.24 s."""
+    is per-call overhead, not arithmetic."""
     b, r, c, _ = a.shape
     row = np.zeros(b, dtype=np.int64)     # next pivot row of each item
     pivots = np.zeros((b, c), dtype=bool)
@@ -194,25 +237,14 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
         a = self.a.copy()
-        r, c, _ = a.shape
-        pivots = []
-        row = 0
-        for col in range(c):
-            if row >= r:
-                break
-            nz = np.flatnonzero(nonzero_digits(a[row:, col]))
-            if nz.size == 0:
-                continue
-            piv = row + int(nz[0])
-            if piv != row:
-                a[[row, piv]] = a[[piv, row]]
-            _eliminate(self.F, a, row, col)
-            pivots.append(col)
-            row += 1
-        return Mat(self.F, a), pivots
+        rows, pivots = _forward(self.F, a)
+        R = np.zeros_like(a)
+        R[:len(rows)] = _back_substitute(self.F, a[rows], pivots)
+        return Mat(self.F, R), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """Pivot count of one forward elimination pass on a copy."""
+        return len(_forward(self.F, self.a.copy())[0])
 
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""
@@ -299,17 +331,21 @@ class Echelon:
         B = np.asarray(B)
         if B.ndim == 2:
             B = B[None]
-        n = len(self.pivots)
-        a = np.concatenate([self.R, self.reduce(B)])
-        taken = []
-        for t in range(len(B)):
-            nz = np.flatnonzero(nonzero_digits(a[n + t]))
-            if nz.size:
-                _eliminate(self.F, a, n + t, int(nz[0]))
-                taken.append(t)
-                self.pivots.append(int(nz[0]))
-        self.R = a[list(range(n)) + [n + t for t in taken]]
-        return taken
+        a = self.reduce(B)
+        rows, cols = _forward(self.F, a)
+        if not rows:
+            return []
+        order = np.argsort(rows)
+        new = _back_substitute(self.F, a[rows], cols)[order]
+        cols = [cols[t] for t in order]
+        R = np.concatenate([self.R, new])
+        hit = np.flatnonzero(nonzero_digits(self.R[:, cols]).any(axis=1))
+        if hit.size:
+            R[hit] = (R[hit] - digit_product(self.F, R[hit[:, None], cols], new,
+                                             np.matmul)) % self.F.p
+        self.R = R
+        self.pivots += cols
+        return sorted(rows)
 
     @property
     def dim(self):
