@@ -530,6 +530,21 @@ def _basis_table(eng, mons, index, j, left=False):
             F.codes_to_array(coeffs))
 
 
+def _degree_classes(A, mons):
+    """The distinct group degrees of the monomials and, per monomial, the
+    index of its degree among them.  A degree is the exponents times the
+    letters' degree vectors, mod the cyclic orders, read for all monomials
+    in one product and told apart by its mixed-radix code."""
+    orders = np.array(A.group.orders, dtype=np.int64)
+    radix = np.cumprod(np.concatenate([[1], orders]))[:-1]
+    letters = np.array(A.degrees, dtype=np.int64).reshape(A.dim, orders.size)
+    code = (np.array(mons, dtype=np.int64) @ letters % orders) @ radix
+    distinct = sorted(set(code.tolist()))
+    classes = [tuple(d) for d in
+               (np.array(distinct)[:, None] // radix % orders).tolist()]
+    return classes, np.searchsorted(distinct, code)
+
+
 def frobenius_gram(spec, max_dim=2000):
     """Gram matrix of the top-coefficient pairing mu(u, v) = coefficient of
     the profile monomial e^tau in nf(u v), over the full reduced basis.
@@ -583,9 +598,7 @@ def frobenius_gram(spec, max_dim=2000):
 
     # G[u, v] = eps(deg u, deg v) G[v, u] for u <= v, eps read once per
     # pair of degree classes
-    classes = {}
-    cls = np.array([classes.setdefault(monomial_degree(A, m), len(classes))
-                    for m in mons], dtype=np.int64)
+    classes, cls = _degree_classes(A, mons)
     eps = F.codes_to_array([[A.eps.value(a, b) for b in classes]
                             for a in classes])
     symmetric = True

@@ -17,8 +17,8 @@ from colorlie.algebra import (bracket_eval, make_gl, subalgebra, ColorAlgebra,
                               validate_algebra)
 from colorlie.cli import load_spec
 from colorlie.envelope import (NormalElement, central_check, chi_reduce,
-                               engine_for, frobenius_gram, harish_chandra,
-                               monomial_degree, nf_from_element, nf_letter,
+                               _degree_classes, engine_for, frobenius_gram,
+                               harish_chandra, monomial_degree, nf_from_element, nf_letter,
                                nf_monomial, nf_one, nf_product, uchi_basis)
 from colorlie.errors import (MixedSpecs, NotStandard, NotWeightZero,
                              OddElement, TooLarge)
@@ -653,6 +653,30 @@ def test_gram_sampled_against_top_coefficient_f25():
         assert codes[u][v] == _top_coeff(eng, tau, mons[u], mons[v]), (u, v)
     assert res["rank"] == 625 and res["nondegenerate"]
     assert res["color_symmetric"] == _color_symmetric_pairwise(A, mons, codes)
+
+
+def _graded_gl2(orders, table, dims):
+    F = Field(5)
+    G = GradedGroup(orders)
+    eps = (Bicharacter(G, F, table) if table is not None
+           else trivial_bicharacter(G, F))
+    return make_gl(eps, dims)
+
+
+@pytest.mark.parametrize("name", ["gl11.json", "borel2.json", "z25_class.json",
+                                  "gl21.json", "gl2_f25.json",
+                                  "anti_z2z2", "z3z2"])
+def test_degree_classes_match_monomial_degree(name):
+    if name == "anti_z2z2":
+        A = _graded_gl2([2, 2], [[1, 4], [4, 1]], {(1, 0): 1, (0, 1): 1})
+    elif name == "z3z2":
+        A = _graded_gl2([3, 2], None, {(1, 0): 1, (2, 1): 1})
+    else:
+        A = _file_spec(name)[0]
+    mons = list(uchi_basis(chi_reduce(A, pchar_zero(A)))[1])
+    classes, cls = _degree_classes(A, mons)
+    assert len(set(classes)) == len(classes)
+    assert [classes[c] for c in cls] == [monomial_degree(A, m) for m in mons]
 
 
 def test_gram_too_large():
