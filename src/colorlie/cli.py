@@ -35,6 +35,7 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .algebra import ColorAlgebra, make_gl, standardize_character, validate_algebra
 from .envelope import (chi_reduce, frobenius_gram, harish_chandra,
@@ -404,6 +405,9 @@ def _cmd_sweep(args):
 
 # -- entry point ------------------------------------------------------------------
 
+# built once per process: parsing leaves the parser unchanged, and the
+# tree costs a few milliseconds to build
+@lru_cache(maxsize=None)
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="colorlie",

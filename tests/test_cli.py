@@ -7,7 +7,7 @@ import sys
 
 import colorlie
 from colorlie import repmod
-from colorlie.cli import cli_main, load_spec
+from colorlie.cli import _build_parser, cli_main, load_spec
 from colorlie.envelope import chi_reduce
 from colorlie.repmod import module_from_wire, pchar_zero
 
@@ -204,6 +204,18 @@ def test_frobenius(capsys):
     report = json.loads(out)
     assert report["dimension"] == report["rank"] == 100
     assert report["nondegenerate"] and report["color_symmetric"]
+
+
+def test_parser_built_once_and_reused(capsys):
+    assert _build_parser() is _build_parser()
+    helps = [run(capsys, *argv) for argv in (["--help"], ["sweep", "--help"])]
+    assert all(rc == 0 and out for rc, out, _ in helps)
+    assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "basis", spec("gl2.json"), "--bogus")[0] == 2
+    rc, out, _ = run(capsys, "basis", spec("gl2.json"), "--chi", "zero")
+    assert rc == 0 and json.loads(out)["dim"] == 625
+    assert [run(capsys, *argv) for argv in (["--help"], ["sweep", "--help"])
+            ] == helps
 
 
 def test_input_errors(capsys, tmp_path):
