@@ -17,6 +17,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
                      NotWeightZero, OddElement, TooLarge)
 from .field import _SLAB, digit_power, digit_product, nonzero_digits
 from .linalg import Echelon, Mat
-from .oracle import (_dense_letters, _gather, _judge, _spin, is_simple,
-                     singular_vectors)
+from .oracle import (_dense_letters, _gather, _group_rows, _judge, _spin,
+                     is_simple, singular_vectors)
 
 
 class PowerClass:
@@ -583,17 +584,20 @@ def _line_base(spec, triple, lam):
 
 
 def _induction_table(spec, triple):
-    """The weight-independent half of inducing along triple, built on the
-    first call and cached per induced-root tuple on the spec.
+    """The weight-independent plan of inducing along triple (see
+    `_induce`), built on the first call and cached per induced-root tuple
+    on the spec.
 
     The PBW monomials f^a (amonos) run over the exponent tuples below the
     caps of the lowering letters, lexicographically, and each comes with
     its Cartan shift (the digits of its embedded integral weight), its
     color degree and its height.  Every product x_i . f^a in the induction
     order (one times_monomials call per letter) is flattened to entries,
-    one per term c f^a2 r: the row of a2, the column of a, the digits of c
-    and the exponents of r over the rest letters.  The entries of all
-    letters are concatenated, those of x_i at bounds[i]:bounds[i + 1]."""
+    one per term c f^a2 r, sorted once by cell (x_i, row of a2, column of
+    a): the digits of c and the number of the exponent pattern of r over
+    the rest letters (a row of patterns).  starts are each cell's first
+    entry; letter, row, col, and the first cell and width of each cell's
+    (letter, row) segment and its index in it, are read per cell."""
     tables = vars(spec).setdefault("_induction_tables", {})
     table = tables.get(triple.deltas)
     if table is not None:
@@ -607,40 +611,129 @@ def _induction_table(spec, triple):
     eng = engine_for(A, spec, order=order)
     caps = [spec.caps[j] for j in f_letters]
     amonos = list(itertools.product(*[range(c) for c in caps]))
+    na = len(amonos)
     monos = []
     for a in amonos:
         mono = [0] * A.dim
         for j, e in zip(f_letters, a):
             mono[j] = e
         monos.append(tuple(mono))
-    shift = np.zeros((len(monos), len(tri.cartan), F.k), dtype=np.int64)
+    shift = np.zeros((na, len(tri.cartan), F.k), dtype=np.int64)
     shift[..., 0] = np.array([monomial_weight(A, m) for m in monos]).reshape(
-        len(monos), -1) % F.p
+        na, -1) % F.p
     fhts = [tri.heights[t] for t in triple.deltas]
-    keys, codes, cols, bounds = [], [], [], [0]
+    keys, codes, cols, letters = [], [], [], []
     for i in range(A.dim):
         xi = tuple(int(j == i) for j in range(A.dim))
         for col, out in enumerate(eng.times_monomials({xi: F.one}, monos)):
             keys.extend(out)
             codes.extend(out.values())
             cols.extend([col] * len(out))
-        bounds.append(len(keys))
+            letters.extend([i] * len(out))
     terms = np.array(keys, dtype=np.int64).reshape(len(keys), A.dim)
     # amonos runs lexicographically, the last exponent fastest
     strides = [int(np.prod(caps[n + 1:])) for n in range(len(caps))]
+    rows = terms[:, f_letters] @ np.array(strides, dtype=np.int64)
+    key = (np.array(letters, dtype=np.int64) * na + rows) * na + cols
+    entry = np.argsort(key, kind="stable")
+    key = key[entry]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    segment, col = np.divmod(key[starts], na)
+    new = np.diff(segment, prepend=-1) != 0
+    first = np.flatnonzero(new)
+    seg = np.cumsum(new) - 1
+    pattern, pfirst = _group_rows(terms[entry][:, rest])
     table = tables[triple.deltas] = {
         "amonos": amonos,
         "rest": rest,
         "shift": shift,
-        "degrees": [monomial_degree(A, m) for m in monos],
+        "degrees": np.array([monomial_degree(A, m) for m in monos],
+                            dtype=np.int64).reshape(na, A.group.rank),
         "heights": [sum(e * h for e, h in zip(a, fhts)) for a in amonos],
-        "rows": terms[:, f_letters] @ np.array(strides, dtype=np.int64),
-        "cols": np.array(cols, dtype=np.int64),
-        "coeffs": F.codes_to_array(codes),
-        "exps": terms[:, rest],
-        "bounds": bounds,
+        "coeffs": F.codes_to_array(codes)[entry],
+        "pattern": pattern,
+        "patterns": terms[entry][pfirst][:, rest],
+        "starts": starts,
+        # per cell, shaped (cells, 1, 1) to broadcast over a base block
+        "letter": (segment // na)[:, None, None],
+        "row": (segment % na)[:, None, None],
+        "col": col[:, None, None],
+        "first": first[seg][:, None, None],
+        "width": np.diff(first, append=len(segment))[seg][:, None, None],
+        "index": (np.arange(len(seg)) - first[seg])[:, None, None],
     }
     return table
+
+
+def _induced_dim(spec, triple, bd, max_dim):
+    """The dimension of a module induced from a bd-dimensional base along
+    triple; TooLarge above max_dim."""
+    pairs = spec.algebra.triangular.pairs
+    count = bd * prod(spec.caps[pairs[t][1]] for t in triple.deltas)
+    if count > max_dim:
+        raise TooLarge("induced dimension %d exceeds the cutoff %d"
+                       % (count, max_dim), dimension=count, cutoff=max_dim)
+    return count
+
+
+def _induce(spec, triple, bases, max_dim, check=False):
+    """The modules induced from bases (all of one dimension bd) along
+    triple, built together from the triple's cached plan
+    (`_induction_table`): one power table per rest letter gives each
+    exponent pattern's factor B_1^e_1 ... B_r^e_r once per base (a scalar
+    on a line base, zero there when a root letter occurs), every entry is
+    its coefficient times its pattern's factor, and the entries of each
+    cell are summed, for all bases at once.  The dimension is checked
+    against max_dim before anything is allocated."""
+    A = spec.algebra
+    F = A.F
+    bd, nb = bases[0].dim, len(bases)
+    count = _induced_dim(spec, triple, bd, max_dim)
+    plan = _induction_table(spec, triple)
+    rest, patterns = plan["rest"], plan["patterns"]
+    # the normal form lists the parabolic letters left to right, so the
+    # matrix product runs the same way
+    op = np.multiply if bd == 1 else np.matmul
+    one = np.broadcast_to(Mat.identity(F, bd).a, (nb, bd, bd, F.k))
+    factor = np.broadcast_to(one, (len(patterns),) + one.shape)
+    for n in np.flatnonzero(patterns.any(axis=0)):
+        B = np.stack([b.action[rest[n]].a for b in bases])
+        pw = [one, B]
+        for _ in range(int(patterns[:, n].max()) - 1):
+            pw.append(digit_product(F, pw[-1], B, op))
+        factor = digit_product(F, factor, np.stack(pw)[patterns[:, n]], op)
+    vals = digit_product(F, plan["coeffs"][:, None, None, None],
+                         factor[plan["pattern"]], np.multiply)
+    sums = np.add.reduceat(vals, plan["starts"]) % F.p
+    # cell (letter, row, col) of the plan holds the (bd, bd) block at rows
+    # row * bd + i and columns col * bd + j: sorted by letter, row and
+    # column, i runs slowest in its (letter, row) segment, then col, then j
+    i, j = np.arange(bd)[:, None], np.arange(bd)
+    at = ((plan["first"] * bd + i * plan["width"] + plan["index"]) * bd
+          + j).ravel()
+    where = np.empty_like(at)
+    where[at] = np.arange(at.size)
+    shape = (len(plan["starts"]), bd, bd)
+    letter, row, col = (np.broadcast_to(v, shape).ravel()[where]
+                        for v in (plan["letter"], plan["row"] * bd + i,
+                                  plan["col"] * bd + j))
+    digits = np.moveaxis(sums, 1, 0).reshape(nb, -1, F.k)[:, where]
+    live = nonzero_digits(digits)
+    weights = F.array_to_codes((plan["shift"][:, None] + F.codes_to_array(
+        [b.weights for b in bases])[:, None]) % F.p).reshape(
+            nb, count, -1).tolist()
+    labels = [(a, j) for a in plan["amonos"] for j in range(bd)]
+    orders = np.array(A.group.orders, dtype=np.int64)
+    out = []
+    for b, w, on, d in zip(bases, weights, live, digits):
+        degrees = (plan["degrees"][:, None] + np.array(
+            b.degrees, dtype=np.int64).reshape(bd, -1)) % orders
+        out.append(GradedModule(
+            spec, None, w, map(tuple, degrees.reshape(count, -1).tolist()),
+            [ht + h for ht in plan["heights"] for h in b.heights],
+            labels=list(labels), triple=triple, check=check,
+            cells=(letter[on], row[on], col[on], d[on])))
+    return out
 
 
 def verma_build(spec, triple, weight=None, base=None, check=True,
@@ -648,10 +741,10 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     """Induce a parabolic base module up to the reduced quotient.  The
     result has basis f_{d1}^{a1} ... f_{dm}^{am} (x) v_j with each a_i below
     the cap of the lowering letter, exponent tuples ordered lexicographically
-    and the base index fastest.  Everything that does not depend on the
-    base comes from the triple's cached `_induction_table`."""
+    and the base index fastest.  The arguments are checked here; the module
+    is the one-base case of `_induce`, which reads everything that does not
+    depend on the base from the triple's cached plan."""
     A = spec.algebra
-    F = A.F
     if triple.algebra is not A:
         raise MixedSpecs("ordering data lives on a different algebra")
     if spec.chi.fclasses:
@@ -670,58 +763,7 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
         raise ValueError("pass a weight or a base module, not both")
     elif base.spec is not spec or base.triple is not triple:
         raise MixedSpecs("base module was built for different data")
-
-    bd = base.dim
-    count = bd
-    for t in triple.deltas:
-        count *= spec.caps[tri.pairs[t][1]]
-    if count > max_dim:
-        raise TooLarge("induced dimension %d exceeds the cutoff %d"
-                       % (count, max_dim), dimension=count, cutoff=max_dim)
-
-    table = _induction_table(spec, triple)
-    rest = table["rest"]
-    labels = [(a, j) for a in table["amonos"] for j in range(bd)]
-    shifted = (table["shift"][:, None] + F.codes_to_array(base.weights)) % F.p
-    weights = [tuple(w) for w in
-               F.array_to_codes(shifted).reshape(count, -1).tolist()]
-    degrees = [A.group.add(dg, d) for dg in table["degrees"]
-               for d in base.degrees]
-    heights = [ht + h for ht in table["heights"] for h in base.heights]
-
-    rows, cols, coeffs, exps = (table[key]
-                                for key in ("rows", "cols", "coeffs", "exps"))
-    bounds = table["bounds"]
-    # the (bd, bd) block c . B_1^e_1 ... B_r^e_r of every entry of every
-    # letter at once, one power table per rest letter that occurs; the
-    # normal form lists the parabolic letters left to right, so the matrix
-    # product runs the same way (on a line base a scalar product)
-    op = np.multiply if bd == 1 else np.matmul
-    one = Mat.identity(F, bd).a
-    vals = coeffs[:, None, None] * np.eye(bd, dtype=np.int64)[..., None]
-    for n in np.flatnonzero(exps.any(axis=0)):
-        col = exps[:, n]
-        B = base.action[rest[n]].a
-        pw = [one, B]
-        for _ in range(int(col.max()) - 1):
-            pw.append(digit_product(F, pw[-1], B, op))
-        vals = digit_product(F, vals, np.stack(pw)[col], op)
-    # the nonzero cells of every letter: each entry's block cell by cell,
-    # cells that coincide summed (sorted by letter, row and column)
-    span = np.arange(bd)
-    letter = np.repeat(np.arange(A.dim), np.diff(bounds))
-    key = ((letter[:, None, None] * count + (rows * bd)[:, None, None]
-            + span[:, None]) * count + (cols * bd)[:, None, None] + span)
-    key = key.ravel()
-    order = np.argsort(key)
-    key = key[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    digits = np.add.reduceat(vals.reshape(-1, F.k)[order], start) % F.p
-    live = nonzero_digits(digits)
-    letter, cell = np.divmod(key[start][live], count * count)
-    cells = (letter,) + np.divmod(cell, count) + (digits[live],)
-    return GradedModule(spec, None, weights, degrees, heights, labels=labels,
-                        triple=triple, check=check, cells=cells)
+    return _induce(spec, triple, [base], max_dim, check)[0]
 
 
 class GradedModule:
@@ -909,26 +951,44 @@ def f_via_hc(spec, triple, lam):
     anyway.  Each partial product must be homogeneous of its integral
     weight; a term of any other weight raises NotWeightZero, and the
     read-off re-checks what is left.  The (terms, reversal) pair is cached
-    per induced-root tuple on the spec."""
+    per induced-root tuple on the spec.  This is the one-weight case of
+    `_hc_values`."""
+    values, reversal = _hc_values(spec, triple, [lam])
+    return values[0], reversal
+
+
+def _hc_values(spec, triple, lams):
+    """The values of f_via_hc at every weight of lams, and the reversal,
+    from one evaluation of the cached Cartan terms over all of them: one
+    power table per Cartan coordinate, in slabs of weights whose
+    (terms, weights) products fit in _SLAB digit cells."""
     A = spec.algebra
     F = A.F
     tri = require_standard(spec)
     _no_doubled(triple)
-    lam = weight_tuple(A, lam)
+    lams = F.codes_to_array([weight_tuple(A, lam) for lam in lams])
     cache = vars(spec).setdefault("_hc_cache", {})
     ent = cache.get(triple.deltas)
     if ent is None:
         cache[triple.deltas] = ent = _cartan_terms(spec, triple)
     gterms, reversal = ent
-    cpos = {h: n for n, h in enumerate(tri.cartan)}
-    val = F.zero
-    for mono, c in gterms.items():
-        term = c
-        for i, a in enumerate(mono):
-            if a:
-                term = F.mul(term, F.pow(lam[cpos[i]], a))
-        val = F.add(val, term)
-    return val, reversal
+    exps = np.array(list(gterms), dtype=np.int64).reshape(
+        len(gterms), A.dim)[:, tri.cartan]
+    coeffs = F.codes_to_array(list(gterms.values())).reshape(-1, 1, F.k)
+    step = max(1, _SLAB // max(1, len(gterms) * F.k))
+    values = []
+    for w0 in range(0, len(lams), step):
+        x = lams[w0:w0 + step]
+        val = coeffs
+        for n in np.flatnonzero(exps.any(axis=0)):
+            pw = [F.codes_to_array([F.one] * len(x)), x[:, n]]
+            for _ in range(int(exps[:, n].max()) - 1):
+                pw.append(digit_product(F, pw[-1], x[:, n], np.multiply))
+            val = digit_product(F, val, np.stack(pw)[exps[:, n]],
+                                np.multiply)
+        values += F.array_to_codes(np.broadcast_to(
+            val, (len(gterms), len(x), F.k)).sum(axis=0) % F.p).tolist()
+    return values, reversal
 
 
 # -- the p-power scalar -----------------------------------------------------------
@@ -1161,15 +1221,39 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     position: code}) keeps only the weights with those values.  BadWeight
     when no weight extends.
 
+    f_closed runs per weight; the Cartan route is evaluated for all the
+    weights at once (`_hc_values`).  The modules are induced in chunks
+    (`_induce`) whose entry values stay within _SLAB // 2 digit cells.
     The oracle judges the rows in batches (`_judge`).  Each row keeps only
-    its module's blocks and nonzero cells; a batch is judged before the
-    next row's blocks would take it past _SLAB cells.  A line whose word
-    span falls short is spun up on dense letters built from the cells.  A
-    row's ms is its own time plus an equal share of its batch's."""
-    fix = fix or {}
-    rows = []
-    pending = []
+    its module's blocks; a batch is judged before the next row's blocks
+    would take it past _SLAB cells.  A line whose word span falls short is
+    spun up on dense letters built from the cells.  A row's ms is its own
+    time plus an equal share of the Cartan evaluation, of its chunk's
+    induction and of its batch's judging."""
+    lams = [lam for lam in admissible_lambdas(spec)
+            if all(lam[n] == c for n, c in (fix or {}).items())]
+    if not lams:
+        return []
+    t0 = time.perf_counter()
+    closed = [f_closed(spec, triple, lam) for lam in lams]
+    hc, _rev = _hc_values(spec, triple, lams)
+    share = (time.perf_counter() - t0) * 1000.0 / len(lams)
+    rows, bases = [], []
     unextended = None
+    for lam, fc, fh in zip(lams, closed, hc):
+        t0 = time.perf_counter()
+        try:
+            bases.append(_line_base(spec, triple, lam))
+        except BadWeight as exc:
+            unextended = exc
+            continue
+        rows.append({"lambda": [int(c) for c in lam], "f_closed": fc,
+                     "f_hc": fh, "oracle": None,
+                     "agree": (fc == 0) == (fh == 0),
+                     "ms": share + (time.perf_counter() - t0) * 1000.0})
+    if not rows and unextended is not None:
+        raise unextended
+    pending = []
 
     def judge():
         t0 = time.perf_counter()
@@ -1180,34 +1264,27 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
             row["oracle"] = "simple" if verdict["simple"] else "not-simple"
             row["agree"] = row["agree"] and (
                 (row["f_closed"] == 0) == (not verdict["simple"]))
-            row["ms"] = round(row["ms"] + share, 3)
+            row["ms"] += share
         pending.clear()
 
-    for lam in admissible_lambdas(spec):
-        if any(lam[n] != c for n, c in fix.items()):
-            continue
-        t0 = time.perf_counter()
-        fc = f_closed(spec, triple, lam)
-        fh, _rev = f_via_hc(spec, triple, lam)
-        try:
-            base = _line_base(spec, triple, lam)
-        except BadWeight as exc:
-            unextended = exc
-            continue
-        row = {"lambda": [int(c) for c in lam], "f_closed": fc, "f_hc": fh,
-               "oracle": None, "agree": (fc == 0) == (fh == 0)}
-        rows.append(row)
-        if not oracle:
-            row["ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-            continue
-        g = _gather(verma_build(spec, triple, base=base, check=False,
-                                max_dim=max_dim))
-        row["ms"] = (time.perf_counter() - t0) * 1000.0
-        if pending and sum(h.cells for _row, h in pending) + g.cells > _SLAB:
+    if oracle and rows:
+        _induced_dim(spec, triple, 1, max_dim)   # before the plan is built
+        entries = len(_induction_table(spec, triple)["coeffs"])
+        step = max(1, _SLAB // 2 // (entries * spec.algebra.F.k))
+        for c0 in range(0, len(rows), step):
+            t0 = time.perf_counter()
+            modules = _induce(spec, triple, bases[c0:c0 + step], max_dim)
+            share = (time.perf_counter() - t0) * 1000.0 / len(modules)
+            for row, M in zip(rows[c0:c0 + step], modules):
+                t0 = time.perf_counter()
+                g = _gather(M)
+                row["ms"] += share + (time.perf_counter() - t0) * 1000.0
+                if pending and (sum(h.cells for _row, h in pending)
+                                + g.cells > _SLAB):
+                    judge()
+                pending.append((row, g))
+        if pending:
             judge()
-        pending.append((row, g))
-    if pending:
-        judge()
-    if not rows and unextended is not None:
-        raise unextended
+    for row in rows:
+        row["ms"] = round(row["ms"], 3)
     return rows

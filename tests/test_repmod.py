@@ -1257,6 +1257,48 @@ def test_sweep_batches_stay_within_slab(monkeypatch):
     assert max(cells for _n, cells in batches) <= _SLAB
 
 
+def test_sweep_induces_in_chunks_within_budget(monkeypatch):
+    # the sweep induces its modules in chunks whose entry values (entries
+    # x bases x bd^2 x k digit cells) stay within _SLAB // 2, each row's
+    # module once
+    chunks = []
+    induce = repmod._induce
+
+    def recorded(spec, triple, bases, *args):
+        entries = len(repmod._induction_table(spec, triple)["coeffs"])
+        chunks.append(([b.weights[0] for b in bases], entries * len(bases)
+                       * bases[0].dim ** 2 * spec.algebra.F.k))
+        return induce(spec, triple, bases, *args)
+
+    monkeypatch.setattr(repmod, "_induce", recorded)
+    spec = _regss_gl3_f25()
+    rows = sweep_rows(spec, fp_order(spec.algebra), fix={2: 3}, seed=11)
+    assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
+    assert len(chunks) > 1
+    assert max(cells for _w, cells in chunks) <= _SLAB // 2
+    assert sorted(w for ws, _cells in chunks for w in ws) == sorted(
+        tuple(r["lambda"]) for r in rows)
+
+
+def test_nothing_built_before_use():
+    # loading a spec, reducing the character and ordering the roots build
+    # no rewrite engine, induction plan or Cartan terms: those are made on
+    # the first induction or Cartan evaluation
+    bundle = load_spec(os.path.join(os.path.dirname(__file__), "specs",
+                                    "gl3_slice.json"))
+    A = bundle["algebra"]
+    spec = chi_reduce(A, bundle["character"] or pchar_zero(A))
+    trip = fp_order(A)
+    for host in (spec, A):
+        assert not vars(host).get("_engines")
+        assert "_induction_tables" not in vars(host)
+        assert "_hc_cache" not in vars(host)
+    verma_build(spec, trip, weight=(1, 3, 0), check=False)
+    f_via_hc(spec, trip, (1, 3, 0))
+    assert spec._engines and trip.deltas in spec._induction_tables
+    assert trip.deltas in spec._hc_cache
+
+
 def _dense_blocks(M):
     """The oracle's view of M read straight off its dense letters: weight
     spaces in sorted weight order, singular buckets in sorted (weight,
@@ -1354,16 +1396,18 @@ def test_not_simple_sweep_rows_induce_each_module_once(monkeypatch):
     A = make_gl(eps, {(0,): 2, (1,): 2})
     spec = zero_spec(A)
     trip = fp_order(A)
-    calls = []
-    build = repmod.verma_build
+    induced = []
+    induce = repmod._induce
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
+    def counted(spec, triple, bases, *args):
+        modules = induce(spec, triple, bases, *args)
+        induced.extend(M.weights[0] for M in modules)
+        return modules
 
-    monkeypatch.setattr(repmod, "verma_build", counted)
+    monkeypatch.setattr(repmod, "_induce", counted)
     rows = sweep_rows(spec, trip, fix={0: 1, 1: 2, 2: 0})
-    assert len(calls) == len(rows) == 5
+    assert len(rows) == 5
+    assert sorted(induced) == sorted(tuple(r["lambda"]) for r in rows)
     monkeypatch.undo()
     assert [r["oracle"] for r in rows] == [
         "not-simple", "simple", "not-simple", "not-simple", "not-simple"]
