@@ -124,11 +124,22 @@ class _Engine:
     commutations can be as long as the monomial.  _reduce is therefore a
     generator that yields the (monomial, letter) keys it needs and receives
     their normal forms; _run drives it on an explicit stack, so the depth
-    of a chain never reaches the interpreter's recursion limit."""
+    of a chain never reaches the interpreter's recursion limit.
+
+    A needed product is first looked up in place (_known): a memo hit, or
+    one of two products that need no other product, is read without a
+    generator.  A plain append (no letter ranked after e_j present, e_j's
+    exponent below its cap and not an odd square) is the monomial itself
+    with e_j's exponent raised.  A diagonal letter e_j (even, of degree
+    zero, [e_l, e_j] = c_l e_l for every letter) moves left past each
+    letter ranked after it at the cost of one c_l times the monomial:
+    mono.e_j = inc(mono, j) + (sum of mono[l] c_l over those l) mono, which
+    is the map the commutation rule reaches, term for term and in the same
+    order.  When e_j's cap would be hit, both fall back to _reduce."""
 
     def __init__(self, algebra, spec=None, order=None):
-        self.A = algebra
-        self.F = algebra.F
+        self.A = A = algebra
+        self.F = F = algebra.F
         self.spec = spec
         self.caps = spec.caps if spec is not None else None
         n = algebra.dim
@@ -141,8 +152,21 @@ class _Engine:
         self.rank = [0] * n
         for pos, i in enumerate(order):
             self.rank[i] = pos
-        self.one = self.F.embed(1)
+        self.one = F.embed(1)
         self._memo = {}
+        # per-letter tables: eps signs, parities, bracket items, the letters
+        # ranked after each letter, and each diagonal letter's c_l by l
+        self._add, self._mul = F.tables()
+        self._axpy = _axpy(self._add, self._mul, self.one)
+        self._eps = [[A.eps.value(a, b) for b in A.degrees] for a in A.degrees]
+        self._odd = [not A.is_even(i) for i in range(n)]
+        self._brk = [[A.bracket(i, j) for j in range(n)] for i in range(n)]
+        self._after = [order[self.rank[j] + 1:] for j in range(n)]
+        self._desc = order[::-1]
+        self._diag = {
+            j: [self._brk[l][j].get(l, 0) for l in range(n)]
+            for j in range(n) if A.degree(j) == A.group.zero
+            and all(set(self._brk[j][l]) <= {l} for l in range(n))}
 
     def letters(self, mono):
         """The letters of a normal monomial, in multiplication order."""
@@ -152,10 +176,30 @@ class _Engine:
 
     def times_letter(self, mono, j):
         """Normal form of (normal monomial) * e_j as a {monomial: code} map."""
+        out = self._known(mono, j)
+        if out is None:
+            out = self._run(self._reduce(mono, j), (mono, j))
+        return out
+
+    def _known(self, mono, j):
+        """mono * e_j from the memo, or computed and memoized when it is a
+        plain append or a diagonal letter's move (see the class); None
+        when it must be reduced."""
         key = (mono, j)
         out = self._memo.get(key)
-        if out is None:
-            out = self._run(self._reduce(mono, j), key)
+        if out is not None:
+            return out
+        diag, s = self._diag.get(j), 0
+        for l in self._after[j]:
+            if mono[l]:
+                if diag is None:
+                    return None
+                s = self._add[s, self._mul[mono[l] % self.F.p, diag[l]]]
+        b = _inc(mono, j)
+        if (b[j] == 2 and self._odd[j]
+                or self.caps is not None and b[j] == self.caps[j]):
+            return None
+        out = self._memo[key] = {b: self.one, mono: s} if s else {b: self.one}
         return out
 
     def _run(self, gen, key=None):
@@ -181,36 +225,38 @@ class _Engine:
 
     def _reduce(self, mono, j):
         """Generator behind times_letter: yields the keys it depends on."""
-        A, F, rank = self.A, self.F, self.rank
         top = -1
-        for i, a in enumerate(mono):
-            if a and (top < 0 or rank[i] > rank[top]):
+        for i in self._desc:
+            if mono[i]:
                 top = i
-        if top >= 0 and rank[top] > rank[j]:
+                break
+        if top >= 0 and self.rank[top] > self.rank[j]:
             # commute e_j past the trailing letter:
             #   e_top e_j = eps * e_j e_top + [e_top, e_j]
             stripped = _dec(mono, top)
-            sign = A.eps.value(A.degree(top), A.degree(j))
-            out = {}
-            for m, c in (yield stripped, j).items():
-                c = F.mul(c, sign)
-                for m2, c2 in (yield m, top).items():
-                    _acc(F, out, m2, F.mul(c, c2))
-            for k, ck in A.bracket(top, j).items():
-                for m2, c2 in (yield stripped, k).items():
-                    _acc(F, out, m2, F.mul(ck, c2))
+            known, axpy, mul = self._known, self._axpy, self._mul
+            head = known(stripped, j)
+            if head is None:
+                head = yield stripped, j
+            sign, out = self._eps[top][j], {}
+            for m, c in head.items():
+                src = known(m, top)
+                if src is None:
+                    src = yield m, top
+                axpy(out, mul[c, sign], src)
+            for k, ck in self._brk[top][j].items():
+                src = known(stripped, k)
+                if src is None:
+                    src = yield stripped, k
+                axpy(out, ck, src)
             return out
         b = _inc(mono, j)
-        if not A.is_even(j) and b[j] == 2:
+        if self._odd[j] and b[j] == 2:
             # the square of an odd letter is half its self-bracket
-            half = F.inv(F.embed(2))
-            stripped = _dec(mono, j)
-            out = {}
-            for k, ck in A.bracket(j, j).items():
-                ck = F.mul(half, ck)
-                for m2, c2 in (yield stripped, k).items():
-                    _acc(F, out, m2, F.mul(ck, c2))
-            return out
+            half = self.F.inv(self.F.embed(2))
+            return (yield from self._fold(
+                {_dec(mono, j): self.one},
+                {k: self._mul[half, ck] for k, ck in self._brk[j][j].items()}))
         if self.caps is not None and b[j] == self.caps[j]:
             return (yield from self._cap(_zero_at(mono, j), j))
         return {b: self.one}
@@ -239,16 +285,12 @@ class _Engine:
                     cur = yield from self._fold(cur, {j: self.one})
                 for _ in range(s - r):
                     cur = yield from self._fold(cur, pj)
-                for m, c in cur.items():
-                    _acc(F, out, m, F.neg(F.mul(code, c)))
+                self._axpy(out, F.neg(code), cur)
             return out
-        out = {}
-        for k, ck in A.pmap.get(j, {}).items():
-            for m2, c2 in (yield base, k).items():
-                _acc(F, out, m2, F.mul(ck, c2))
+        out = yield from self._fold(start, A.pmap.get(j, {}))
         lin = spec.linear_pow.get(j)
         if lin:
-            _acc(F, out, base, lin)
+            self._axpy(out, lin, start)
         cls = spec.class_of.get(j)
         if cls is not None:
             cf = cls.c.get(j, 0)
@@ -257,24 +299,25 @@ class _Engine:
                 cur = start
                 for _ in range(p):
                     cur = yield from self._fold(cur, {cls.xi: self.one})
-                for m, c in cur.items():
-                    _acc(F, out, m, F.mul(code, c))
-                for k, ck in A.pmap.get(cls.xi, {}).items():
-                    ck = F.mul(code, ck)
-                    for m2, c2 in (yield base, k).items():
-                        _acc(F, out, m2, F.neg(F.mul(ck, c2)))
+                self._axpy(out, code, cur)
+                yield from self._fold(start, {
+                    k: F.neg(F.mul(code, ck))
+                    for k, ck in A.pmap.get(cls.xi, {}).items()}, out)
         return out
 
-    def _fold(self, vd, elem):
-        """Generator for vd * elem, elem an algebra element {letter: code};
-        it yields keys as _reduce does."""
-        F = self.F
-        out = {}
+    def _fold(self, vd, elem, out=None):
+        """Generator for out + vd * elem (out defaults to 0), elem an
+        algebra element {letter: code}; it reads each product in place
+        when it can and yields the keys it must wait for, as _reduce
+        does."""
+        out = {} if out is None else out
+        known, axpy, mul = self._known, self._axpy, self._mul
         for k, ck in elem.items():
             for m, c in vd.items():
-                c = F.mul(c, ck)
-                for m2, c2 in (yield m, k).items():
-                    _acc(F, out, m2, F.mul(c, c2))
+                src = known(m, k)
+                if src is None:
+                    src = yield m, k
+                axpy(out, mul[c, ck], src)
         return out
 
     def times_monomials(self, vd, monos):
@@ -283,29 +326,60 @@ class _Engine:
         leading runs of letters agree share the folds of that run: this
         call keeps every partial product, keyed by the exponent tuple of the
         letters folded so far (in the letter order, the tuple fixes the
-        run).  Results may share maps, so callers must not mutate them."""
+        run), and starts each monomial from its longest kept run, found by
+        walking back from the monomial.  Results may share maps, so callers
+        must not mutate them."""
+        memo, axpy = self._memo, self._axpy
         done = {(0,) * self.A.dim: vd}
         out = []
         for mono in monos:
-            cur = vd
-            run = [0] * self.A.dim
-            for j in self.letters(mono):
-                run[j] += 1
-                key = tuple(run)
-                nxt = done.get(key)
-                if nxt is None:
-                    nxt = done[key] = self._run(self._fold(cur, {j: self.one}))
-                cur = nxt
+            cur = done.get(tuple(mono))
+            if cur is None:
+                run, back = list(mono), []
+                while cur is None:
+                    i = next(i for i in self._desc if run[i])
+                    run[i] -= 1
+                    back.append(i)
+                    cur = done.get(tuple(run))
+                for j in reversed(back):
+                    run[j] += 1
+                    nxt = {}
+                    for m, c in cur.items():
+                        src = memo.get((m, j))
+                        axpy(nxt, c, self.times_letter(m, j) if src is None
+                             else src)
+                    cur = done[tuple(run)] = nxt
             out.append(cur)
         return out
 
     def product(self, t1, t2):
-        F = self.F
         out = {}
         for c2, cur in zip(t2.values(), self.times_monomials(t1, t2)):
-            for m, c in cur.items():
-                _acc(F, out, m, F.mul(c, c2))
+            self._axpy(out, c2, cur)
         return out
+
+
+def _axpy(add, mul, one):
+    """out += c * src for sparse maps out and src, as a function of (out,
+    c, src) over the field's tables add and mul; a term that cancels is
+    dropped."""
+    def axpy(out, c, src):
+        if not out and c == one:
+            out.update(src)
+            return
+        get = out.get
+        for m, v in src.items():
+            v = mul[c, v]
+            cur = get(m)
+            if cur is None:
+                out[m] = v
+                continue
+            v = add[cur, v]
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return axpy
 
 
 def _inc(mono, j):
@@ -522,10 +596,9 @@ def _basis_table(eng, mons, index, j, left=False):
         outs = (eng.times_letter(m, j) for m in mons)
     rows, cols, coeffs = [], [], []
     for col, out in enumerate(outs):
-        for m2, c in out.items():
-            rows.append(index[m2])
-            cols.append(col)
-            coeffs.append(c)
+        rows.extend(map(index.__getitem__, out))
+        cols.extend([col] * len(out))
+        coeffs.extend(out.values())
     return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
             F.codes_to_array(coeffs))
 

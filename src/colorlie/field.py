@@ -91,6 +91,16 @@ def digit_power(F, A, e, op):
     return out
 
 
+class _Entries:
+    """A scalar operation of a field without tables, indexed like one."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, ab):
+        return self.op(*ab)
+
+
 class Field:
     """F_{p^k} with int-code scalars and an explicit little-endian modulus."""
 
@@ -177,6 +187,13 @@ class Field:
         # whose items are plain ints: no numpy scalar is made per call
         self._add, self._mul, self._neg, self._inv = (
             memoryview(t) for t in (add, mul, neg, inv))
+
+    def tables(self):
+        """The (add, mul) tables, each read t[a, b]; above LUT_LIMIT two
+        objects that compute each entry and read the same way."""
+        if self._add is not None:
+            return self._add, self._mul
+        return _Entries(self.add), _Entries(self.mul)
 
     def add(self, a, b):
         if self._add is not None:
