@@ -15,7 +15,8 @@ Rewriting terminates: weight letters 1 for class generators and 2 otherwise;
 every step.  Uniqueness of normal forms is not assumed: associativity and
 order-independence are exercised by randomized tests.
 
-The same engine runs with a permuted letter order (engine_for(..., order=))
+Plain appends and diagonal letters skip the rewriting (see _Engine).  The
+same engine runs with a permuted letter order (engine_for(..., order=))
 so that induced modules can push non-induced letters to the right.
 """
 
@@ -30,18 +31,27 @@ from .field import _SLAB, digit_product, nonzero_digits
 from .linalg import Mat
 
 
-def _acc(F, d, k, v):
-    if v == 0:
+def _axpy(F, out, c, src):
+    """out += c * src for sparse maps {key: code}, with the field's tables
+    read once for the map; a term that cancels is dropped."""
+    if not c:
         return
-    cur = d.get(k)
-    if cur is None:
-        d[k] = v
+    if not out and c == F.one:
+        out.update(src)
         return
-    s = F.add(cur, v)
-    if s:
-        d[k] = s
-    else:
-        del d[k]
+    add, mul = F.tables
+    get = out.get
+    for m, v in src.items():
+        v = mul[c, v]
+        cur = get(m)
+        if cur is None:
+            out[m] = v
+            continue
+        v = add[cur, v]
+        if v:
+            out[m] = v
+        else:
+            del out[m]
 
 
 def monomial_degree(A, mono):
@@ -124,22 +134,17 @@ class _Engine:
     commutations can be as long as the monomial.  _reduce is therefore a
     generator that yields the (monomial, letter) keys it needs and receives
     their normal forms; _run drives it on an explicit stack, so the depth
-    of a chain never reaches the interpreter's recursion limit.
-
-    A needed product is first looked up in place (_known): a memo hit, or
-    one of two products that need no other product, is read without a
-    generator.  A plain append (no letter ranked after e_j present, e_j's
-    exponent below its cap and not an odd square) is the monomial itself
-    with e_j's exponent raised.  A diagonal letter e_j (even, of degree
-    zero, [e_l, e_j] = c_l e_l for every letter) moves left past each
-    letter ranked after it at the cost of one c_l times the monomial:
-    mono.e_j = inc(mono, j) + (sum of mono[l] c_l over those l) mono, which
-    is the map the commutation rule reaches, term for term and in the same
-    order.  When e_j's cap would be hit, both fall back to _reduce."""
+    of a chain never reaches the interpreter's recursion limit.  A product
+    in the memo, or one that needs no other product (_known), is read in
+    place, with no generator: a plain append, or a diagonal letter e_j
+    (even, of degree zero, [e_l, e_j] = c_l e_l for every l) moved past the
+    letters l ranked after it.  Each move adds c_l times the monomial, so
+    mono.e_j = inc(mono, j) + (sum of mono[l] c_l) mono: the map that the
+    commutation rule reaches, in the same term order."""
 
     def __init__(self, algebra, spec=None, order=None):
         self.A = A = algebra
-        self.F = F = algebra.F
+        self.F = algebra.F
         self.spec = spec
         self.caps = spec.caps if spec is not None else None
         n = algebra.dim
@@ -152,70 +157,57 @@ class _Engine:
         self.rank = [0] * n
         for pos, i in enumerate(order):
             self.rank[i] = pos
-        self.one = F.embed(1)
+        self.one = self.F.embed(1)
         self._memo = {}
-        # per-letter tables: eps signs, parities, bracket items, the letters
-        # ranked after each letter, and each diagonal letter's c_l by l
-        self._add, self._mul = F.tables()
-        self._axpy = _axpy(self._add, self._mul, self.one)
+        # eps signs, parities, brackets, the letters last first and after
+        # each letter, and the diagonal letters' c_l by l
         self._eps = [[A.eps.value(a, b) for b in A.degrees] for a in A.degrees]
         self._odd = [not A.is_even(i) for i in range(n)]
         self._brk = [[A.bracket(i, j) for j in range(n)] for i in range(n)]
-        self._after = [order[self.rank[j] + 1:] for j in range(n)]
         self._desc = order[::-1]
-        self._diag = {
-            j: [self._brk[l][j].get(l, 0) for l in range(n)]
-            for j in range(n) if A.degree(j) == A.group.zero
-            and all(set(self._brk[j][l]) <= {l} for l in range(n))}
-
-    def letters(self, mono):
-        """The letters of a normal monomial, in multiplication order."""
-        for i in self.order:
-            for _ in range(mono[i]):
-                yield i
+        self._after = [order[self.rank[j] + 1:] for j in range(n)]
+        self._diag = {j: [self._brk[l][j].get(l, 0) for l in range(n)]
+                      for j in range(n) if A.degree(j) == A.group.zero
+                      and all(set(self._brk[j][l]) <= {l} for l in range(n))}
 
     def times_letter(self, mono, j):
         """Normal form of (normal monomial) * e_j as a {monomial: code} map."""
         out = self._known(mono, j)
-        if out is None:
-            out = self._run(self._reduce(mono, j), (mono, j))
-        return out
+        return self._run((mono, j)) if out is None else out
 
     def _known(self, mono, j):
-        """mono * e_j from the memo, or computed and memoized when it is a
-        plain append or a diagonal letter's move (see the class); None
-        when it must be reduced."""
+        """mono * e_j from the memo, or computed and memoized when it needs
+        no other product; None when it must be reduced."""
         key = (mono, j)
         out = self._memo.get(key)
         if out is not None:
             return out
         diag, s = self._diag.get(j), 0
+        add, mul = self.F.tables
         for l in self._after[j]:
             if mono[l]:
                 if diag is None:
                     return None
-                s = self._add[s, self._mul[mono[l] % self.F.p, diag[l]]]
-        b = _inc(mono, j)
+                s = add[s, mul[mono[l] % self.F.p, diag[l]]]
+        b = _bump(mono, j, 1)
         if (b[j] == 2 and self._odd[j]
                 or self.caps is not None and b[j] == self.caps[j]):
             return None
         out = self._memo[key] = {b: self.one, mono: s} if s else {b: self.one}
         return out
 
-    def _run(self, gen, key=None):
-        """Drive a reduction generator to its result on an explicit stack,
-        memoizing the result of every keyed generator on it."""
+    def _run(self, key):
+        """Reduce key = (mono, j) on an explicit stack of generators,
+        memoizing the result of each."""
         memo = self._memo
-        stack = [(key, gen)]
+        stack = [(key, self._reduce(*key))]
         out = None
         while stack:
             key, gen = stack[-1]
             try:
                 need = gen.send(out)
             except StopIteration as done:
-                out = done.value
-                if key is not None:
-                    memo[key] = out
+                out = memo[key] = done.value
                 stack.pop()
                 continue
             out = memo.get(need)
@@ -225,6 +217,7 @@ class _Engine:
 
     def _reduce(self, mono, j):
         """Generator behind times_letter: yields the keys it depends on."""
+        F, known = self.F, self._known
         top = -1
         for i in self._desc:
             if mono[i]:
@@ -233,8 +226,7 @@ class _Engine:
         if top >= 0 and self.rank[top] > self.rank[j]:
             # commute e_j past the trailing letter:
             #   e_top e_j = eps * e_j e_top + [e_top, e_j]
-            stripped = _dec(mono, top)
-            known, axpy, mul = self._known, self._axpy, self._mul
+            stripped = _bump(mono, top, -1)
             head = known(stripped, j)
             if head is None:
                 head = yield stripped, j
@@ -243,22 +235,18 @@ class _Engine:
                 src = known(m, top)
                 if src is None:
                     src = yield m, top
-                axpy(out, mul[c, sign], src)
-            for k, ck in self._brk[top][j].items():
-                src = known(stripped, k)
-                if src is None:
-                    src = yield stripped, k
-                axpy(out, ck, src)
-            return out
-        b = _inc(mono, j)
+                _axpy(F, out, F.tables[1][c, sign], src)
+            return (yield from self._fold({stripped: self.one},
+                                          self._brk[top][j], out))
+        b = _bump(mono, j, 1)
         if self._odd[j] and b[j] == 2:
             # the square of an odd letter is half its self-bracket
-            half = self.F.inv(self.F.embed(2))
+            half = F.inv(F.embed(2))
             return (yield from self._fold(
-                {_dec(mono, j): self.one},
-                {k: self._mul[half, ck] for k, ck in self._brk[j][j].items()}))
+                {_bump(mono, j, -1): self.one},
+                {k: F.mul(half, ck) for k, ck in self._brk[j][j].items()}))
         if self.caps is not None and b[j] == self.caps[j]:
-            return (yield from self._cap(_zero_at(mono, j), j))
+            return (yield from self._cap(_bump(mono, j, -mono[j]), j))
         return {b: self.one}
 
     def _cap(self, base, j):
@@ -285,39 +273,33 @@ class _Engine:
                     cur = yield from self._fold(cur, {j: self.one})
                 for _ in range(s - r):
                     cur = yield from self._fold(cur, pj)
-                self._axpy(out, F.neg(code), cur)
+                _axpy(F, out, F.neg(code), cur)
             return out
         out = yield from self._fold(start, A.pmap.get(j, {}))
-        lin = spec.linear_pow.get(j)
-        if lin:
-            self._axpy(out, lin, start)
+        _axpy(F, out, spec.linear_pow.get(j, 0), start)
         cls = spec.class_of.get(j)
-        if cls is not None:
-            cf = cls.c.get(j, 0)
-            if cf:
-                code = F.pow(cf, p)
-                cur = start
-                for _ in range(p):
-                    cur = yield from self._fold(cur, {cls.xi: self.one})
-                self._axpy(out, code, cur)
-                yield from self._fold(start, {
-                    k: F.neg(F.mul(code, ck))
-                    for k, ck in A.pmap.get(cls.xi, {}).items()}, out)
+        if cls is not None and cls.c.get(j, 0):
+            code = F.pow(cls.c[j], p)
+            cur = start
+            for _ in range(p):
+                cur = yield from self._fold(cur, {cls.xi: self.one})
+            _axpy(F, out, code, cur)
+            yield from self._fold(start, {
+                k: F.neg(F.mul(code, ck))
+                for k, ck in A.pmap.get(cls.xi, {}).items()}, out)
         return out
 
     def _fold(self, vd, elem, out=None):
         """Generator for out + vd * elem (out defaults to 0), elem an
-        algebra element {letter: code}; it reads each product in place
-        when it can and yields the keys it must wait for, as _reduce
-        does."""
+        algebra element {letter: code}; it yields keys as _reduce does."""
+        F, known = self.F, self._known
         out = {} if out is None else out
-        known, axpy, mul = self._known, self._axpy, self._mul
         for k, ck in elem.items():
             for m, c in vd.items():
                 src = known(m, k)
                 if src is None:
                     src = yield m, k
-                axpy(out, mul[c, ck], src)
+                _axpy(F, out, F.tables[1][c, ck], src)
         return out
 
     def times_monomials(self, vd, monos):
@@ -326,77 +308,40 @@ class _Engine:
         leading runs of letters agree share the folds of that run: this
         call keeps every partial product, keyed by the exponent tuple of the
         letters folded so far (in the letter order, the tuple fixes the
-        run), and starts each monomial from its longest kept run, found by
-        walking back from the monomial.  Results may share maps, so callers
-        must not mutate them."""
-        memo, axpy = self._memo, self._axpy
+        run), and walks back from each monomial to its longest kept run.
+        Results may share maps, so callers must not mutate them."""
+        F, memo = self.F, self._memo
         done = {(0,) * self.A.dim: vd}
         out = []
         for mono in monos:
-            cur = done.get(tuple(mono))
-            if cur is None:
-                run, back = list(mono), []
-                while cur is None:
-                    i = next(i for i in self._desc if run[i])
-                    run[i] -= 1
-                    back.append(i)
-                    cur = done.get(tuple(run))
-                for j in reversed(back):
-                    run[j] += 1
-                    nxt = {}
-                    for m, c in cur.items():
-                        src = memo.get((m, j))
-                        axpy(nxt, c, self.times_letter(m, j) if src is None
-                             else src)
-                    cur = done[tuple(run)] = nxt
+            run, back = tuple(mono), []
+            cur = done.get(run)
+            while cur is None:
+                i = next(i for i in self._desc if run[i])
+                run = _bump(run, i, -1)
+                back.append(i)
+                cur = done.get(run)
+            for j in reversed(back):
+                run, nxt = _bump(run, j, 1), {}
+                for m, c in cur.items():
+                    src = memo.get((m, j))
+                    _axpy(F, nxt, c, self.times_letter(m, j) if src is None
+                          else src)
+                cur = done[run] = nxt
             out.append(cur)
         return out
 
     def product(self, t1, t2):
         out = {}
         for c2, cur in zip(t2.values(), self.times_monomials(t1, t2)):
-            self._axpy(out, c2, cur)
+            _axpy(self.F, out, c2, cur)
         return out
 
 
-def _axpy(add, mul, one):
-    """out += c * src for sparse maps out and src, as a function of (out,
-    c, src) over the field's tables add and mul; a term that cancels is
-    dropped."""
-    def axpy(out, c, src):
-        if not out and c == one:
-            out.update(src)
-            return
-        get = out.get
-        for m, v in src.items():
-            v = mul[c, v]
-            cur = get(m)
-            if cur is None:
-                out[m] = v
-                continue
-            v = add[cur, v]
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return axpy
-
-
-def _inc(mono, j):
+def _bump(mono, j, d):
+    """The exponent tuple mono with d added at j."""
     out = list(mono)
-    out[j] += 1
-    return tuple(out)
-
-
-def _dec(mono, j):
-    out = list(mono)
-    out[j] -= 1
-    return tuple(out)
-
-
-def _zero_at(mono, j):
-    out = list(mono)
-    out[j] = 0
+    out[j] += d
     return tuple(out)
 
 
@@ -433,24 +378,19 @@ class NormalElement:
         self._ctx(other)
         F = self.alg.F
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(F, out, m, c)
+        _axpy(F, out, F.one, other.terms)
         return NormalElement(self.alg, self.spec, out)
 
     def neg(self):
-        F = self.alg.F
-        return NormalElement(self.alg, self.spec,
-                             {m: F.neg(c) for m, c in self.terms.items()})
+        return self.scale(self.alg.F.neg(self.alg.F.one))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        F = self.alg.F
-        if c == 0:
-            return NormalElement(self.alg, self.spec, {})
-        return NormalElement(self.alg, self.spec,
-                             {m: F.mul(c, v) for m, v in self.terms.items()})
+        out = {}
+        _axpy(self.alg.F, out, c, self.terms)
+        return NormalElement(self.alg, self.spec, out)
 
     def mul(self, other):
         return nf_product(self, other)
@@ -490,7 +430,7 @@ class NormalElement:
         for m, c in data:
             m = tuple(int(a) for a in m)
             _check_monomial(alg, spec, m)
-            _acc(F, out, m, F.from_wire(c))
+            _axpy(F, out, F.from_wire(c), {m: F.one})
         return cls(alg, spec, out)
 
     def __repr__(self):

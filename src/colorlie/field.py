@@ -168,8 +168,10 @@ class Field:
 
     def _build_tables(self):
         q = self.q
+        # tables = (add, mul), each read t[a, b] with or without tables
         if q > LUT_LIMIT:
             self._add = self._mul = self._neg = self._inv = None
+            self.tables = (_Entries(self.add), _Entries(self.mul))
             return
         digits = self.codes_to_array(np.arange(q))
         # blocks of rows of about 2^16 cells keep the digit planes small
@@ -187,13 +189,7 @@ class Field:
         # whose items are plain ints: no numpy scalar is made per call
         self._add, self._mul, self._neg, self._inv = (
             memoryview(t) for t in (add, mul, neg, inv))
-
-    def tables(self):
-        """The (add, mul) tables, each read t[a, b]; above LUT_LIMIT two
-        objects that compute each entry and read the same way."""
-        if self._add is not None:
-            return self._add, self._mul
-        return _Entries(self.add), _Entries(self.mul)
+        self.tables = (self._add, self._mul)
 
     def add(self, a, b):
         if self._add is not None:

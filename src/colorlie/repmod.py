@@ -397,29 +397,48 @@ def admissible_lambdas(spec):
 
 # -- shared module validation ----------------------------------------------------
 
-def _check_module(M, letters, zero=(), value=None):
+def _relations(spec, letters):
+    """The relations on the acting letters, in the order they are checked:
+    rho([x_i, x_j]) = rho(x_i) rho(x_j) - eps rho(x_j) rho(x_i) for each
+    letter pair, then rho(x_i)^p - rho(x_i^[p]) = chi(x_i)^p for each even
+    letter outside the class generators.  Each is (i, j, eps, element,
+    chi(x_i)^p, messages), j and eps None for a power; messages are the
+    errors for an element that leaves the letters and for a failure."""
+    A, out = spec.algebra, []
+    for x, i in enumerate(letters):
+        for j in letters[:x + 1]:
+            names = (A.names[i], A.names[j])
+            out.append((i, j, A.eps.value(A.degree(i), A.degree(j)),
+                        A.bracket(i, j), 0, (
+                "bracket of %s and %s leaves the acting letters" % names,
+                "bracket relation fails at (%s, %s)" % names)))
+    for i in letters:
+        if A.is_even(i) and i not in spec.J:
+            out.append((i, None, None, A.pmap.get(i, {}),
+                        spec.linear_pow.get(i, 0), (
+                "p-map of %s leaves the acting letters" % A.names[i],
+                "reduced power relation fails at %s" % A.names[i])))
+    return out
+
+
+def _check_module(M, letters, zero=()):
     """The module relations of M on the acting letters: the letters in zero
     act as zero and the Cartan letters diagonally with the recorded weights;
     every nonzero entry shifts color degree, Cartan weight and height as its
-    letter's root data prescribes; rho([x, y]) = rho(x) rho(y) - eps rho(y)
-    rho(x) on all letter pairs, and rho(x)^p - rho(x^[p]) = chi(x)^p on the
-    even letters.  For a line base, value gives the scalar {letter: code}
-    by which each letter acts (zero on the root letters and the weight on
-    the Cartan letters, so those two checks are skipped), and the
-    relations are read on those scalars."""
+    letter's root data prescribes; and the relations of `_relations` hold.
+    The first failure in that order is reported."""
     spec, action = M.spec, M.action
     A = spec.algebra
     F, tri = A.F, A.triangular
-    if value is None:
-        for i in zero:
-            if not action[i].is_zero():
-                raise ValueError("induced raising letter %s must act as "
-                                 "zero on the base" % A.names[i])
-        for n, h in enumerate(tri.cartan):
-            diag = np.diag([w[n] for w in M.weights])
-            if action[h] != Mat.from_codes(F, diag):
-                raise ValueError("Cartan letter %s is not diagonal with the "
-                                 "recorded weights" % A.names[h])
+    for i in zero:
+        if not action[i].is_zero():
+            raise ValueError("induced raising letter %s must act as "
+                             "zero on the base" % A.names[i])
+    for n, h in enumerate(tri.cartan):
+        diag = np.diag([w[n] for w in M.weights])
+        if action[h] != Mat.from_codes(F, diag):
+            raise ValueError("Cartan letter %s is not diagonal with the "
+                             "recorded weights" % A.names[h])
     posset, negset = set(tri.pos), set(tri.neg)
     for i in letters:
         rows, cols = np.nonzero(nonzero_digits(action[i].a))
@@ -439,61 +458,33 @@ def _check_module(M, letters, zero=(), value=None):
             if M.weights[u] != want:
                 raise ValueError("action of %s is not weight homogeneous"
                                  % A.names[i])
-    pairs = [(i, j) for x, i in enumerate(letters) for j in letters[:x + 1]]
-    brackets = [A.bracket(i, j) for i, j in pairs]
-    even = [i for i in letters if A.is_even(i) and i not in spec.J]
-    pmaps = [A.pmap.get(i, {}) for i in even]
-    chi_p = [spec.linear_pow.get(i, 0) for i in even]
-    if value is None:
-        # the relations of as many letter pairs (or even letters) at once
-        # as fit in _SLAB cells
-        step = max(1, _SLAB // max(1, M.dim ** 2))
-        bad, bad_even = [], []
-        for p0 in range(0, len(pairs), step):
-            batch = pairs[p0:p0 + step]
-            Mi = np.stack([action[i].a for i, _j in batch])
-            Mj = np.stack([action[j].a for _i, j in batch])
-            sign = F.codes_to_array([A.eps.value(A.degree(i), A.degree(j))
-                                     for i, j in batch])
-            lhs = digit_product(F, Mi, Mj, np.matmul) - digit_product(
-                F, digit_product(F, Mj, Mi, np.matmul), sign[:, None, None],
-                np.multiply)
-            rhs = _rho_batch(F, action, brackets[p0:p0 + step], M.dim)
-            bad += list(((lhs - rhs) % F.p).reshape(len(batch), -1).any(
-                axis=1))
-        for p0 in range(0, len(even), step):
-            batch = even[p0:p0 + step]
-            Z = digit_power(F, np.stack([action[i].a for i in batch]), F.p,
-                            np.matmul)
-            rhs = _rho_batch(F, action, pmaps[p0:p0 + step], M.dim,
-                             chi_p[p0:p0 + step])
-            bad_even += list((Z != rhs).reshape(len(batch), -1).any(axis=1))
-    else:
-        def rho(x, out=0):
-            for t, c in x.items():
-                out = F.add(out, F.mul(c, value.get(t, 0)))
-            return out
-
-        bad = [F.mul(F.mul(value[i], value[j]), F.sub(F.one, A.eps.value(
-            A.degree(i), A.degree(j)))) != rho(brk)
-            for (i, j), brk in zip(pairs, brackets)]
-        bad_even = [F.pow(value[i], F.p) != rho(pm, c)
-                    for i, pm, c in zip(even, pmaps, chi_p)]
-    # the first failure in loop order is reported
-    for (i, j), brk, b in zip(pairs, brackets, bad):
-        if any(t not in action for t in brk):
-            raise ValueError("bracket of %s and %s leaves the acting "
-                             "letters" % (A.names[i], A.names[j]))
+    rels = _relations(spec, letters)
+    pairs = [r for r in rels if r[1] is not None]
+    powers = rels[len(pairs):]
+    # the relations of as many letter pairs (or even letters) at once as
+    # fit in _SLAB cells
+    step = max(1, _SLAB // max(1, M.dim ** 2))
+    bad = []
+    for p0 in range(0, len(pairs), step):
+        i, j, eps, elems, _c, _m = zip(*pairs[p0:p0 + step])
+        Mi = np.stack([action[t].a for t in i])
+        Mj = np.stack([action[t].a for t in j])
+        lhs = digit_product(F, Mi, Mj, np.matmul) - digit_product(
+            F, digit_product(F, Mj, Mi, np.matmul),
+            F.codes_to_array(eps)[:, None, None], np.multiply)
+        rhs = _rho_batch(F, action, elems, M.dim)
+        bad += list(((lhs - rhs) % F.p).reshape(len(i), -1).any(axis=1))
+    for p0 in range(0, len(powers), step):
+        i, _j, _e, elems, chi_p, _m = zip(*powers[p0:p0 + step])
+        Z = digit_power(F, np.stack([action[t].a for t in i]), F.p,
+                        np.matmul)
+        rhs = _rho_batch(F, action, elems, M.dim, chi_p)
+        bad += list((Z != rhs).reshape(len(i), -1).any(axis=1))
+    for (*_r, elem, _c, (leaves, fails)), b in zip(rels, bad):
+        if any(t not in action for t in elem):
+            raise ValueError(leaves)
         if b:
-            raise ValueError("bracket relation fails at (%s, %s)"
-                             % (A.names[i], A.names[j]))
-    for i, pm, b in zip(even, pmaps, bad_even):
-        if any(t not in action for t in pm):
-            raise ValueError("p-map of %s leaves the acting letters"
-                             % A.names[i])
-        if b:
-            raise ValueError("reduced power relation fails at %s"
-                             % A.names[i])
+            raise ValueError(fails)
     return True
 
 
@@ -565,22 +556,35 @@ def _line_base(spec, triple, lam):
     """The one-dimensional base: Cartan letters act by the weight, all root
     letters by zero.  Obstructions (weight not compatible with the
     character, character or weight alive on the Levi part) surface from the
-    relation checks, read on scalars, as BadWeight."""
+    relations of `_relations`, read on those scalars, as BadWeight.  The
+    acting letters, their Cartan coordinates (len(cartan) for a root
+    letter) and relations are cached per induced-root tuple on the spec."""
     A = spec.algebra
     F, tri = A.F, A.triangular
-    cpos = {h: n for n, h in enumerate(tri.cartan)}
-    f_letters = set(tri.pairs[t][1] for t in triple.deltas)
-    value = {i: lam[cpos[i]] if i in cpos else 0
-             for i in range(A.dim) if i not in f_letters}
-    base = BaseModule(spec, triple, {i: Mat.from_codes(F, [[c]])
-                                     for i, c in value.items()},
-                      [lam], [A.group.zero], [0], check=False)
-    try:
-        _check_module(base, base.letters, value=value)
-    except ValueError as exc:
-        raise BadWeight("the weight does not extend to the parabolic: %s"
-                        % exc)
-    return base
+    plans = vars(spec).setdefault("_line_plans", {})
+    if triple.deltas not in plans:
+        cpos = {h: n for n, h in enumerate(tri.cartan)}
+        f_letters = set(tri.pairs[t][1] for t in triple.deltas)
+        letters = [i for i in range(A.dim) if i not in f_letters]
+        plans[triple.deltas] = (letters, [cpos.get(i, len(cpos))
+                                          for i in letters],
+                                _relations(spec, letters))
+    letters, pick, rels = plans[triple.deltas]
+    codes = np.array(list(lam) + [0], dtype=np.int64)[pick]
+    value = dict(zip(letters, codes.tolist()))
+    prefix = "the weight does not extend to the parabolic: "
+    for i, j, eps, elem, rho, (leaves, fails) in rels:
+        if any(t not in value for t in elem):
+            raise BadWeight(prefix + leaves)
+        for t, c in elem.items():
+            rho = F.add(rho, F.mul(c, value[t]))
+        if rho != (F.pow(value[i], F.p) if j is None else
+                   F.mul(F.mul(value[i], value[j]), F.sub(F.one, eps))):
+            raise BadWeight(prefix + fails)
+    digits = F.codes_to_array(codes).reshape(len(letters), 1, 1, F.k)
+    return BaseModule(spec, triple, dict(zip(letters, (
+        Mat(F, d) for d in digits))), [lam], [A.group.zero], [0],
+        check=False)
 
 
 def _induction_table(spec, triple):

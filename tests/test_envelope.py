@@ -16,13 +16,14 @@ import colorlie
 from colorlie.algebra import (bracket_eval, make_gl, subalgebra, ColorAlgebra,
                               validate_algebra)
 from colorlie.cli import load_spec
-from colorlie.envelope import (NormalElement, central_check, chi_reduce,
-                               _degree_classes, engine_for, frobenius_gram,
+from colorlie.envelope import (NormalElement, _Engine, central_check,
+                               chi_reduce, _degree_classes, engine_for,
+                               frobenius_gram,
                                harish_chandra, monomial_degree, nf_from_element, nf_letter,
                                nf_monomial, nf_one, nf_product, uchi_basis)
 from colorlie.errors import (MixedSpecs, NotStandard, NotWeightZero,
                              OddElement, TooLarge)
-from colorlie.field import Field
+from colorlie.field import LUT_LIMIT, Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
 from colorlie.linalg import Mat
@@ -227,7 +228,8 @@ def test_custom_letter_order_agrees_after_conversion():
         # convert each permuted-normal monomial back through the default order
         back = {}
         for m, c in alt.items():
-            for m2, c2 in word_nf(default, list(permuted.letters(m))).items():
+            word = [i for i in permuted.order for _ in range(m[i])]
+            for m2, c2 in word_nf(default, word).items():
                 v = F5.add(back.get(m2, 0), F5.mul(c, c2))
                 if v:
                     back[m2] = v
@@ -308,6 +310,107 @@ def test_product_matches_letter_by_letter_fold(make, letters, maxexp):
         got = engine_for(A, spec, order=order).product(t1, t2)
         want = _product_by_letters(engine_for(A, ref_spec, order=order),
                                    t1, t2)
+        assert list(got.items()) == list(want.items())
+
+
+def chain_algebra():
+    """y, x with [x, y] = y: x is diagonal, y is not."""
+    return ColorAlgebra(trivial_bicharacter(GradedGroup([]), F5), ["y", "x"],
+                        [(), ()], {(1, 0): {0: 1}})
+
+
+def _rewriting_engine(A, spec, order):
+    """A fresh engine with its fast paths off: _known reads the memo and
+    nothing else, so every product runs through _reduce."""
+    eng = _Engine(A, spec, order)
+    eng._known = lambda mono, j: eng._memo.get((mono, j))
+    return eng
+
+
+@pytest.mark.parametrize("make, letters, maxexp", [
+    (lambda: _zero_spec(gl3()), ("e_21", "e_11", "e_12"), 2),
+    (_regss_gl3_f25, ("e_32", "e_22", "e_13"), 2),
+    (lambda: _zero_spec(gl21()), ("e_31", "e_22", "e_13"), 2),
+    (lambda: _zero_spec(anti_gl3()), ("e_21", "e_22", "e_13"), 2),
+    (lambda: chi_reduce(*class_line()), ("x", "y", "z"), 14),
+    (lambda: chi_reduce(*_file_spec("z25_class.json")), ("x",), 24),
+    (lambda: _zero_spec(odd_square()), ("y", "c"), 4),
+    (chain_algebra, ("y", "x"), 2),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "anti_gl3", "class_line",
+        "z25_class", "odd_square", "chain"])
+def test_fast_paths_match_rewriting(make, letters, maxexp):
+    # every monomial on a few letters (up to each cap for the class specs,
+    # so that their products pass it) times every letter, in the default
+    # and in a permuted order: the engine's in-place products equal the
+    # rewriting's as maps
+    spec = make()
+    A, spec = (spec, None) if isinstance(spec, ColorAlgebra) else (
+        spec.algebra, spec)
+    idx = [A.index_of(n) for n in letters]
+    top = [1 if not A.is_even(i) else
+           maxexp if spec is None else min(maxexp, spec.caps[i] - 1)
+           for i in idx]
+    rest = [i for i in range(A.dim) if i not in idx]
+    for order in (None, idx + rest):
+        fast = _Engine(A, spec, order)
+        slow = _rewriting_engine(A, spec, order)
+        for exps in itertools.product(*[range(t + 1) for t in top]):
+            mono = [0] * A.dim
+            for i, e in zip(idx, exps):
+                mono[i] = e
+            mono = tuple(mono)
+            for j in range(A.dim):
+                assert fast.times_letter(mono, j) == slow.times_letter(
+                    mono, j), (mono, j)
+        if A.triangular is not None:
+            assert len(fast._memo) < len(slow._memo)
+    if A.triangular is not None:
+        assert sorted(fast._diag) == sorted(A.triangular.cartan)
+    if A.names == ["y", "x"]:
+        assert sorted(fast._diag) == [1]
+
+
+def test_diagonal_letters_of_nplus_gl3():
+    # the central e_13 of n+ is diagonal, e_12 and e_23 are not
+    A = subalgebra(gl3(), list(gl3().triangular.pos))
+    assert [A.names[j] for j in _Engine(A)._diag] == ["e_13"]
+
+
+def _tableless(dims):
+    F = Field(7, 4)
+    assert F.q > LUT_LIMIT
+    if dims == "gl2":
+        A = make_gl(trivial_bicharacter(GradedGroup([]), F), {(): 2})
+    else:
+        A = make_gl(super_bicharacter(F)[1], {(0,): 1, (1,): 1})
+    chi = PCharacter(A, linear={A.index_of("e_11"): F.from_wire([1, 2, 0, 3])})
+    return chi_reduce(A, chi)
+
+
+@pytest.mark.parametrize("dims", ["gl2", "gl11"])
+def test_tableless_field_products(dims):
+    # over F_2401 the field keeps no tables, so every product folds its
+    # terms through the computed add and mul: associativity on seeded
+    # elements, and products against the letter-by-letter fold
+    rng = random.Random(3)
+    spec, ref_spec = _tableless(dims), _tableless(dims)
+    A = spec.algebra
+    F = A.F
+
+    def elem(nterms=3):
+        terms = {}
+        for _ in range(nterms):
+            terms[tuple(rng.randrange(1 if not A.is_even(i) else 3)
+                        for i in range(A.dim))] = rng.randrange(1, F.q)
+        return NormalElement(A, spec, terms)
+
+    for _ in range(3):
+        u, v, w = elem(), elem(), elem()
+        assert u.mul(v).mul(w).eq(u.mul(v.mul(w)))
+    for _ in range(3):
+        t1, t2 = elem(2).terms, elem(4).terms
+        got = engine_for(A, spec).product(t1, t2)
+        want = _product_by_letters(engine_for(A, ref_spec), t1, t2)
         assert list(got.items()) == list(want.items())
 
 

@@ -24,6 +24,28 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_interpreter_state_setters():
+    # library code leaves interpreter-global state alone: no
+    # sys.setrecursionlimit or other sys.set* call, also not through an
+    # alias or a from-import; deep rewriting chains run on explicit stacks
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        names = {a.asname or "sys" for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 for a in node.names if a.name == "sys"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("set")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in names):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.module == "sys":
+                found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                          for a in node.names if a.name.startswith("set")]
+    assert found == []
+
+
 def _is_last_axis(node):
     return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
             and isinstance(node.operand, ast.Constant)
