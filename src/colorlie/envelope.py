@@ -134,13 +134,12 @@ class _Engine:
     commutations can be as long as the monomial.  _reduce is therefore a
     generator that yields the (monomial, letter) keys it needs and receives
     their normal forms; _run drives it on an explicit stack, so the depth
-    of a chain never reaches the interpreter's recursion limit.  A product
-    in the memo, or one that needs no other product (_known), is read in
-    place, with no generator: a plain append, or a diagonal letter e_j
-    (even, of degree zero, [e_l, e_j] = c_l e_l for every l) moved past the
-    letters l ranked after it.  Each move adds c_l times the monomial, so
-    mono.e_j = inc(mono, j) + (sum of mono[l] c_l) mono: the map that the
-    commutation rule reaches, in the same term order."""
+    of a chain never reaches the interpreter's recursion limit.  Products
+    in the memo, plain appends and diagonal letters (_known) take no
+    generator.  A diagonal letter e_j (even, degree zero, [e_l, e_j] =
+    c_l e_l for all l) moves past each letter l ranked after it for c_l
+    times the monomial: mono.e_j = inc(mono, j) + (sum of mono[l] c_l)
+    mono, the commutation rule's map in the same term order."""
 
     def __init__(self, algebra, spec=None, order=None):
         self.A = A = algebra
@@ -159,10 +158,12 @@ class _Engine:
             self.rank[i] = pos
         self.one = self.F.embed(1)
         self._memo = {}
-        # eps signs, parities, brackets, the letters last first and after
-        # each letter, and the diagonal letters' c_l by l
+        # eps, parities, brackets, letter order reversed and after each letter
         self._eps = [[A.eps.value(a, b) for b in A.degrees] for a in A.degrees]
         self._odd = [not A.is_even(i) for i in range(n)]
+        # the exponent that ends a plain append: odd square or cap
+        self._stop = [2 if self._odd[i] else self.caps[i] if self.caps else 0
+                      for i in range(n)]
         self._brk = [[A.bracket(i, j) for j in range(n)] for i in range(n)]
         self._desc = order[::-1]
         self._after = [order[self.rank[j] + 1:] for j in range(n)]
@@ -190,8 +191,7 @@ class _Engine:
                     return None
                 s = add[s, mul[mono[l] % self.F.p, diag[l]]]
         b = _bump(mono, j, 1)
-        if (b[j] == 2 and self._odd[j]
-                or self.caps is not None and b[j] == self.caps[j]):
+        if b[j] == self._stop[j]:
             return None
         out = self._memo[key] = {b: self.one, mono: s} if s else {b: self.one}
         return out

@@ -398,12 +398,10 @@ def admissible_lambdas(spec):
 # -- shared module validation ----------------------------------------------------
 
 def _relations(spec, letters):
-    """The relations on the acting letters, in the order they are checked:
-    rho([x_i, x_j]) = rho(x_i) rho(x_j) - eps rho(x_j) rho(x_i) for each
-    letter pair, then rho(x_i)^p - rho(x_i^[p]) = chi(x_i)^p for each even
-    letter outside the class generators.  Each is (i, j, eps, element,
-    chi(x_i)^p, messages), j and eps None for a power; messages are the
-    errors for an element that leaves the letters and for a failure."""
+    """The relations on the acting letters, in checking order: (i, j, eps,
+    [x_i, x_j], 0, messages) per letter pair, then (i, None, None, x_i^[p],
+    chi(x_i)^p, messages) per even letter outside the class generators;
+    messages for an element leaving the letters and for a failure."""
     A, out = spec.algebra, []
     for x, i in enumerate(letters):
         for j in letters[:x + 1]:
@@ -556,9 +554,8 @@ def _line_base(spec, triple, lam):
     """The one-dimensional base: Cartan letters act by the weight, all root
     letters by zero.  Obstructions (weight not compatible with the
     character, character or weight alive on the Levi part) surface from the
-    relations of `_relations`, read on those scalars, as BadWeight.  The
-    acting letters, their Cartan coordinates (len(cartan) for a root
-    letter) and relations are cached per induced-root tuple on the spec."""
+    `_relations`, read on those scalars, as BadWeight.  The letters, their
+    Cartan coordinates and relations are cached per triple on the spec."""
     A = spec.algebra
     F, tri = A.F, A.triangular
     plans = vars(spec).setdefault("_line_plans", {})
@@ -918,22 +915,25 @@ def _cartan_terms(spec, triple):
     if reversal is None:
         raise InvariantError("extreme lowering products are not "
                              "proportional")
-    weight = (0,) * len(tri.cartan)
-    for f in lowering:
-        weight = tuple(a + b for a, b in zip(weight, tri.roots[f]))
+    # the integral weights and positive letters of all terms at once
+    roots = np.array([tri.roots.get(i, (0,) * len(tri.cartan))
+                      for i in range(A.dim)], dtype=np.int64)
+    weight = roots[lowering].sum(axis=0)
     u = rev
     for e in reversed(raising):
         u = nf_letter(A, e, spec).mul(u)
-        weight = tuple(a + b for a, b in zip(weight, tri.roots[e]))
-        kept = {}
-        for mono, c in u.terms.items():
-            w = monomial_weight(A, mono)
-            if w != weight:
-                raise NotWeightZero("term %r of a partial product of weight "
-                                    "%r has weight %r" % (mono, weight, w))
-            if not any(mono[i] for i in pos):
-                kept[mono] = c
-        u = NormalElement(A, spec, kept)
+        weight = weight + roots[e]
+        monos = list(u.terms)
+        exps = np.array(monos, dtype=np.int64).reshape(len(monos), A.dim)
+        off = np.flatnonzero((exps @ roots != weight).any(axis=1))
+        if off.size:
+            raise NotWeightZero("term %r of a partial product of weight %r "
+                                "has weight %r" % (monos[off[0]],
+                                tuple(weight.tolist()),
+                                monomial_weight(A, monos[off[0]])))
+        kept = ~exps[:, tri.pos].any(axis=1)
+        u = NormalElement(A, spec, {m: u.terms[m] for m, k
+                                    in zip(monos, kept.tolist()) if k})
     return harish_chandra(u).terms, reversal
 
 
