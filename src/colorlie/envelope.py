@@ -236,8 +236,12 @@ class _Engine:
                 if src is None:
                     src = yield m, top
                 _axpy(F, out, F.tables[1][c, sign], src)
-            return (yield from self._fold({stripped: self.one},
-                                          self._brk[top][j], out))
+            for k, ck in self._brk[top][j].items():
+                src = known(stripped, k)
+                if src is None:
+                    src = yield stripped, k
+                _axpy(F, out, ck, src)
+            return out
         b = _bump(mono, j, 1)
         if self._odd[j] and b[j] == 2:
             # the square of an odd letter is half its self-bracket
@@ -314,20 +318,24 @@ class _Engine:
         done = {(0,) * self.A.dim: vd}
         out = []
         for mono in monos:
-            run, back = tuple(mono), []
-            cur = done.get(run)
-            while cur is None:
-                i = next(i for i in self._desc if run[i])
-                run = _bump(run, i, -1)
-                back.append(i)
-                cur = done.get(run)
-            for j in reversed(back):
-                run, nxt = _bump(run, j, 1), {}
-                for m, c in cur.items():
-                    src = memo.get((m, j))
-                    _axpy(F, nxt, c, self.times_letter(m, j) if src is None
-                          else src)
-                cur = done[run] = nxt
+            cur = done.get(tuple(mono))
+            if cur is None:
+                run, back = list(mono), []
+                while cur is None:
+                    for i in self._desc:
+                        if run[i]:
+                            break
+                    run[i] -= 1
+                    back.append(i)
+                    cur = done.get(tuple(run))
+                for j in reversed(back):
+                    run[j] += 1
+                    nxt = {}
+                    for m, c in cur.items():
+                        src = memo.get((m, j))
+                        _axpy(F, nxt, c, self.times_letter(m, j)
+                              if src is None else src)
+                    cur = done[tuple(run)] = nxt
             out.append(cur)
         return out
 
@@ -534,13 +542,10 @@ def _basis_table(eng, mons, index, j, left=False):
         outs = eng.times_monomials(x, mons)
     else:
         outs = (eng.times_letter(m, j) for m in mons)
-    rows, cols, coeffs = [], [], []
-    for col, out in enumerate(outs):
-        rows.extend(map(index.__getitem__, out))
-        cols.extend([col] * len(out))
-        coeffs.extend(out.values())
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            F.codes_to_array(coeffs))
+    outs = list(outs)
+    return (np.array([index[m] for out in outs for m in out], dtype=np.int64),
+            np.repeat(np.arange(len(outs)), [len(out) for out in outs]),
+            F.codes_to_array([c for out in outs for c in out.values()]))
 
 
 def _degree_classes(A, mons):

@@ -623,19 +623,17 @@ def _induction_table(spec, triple):
     shift[..., 0] = np.array([monomial_weight(A, m) for m in monos]).reshape(
         na, -1) % F.p
     fhts = [tri.heights[t] for t in triple.deltas]
-    keys, codes, cols, letters = [], [], [], []
-    for i in range(A.dim):
-        xi = tuple(int(j == i) for j in range(A.dim))
-        for col, out in enumerate(eng.times_monomials({xi: F.one}, monos)):
-            keys.extend(out)
-            codes.extend(out.values())
-            cols.extend([col] * len(out))
-            letters.extend([i] * len(out))
-    terms = np.array(keys, dtype=np.int64).reshape(len(keys), A.dim)
+    # the products x_i . f^a, letter by letter; out number i na + col
+    outs = [out for i in range(A.dim) for out in eng.times_monomials(
+        {tuple(int(j == i) for j in range(A.dim)): F.one}, monos)]
+    codes = [c for out in outs for c in out.values()]
+    terms = np.fromiter(itertools.chain.from_iterable(itertools.chain(
+        *outs)), dtype=np.int64, count=len(codes) * A.dim).reshape(-1, A.dim)
     # amonos runs lexicographically, the last exponent fastest
     strides = [int(np.prod(caps[n + 1:])) for n in range(len(caps))]
     rows = terms[:, f_letters] @ np.array(strides, dtype=np.int64)
-    key = (np.array(letters, dtype=np.int64) * na + rows) * na + cols
+    lc = np.repeat(np.arange(len(outs)), [len(out) for out in outs])
+    key = (lc - lc % na + rows) * na + lc % na
     entry = np.argsort(key, kind="stable")
     key = key[entry]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
