@@ -168,7 +168,7 @@ class Field:
 
     def _build_tables(self):
         q = self.q
-        # tables = (add, mul), each read t[a, b] with or without tables
+        # tables = (add, mul), both read t[a, b]; computed above LUT_LIMIT
         if q > LUT_LIMIT:
             self._add = self._mul = self._neg = self._inv = None
             self.tables = (_Entries(self.add), _Entries(self.mul))

@@ -623,16 +623,21 @@ def _induction_table(spec, triple):
     shift[..., 0] = np.array([monomial_weight(A, m) for m in monos]).reshape(
         na, -1) % F.p
     fhts = [tri.heights[t] for t in triple.deltas]
-    # the products x_i . f^a, letter by letter; out number i na + col
-    outs = [out for i in range(A.dim) for out in eng.times_monomials(
-        {tuple(int(j == i) for j in range(A.dim)): F.one}, monos)]
-    codes = [c for out in outs for c in out.values()]
-    terms = np.fromiter(itertools.chain.from_iterable(itertools.chain(
-        *outs)), dtype=np.int64, count=len(codes) * A.dim).reshape(-1, A.dim)
+    # the terms of x_i . f^a, product number i * na + a, one letter at a
+    # time so that only one letter's products are alive
+    keys, codes, sizes = [], [], []
+    for i in range(A.dim):
+        outs = eng.times_monomials(
+            {tuple(int(j == i) for j in range(A.dim)): F.one}, monos)
+        keys += [m for out in outs for m in out]
+        codes += [c for out in outs for c in out.values()]
+        sizes += [len(out) for out in outs]
+    terms = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
+                        count=len(keys) * A.dim).reshape(-1, A.dim)
     # amonos runs lexicographically, the last exponent fastest
     strides = [int(np.prod(caps[n + 1:])) for n in range(len(caps))]
     rows = terms[:, f_letters] @ np.array(strides, dtype=np.int64)
-    lc = np.repeat(np.arange(len(outs)), [len(out) for out in outs])
+    lc = np.repeat(np.arange(len(sizes)), sizes)
     key = (lc - lc % na + rows) * na + lc % na
     entry = np.argsort(key, kind="stable")
     key = key[entry]
