@@ -42,13 +42,10 @@ def _axpy(F, out, c, src):
     add, mul = F.tables
     get = out.get
     for m, v in src.items():
-        v = mul[c, v]
         cur = get(m)
         if cur is None:
-            out[m] = v
-            continue
-        v = add[cur, v]
-        if v:
+            out[m] = mul[c, v]
+        elif v := add[cur, mul[c, v]]:
             out[m] = v
         else:
             del out[m]
@@ -65,13 +62,8 @@ def monomial_degree(A, mono):
 
 
 def _fmt_mono(A, mono):
-    parts = []
-    for i, a in enumerate(mono):
-        if a == 1:
-            parts.append(A.names[i])
-        elif a:
-            parts.append("%s^%d" % (A.names[i], a))
-    return ".".join(parts) or "1"
+    return ".".join(A.names[i] if a == 1 else "%s^%d" % (A.names[i], a)
+                    for i, a in enumerate(mono) if a) or "1"
 
 
 # -- reduced-quotient spec ----------------------------------------------------
@@ -92,7 +84,7 @@ class ReducedAlgebraSpec:
         self.s_of = {cls.xi: cls.s for cls in chi.fclasses}
         by_degree = {cls.degree: cls for cls in chi.fclasses}
         self.class_of = {}
-        self.linear_pow = {}
+        self.linear_pow = {i: F.pow(c, p) for i, c in chi.linear.items() if c}
         caps = []
         for i in range(algebra.dim):
             if not algebra.is_even(i):
@@ -105,9 +97,6 @@ class ReducedAlgebraSpec:
             cls = by_degree.get(algebra.degree(i))
             if cls is not None:
                 self.class_of[i] = cls
-        for i, c in chi.linear.items():
-            if c:
-                self.linear_pow[i] = F.pow(c, p)
         self.caps = tuple(caps)
         self._engines = {}
 
@@ -147,15 +136,11 @@ class _Engine:
         self.spec = spec
         self.caps = spec.caps if spec is not None else None
         n = algebra.dim
-        if order is None:
-            order = range(n)
-        order = list(order)
+        order = list(range(n) if order is None else order)
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of the basis indices")
         self.order = order
-        self.rank = [0] * n
-        for pos, i in enumerate(order):
-            self.rank[i] = pos
+        self.rank = [order.index(i) for i in range(n)]
         self.one = self.F.embed(1)
         self._memo = {}
         # eps, parities, brackets, letter order reversed and after each letter
@@ -179,8 +164,7 @@ class _Engine:
     def _known(self, mono, j):
         """mono * e_j from the memo, or computed and memoized when it needs
         no other product; None when it must be reduced."""
-        key = (mono, j)
-        out = self._memo.get(key)
+        out = self._memo.get((mono, j))
         if out is not None:
             return out
         diag, s = self._diag.get(j), 0
@@ -193,7 +177,8 @@ class _Engine:
         b = _bump(mono, j, 1)
         if b[j] == self._stop[j]:
             return None
-        out = self._memo[key] = {b: self.one, mono: s} if s else {b: self.one}
+        out = {b: self.one, mono: s} if s else {b: self.one}
+        self._memo[mono, j] = out
         return out
 
     def _run(self, key):
@@ -256,9 +241,8 @@ class _Engine:
     def _cap(self, base, j):
         """Collapse a trailing run e_j^cap against the reduced relations;
         base is the monomial with the run removed."""
-        A, F = self.A, self.F
+        A, F, spec = self.A, self.F, self.spec
         p = F.p
-        spec = self.spec
         start = {base: self.one}
         if j in spec.J:
             # xi^(p s) = 1 - sum_{r<s} C(s,r) (-1)^(s-r) xi^(p r) (xi^[p])^(s-r)
@@ -266,18 +250,15 @@ class _Engine:
             pj = A.pmap.get(j, {})
             out = dict(start)
             for r in range(s):
-                c_int = comb(s, r) % p
-                if not c_int:
+                code = F.embed(-comb(s, r) * (-1) ** (s - r))
+                if not code:
                     continue
-                code = F.embed(c_int)
-                if (s - r) % 2:
-                    code = F.neg(code)
                 cur = start
                 for _ in range(p * r):
                     cur = yield from self._fold(cur, {j: self.one})
                 for _ in range(s - r):
                     cur = yield from self._fold(cur, pj)
-                _axpy(F, out, F.neg(code), cur)
+                _axpy(F, out, code, cur)
             return out
         out = yield from self._fold(start, A.pmap.get(j, {}))
         _axpy(F, out, spec.linear_pow.get(j, 0), start)
@@ -332,9 +313,8 @@ class _Engine:
                     run[j] += 1
                     nxt = {}
                     for m, c in cur.items():
-                        src = memo.get((m, j))
-                        _axpy(F, nxt, c, self.times_letter(m, j)
-                              if src is None else src)
+                        _axpy(F, nxt, c, memo.get((m, j))
+                              or self.times_letter(m, j))
                     cur = done[tuple(run)] = nxt
             out.append(cur)
         return out
@@ -384,9 +364,8 @@ class NormalElement:
 
     def add(self, other):
         self._ctx(other)
-        F = self.alg.F
         out = dict(self.terms)
-        _axpy(F, out, F.one, other.terms)
+        _axpy(self.alg.F, out, self.alg.F.one, other.terms)
         return NormalElement(self.alg, self.spec, out)
 
     def neg(self):
@@ -422,9 +401,7 @@ class NormalElement:
     def degree(self):
         """Common group degree of the monomials, None for 0 or mixed."""
         degs = {monomial_degree(self.alg, m) for m in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
+        return degs.pop() if len(degs) == 1 else None
 
     def to_wire(self):
         F = self.alg.F
@@ -444,9 +421,8 @@ class NormalElement:
     def __repr__(self):
         if not self.terms:
             return "<nf 0>"
-        bits = []
-        for m, c in sorted(self.terms.items())[:6]:
-            bits.append("%s*%s" % (c, _fmt_mono(self.alg, m)))
+        bits = ["%s*%s" % (c, _fmt_mono(self.alg, m))
+                for m, c in sorted(self.terms.items())[:6]]
         if len(self.terms) > 6:
             bits.append("... %d terms" % len(self.terms))
         return "<nf %s>" % " + ".join(bits)
@@ -483,13 +459,8 @@ def nf_monomial(alg, mono, spec=None):
 
 def nf_from_element(alg, x, spec=None):
     """Degree-one embedding of a sparse algebra element."""
-    out = {}
-    for i, c in x.items():
-        if c:
-            mono = [0] * alg.dim
-            mono[i] = 1
-            out[tuple(mono)] = c
-    return NormalElement(alg, spec, out)
+    return NormalElement(alg, spec, {_bump((0,) * alg.dim, i, 1): c
+                                     for i, c in x.items() if c})
 
 
 def nf_product(u, v):
@@ -507,9 +478,7 @@ def central_check(A, i):
         raise OddElement("x^p - x^[p] needs an even basis element")
     F = A.F
     p = F.p
-    mono = [0] * A.dim
-    mono[i] = p
-    z = NormalElement(A, None, {tuple(mono): F.embed(1)})
+    z = NormalElement(A, None, {_bump((0,) * A.dim, i, p): F.embed(1)})
     z = z.sub(nf_from_element(A, A.pmap.get(i, {})))
     pdeg = A.group.scale(p, A.degree(i))
     report = []
@@ -526,9 +495,7 @@ def central_check(A, i):
 def uchi_basis(spec):
     """(dimension, iterator of capped exponent tuples) for the reduced
     quotient; the iterator runs in lexicographic order, last index fastest."""
-    count = spec.dimension()
-    gen = itertools.product(*[range(c) for c in spec.caps])
-    return count, gen
+    return spec.dimension(), itertools.product(*[range(c) for c in spec.caps])
 
 
 def _basis_table(eng, mons, index, j, left=False):
@@ -538,11 +505,10 @@ def _basis_table(eng, mons, index, j, left=False):
     run column by column."""
     F = eng.F
     if left:
-        x = {tuple(int(i == j) for i in range(eng.A.dim)): F.one}
-        outs = eng.times_monomials(x, mons)
+        outs = eng.times_monomials({_bump((0,) * eng.A.dim, j, 1): F.one},
+                                   mons)
     else:
-        outs = (eng.times_letter(m, j) for m in mons)
-    outs = list(outs)
+        outs = [eng.times_letter(m, j) for m in mons]
     return (np.array([index[m] for out in outs for m in out], dtype=np.int64),
             np.repeat(np.arange(len(outs)), [len(out) for out in outs]),
             F.codes_to_array([c for out in outs for c in out.values()]))

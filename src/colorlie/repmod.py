@@ -606,19 +606,14 @@ def _induction_table(spec, triple):
     A = spec.algebra
     F, tri = A.F, A.triangular
     f_letters = [tri.pairs[t][1] for t in triple.deltas]
-    fset = set(f_letters)
-    order = f_letters + [i for i in range(A.dim) if i not in fset]
-    rest = order[len(f_letters):]
-    eng = engine_for(A, spec, order=order)
+    rest = [i for i in range(A.dim) if i not in f_letters]
+    eng = engine_for(A, spec, order=f_letters + rest)
     caps = [spec.caps[j] for j in f_letters]
     amonos = list(itertools.product(*[range(c) for c in caps]))
     na = len(amonos)
-    monos = []
-    for a in amonos:
-        mono = [0] * A.dim
-        for j, e in zip(f_letters, a):
-            mono[j] = e
-        monos.append(tuple(mono))
+    monos = np.zeros((na, A.dim), dtype=np.int64)
+    monos[:, f_letters] = amonos
+    monos = list(map(tuple, monos.tolist()))
     shift = np.zeros((na, len(tri.cartan), F.k), dtype=np.int64)
     shift[..., 0] = np.array([monomial_weight(A, m) for m in monos]).reshape(
         na, -1) % F.p
@@ -898,8 +893,7 @@ def _word(spec, letters):
 def _cartan_terms(spec, triple):
     """The cached (Cartan terms, reversal) pair of f_via_hc."""
     A = spec.algebra
-    F = A.F
-    tri = A.triangular
+    F, tri = A.F, A.triangular
     pos = set(tri.pos)
     last = max(i for i in range(A.dim) if i not in pos)
     if any(i < last for i in pos):
