@@ -10,7 +10,7 @@ regular semisimple gl(3)/F_25 slice and for gl(2|1) and gl(1|2) at
 chi = 0 it pins the sorted Cartan terms of `f_via_hc` and the reversal.
 The recorded values live in tests/pins/engine.json.  When an output is
 meant to change, regenerate the file with
-``PYTHONPATH=src python tests/test_engine_pins.py`` and review the diff.
+``PYTHONPATH=src python tests/test_engine_pins.py`` and check the diff.
 """
 
 import hashlib
