@@ -80,9 +80,7 @@ class ColorAlgebra:
     def element_degree(self, x):
         """The common degree of a homogeneous element, None for 0 or mixed."""
         degs = {self.degrees[i] for i in elem_clean(x)}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
+        return degs.pop() if len(degs) == 1 else None
 
     def __repr__(self):
         return "ColorAlgebra(dim=%d over F_%d)" % (self.dim, self.F.q)

@@ -38,8 +38,8 @@ import sys
 from functools import lru_cache
 
 from .algebra import ColorAlgebra, make_gl, standardize_character, validate_algebra
-from .envelope import (chi_reduce, frobenius_gram, harish_chandra,
-                       nf_monomial, uchi_basis)
+from .envelope import (NormalElement, chi_reduce, frobenius_gram,
+                       harish_chandra, uchi_basis)
 from .errors import (ColorLieError, InvariantError, NotStandard, SpecError,
                      TooLarge)
 from .field import Field
@@ -210,10 +210,6 @@ def _parse_lambda(F, text, count):
                  for part in parts)
 
 
-def _element_wire(F, terms):
-    return [[list(m), F.to_wire(c)] for m, c in sorted(terms.items())]
-
-
 def _emit(obj, out=None):
     text = json.dumps(obj, indent=2) + "\n"
     sys.stdout.write(text)
@@ -260,15 +256,12 @@ def _cmd_hc(args):
     bundle = load_spec(args.spec)
     A = bundle["algebra"]
     spec = chi_reduce(A, _resolve_chi(args, bundle))
-    u = None
-    for mono, s in _load_json(args.element):
-        t = nf_monomial(A, mono, spec).scale(A.F.from_wire(s))
-        u = t if u is None else u.add(t)
-    if u is None:
+    terms = _load_json(args.element)
+    if not terms:
         raise SpecError("element file holds no terms")
-    gamma = harish_chandra(u)
-    _emit({"element": _element_wire(A.F, u.terms),
-           "gamma": _element_wire(A.F, gamma.terms)}, args.out)
+    u = NormalElement.from_wire(A, terms, spec)
+    _emit({"element": u.to_wire(), "gamma": harish_chandra(u).to_wire()},
+          args.out)
     return 0
 
 

@@ -529,81 +529,96 @@ def _degree_classes(A, mons):
     return classes, np.searchsorted(distinct, code)
 
 
+def _color_symmetric(A, mons, keys, vals):
+    """Whether G[u, v] = eps(deg u, deg v) G[v, u] for u <= v, from G's
+    nonzero entries (keys column * dim + row, ascending; vals the digits):
+    those on and above the diagonal, keyed u * dim + v, equal those of
+    eps . G^T, read off the ones on and below it, key for key and value
+    for value."""
+    F, dim = A.F, len(mons)
+    classes, cls = _degree_classes(A, mons)
+    eps = F.codes_to_array([[A.eps.value(a, b) for b in classes]
+                            for a in classes])
+    row, col = keys % dim, keys // dim
+    up, low = col >= row, col <= row
+    mine = row[up] * dim + col[up]
+    order = np.argsort(mine)
+    mirror = digit_product(F, eps[cls[col[low]], cls[row[low]]], vals[low],
+                           np.multiply)
+    return bool(np.array_equal(mine[order], keys[low])
+                and np.array_equal(vals[up][order], mirror))
+
+
 def frobenius_gram(spec, max_dim=2000):
     """Gram matrix of the top-coefficient pairing mu(u, v) = coefficient of
     the profile monomial e^tau in nf(u v), over the full reduced basis.
 
+    mu(m_u, m_v) = (R_{l_1}^T ... R_{l_r}^T e_tau)[u] for v's letters
+    l_1 <= ... <= l_r, R_j the right multiplication by e_j.  The last
+    letter runs fastest, so the monomials with exponents only on letters
+    after i are the first stride_i columns, and R_i^T turns that block into
+    the next cap_i - 1 blocks, one by one.  The walk keeps G's nonzero
+    entries, keyed column * dim + row: each step joins a block with the
+    letter's table grouped by row and sums each key's digit products, in
+    slabs of whole source columns of at most _SLAB products (unless one
+    column has more).  A slab's output columns are its own, so it is
+    summed alone.
+
     Returns a dict with the monomial list, tau, the Gram Mat, its rank, and
     the nondegeneracy / color-symmetry flags."""
-    A = spec.algebra
-    F = A.F
-    count, it = uchi_basis(spec)
-    if count > max_dim:
+    A, F = spec.algebra, spec.algebra.F
+    dim, it = uchi_basis(spec)
+    if dim > max_dim:
         raise TooLarge("reduced dimension %d exceeds the cutoff %d"
-                       % (count, max_dim), dimension=count, cutoff=max_dim)
+                       % (dim, max_dim), dimension=dim, cutoff=max_dim)
     mons = list(it)
-    dim = count
     index = {m: t for t, m in enumerate(mons)}
     tau = tuple(c - 1 for c in spec.caps)
     eng = engine_for(A, spec)
-    n = A.dim
-
-    # mu(m_u, m_v) = (R_{l_1}^T ... R_{l_r}^T e_tau)[u] for v's letters
-    # l_1 <= ... <= l_r, R_j the right multiplication by e_j.  Column v of G
-    # is that covector.  The monomials with exponents only on letters after
-    # i are the first stride_i columns (the last letter runs fastest), so
-    # one level of the exponent tree turns that block into the next
-    # cap_i - 1 blocks, R_i^T at a time.
-    G = np.zeros((dim, dim, F.k), dtype=np.int64)
-    G[index[tau], 0] = F.to_digits(F.one)
+    keys, vals = np.array([index[tau]]), F.codes_to_array([F.one])
     stride = 1
-    for i in range(n - 1, -1, -1):
+    for i in range(A.dim - 1, -1, -1):
         rows, cols, coeffs = _basis_table(eng, mons, index, i)
-        for t in range(1, spec.caps[i]):
-            src = G[:, (t - 1) * stride:t * stride]
-            dst = t * stride
-            # only the entries whose row is nonzero in the block contribute;
-            # a zero block stays zero under further powers
-            keep = src.any(axis=(1, 2))[rows]
-            r, c, cf = rows[keep], cols[keep], coeffs[keep, None]
-            if not r.size:
-                break
-            starts = np.flatnonzero(np.diff(c, prepend=-1))
-            width = max(1, _SLAB // r.size)
-            for c0 in range(0, stride, width):
-                c1 = min(stride, c0 + width)
-                prod = digit_product(F, cf, src[r, c0:c1], np.multiply)
-                G[c[starts], dst + c0:dst + c1] = (
-                    np.add.reduceat(prod, starts, axis=0) % F.p)
+        by_row = np.argsort(rows, kind="stable")
+        cols, coeffs = cols[by_row], coeffs[by_row]
+        size = np.bincount(rows, minlength=dim)
+        blocks = [(keys, vals)]
+        for _ in range(1, spec.caps[i]):
+            src, sv = blocks[-1]
+            row = src % dim
+            fan = size[row]
+            start = np.cumsum(fan) - fan
+            at0 = (np.cumsum(size) - size)[row] - start
+            # the first entry and the first product of each source column
+            cut = np.append(np.flatnonzero(np.diff(src // dim, prepend=-1)),
+                            src.size)
+            edge = np.append(start, fan.sum())[cut]
+            if not edge[-1]:
+                break  # a zero block stays zero under further powers
+            out, a = [], 0
+            while a < cut.size - 1:
+                b = max(a + 1, np.searchsorted(edge, edge[a] + _SLAB,
+                                               "right") - 1)
+                hit = np.repeat(np.arange(cut[a], cut[b]), fan[cut[a]:cut[b]])
+                at = at0[hit] + np.arange(edge[a], edge[b])
+                key = src[hit] - row[hit] + stride * dim + cols[at]
+                order = np.argsort(key)
+                head = np.flatnonzero(np.diff(key[order], prepend=-1))
+                prod = digit_product(F, coeffs[at], sv[hit], np.multiply)
+                sums = np.add.reduceat(prod[order], head, axis=0) % F.p
+                live = nonzero_digits(sums)
+                out.append((key[order[head[live]]], sums[live]))
+                a = b
+            blocks.append(tuple(np.concatenate(x) for x in zip(*out)))
+        keys, vals = (np.concatenate(x) for x in zip(*blocks))
         stride *= spec.caps[i]
-
+    G = np.zeros((dim, dim, F.k), dtype=np.int64)  # dense once, for the rank
+    G[keys % dim, keys // dim] = vals
     gram = Mat(F, G)
     rank = gram.rank()
-
-    # G[u, v] = eps(deg u, deg v) G[v, u] for u <= v, eps read once per
-    # pair of degree classes
-    classes, cls = _degree_classes(A, mons)
-    eps = F.codes_to_array([[A.eps.value(a, b) for b in classes]
-                            for a in classes])
-    symmetric = True
-    step = max(1, _SLAB // dim)
-    for r0 in range(0, dim, step):
-        r1 = min(dim, r0 + step)
-        swapped = digit_product(F, eps[cls[r0:r1, None], cls],
-                                G[:, r0:r1].swapaxes(0, 1), np.multiply)
-        bad = nonzero_digits(G[r0:r1] != swapped)
-        if (bad & (np.arange(dim) >= np.arange(r0, r1)[:, None])).any():
-            symmetric = False
-            break
-    return {
-        "dimension": dim,
-        "monomials": mons,
-        "tau": tau,
-        "gram": gram,
-        "rank": rank,
-        "nondegenerate": rank == dim,
-        "color_symmetric": symmetric,
-    }
+    return {"dimension": dim, "monomials": mons, "tau": tau, "gram": gram,
+            "rank": rank, "nondegenerate": rank == dim,
+            "color_symmetric": _color_symmetric(A, mons, keys, vals)}
 
 
 # -- Cartan projection ----------------------------------------------------------

@@ -18,6 +18,7 @@ LUT_LIMIT = 2048  # build full q x q tables only below this size
 # entries per digit-array product in slabbed loops (the Gram walk, the
 # axiom checks): bounds the scratch arrays whatever the dimension
 _SLAB = 1 << 16
+_DENSE_CELLS = 1 << 27  # cells of dense module letters: 16 x 2000^2 x 2 fit
 
 
 def _is_prime(n):

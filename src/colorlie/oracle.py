@@ -15,8 +15,8 @@ import random
 import numpy as np
 
 from .errors import (ChiOnNplus, InvariantError, MixedSpecs,
-                     NoMatrixRealization)
-from .field import _SLAB, digit_product, nonzero_digits
+                     NoMatrixRealization, TooLarge)
+from .field import _DENSE_CELLS, _SLAB, digit_product, nonzero_digits
 from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
 
 
@@ -52,7 +52,11 @@ class _Blocks:
 
 def _dense_letters(F, n, dim, cells):
     """The dense (dim, dim) letters {0, ..., n - 1: Mat} holding the
-    nonzero cells (letter, row, column, digits)."""
+    nonzero cells (letter, row, column, digits); TooLarge, before any
+    allocation, above _DENSE_CELLS digit cells."""
+    if n * dim * dim * F.k > _DENSE_CELLS:
+        raise TooLarge("dense letters of %d cells exceed the cutoff %d"
+                       % (n * dim * dim * F.k, _DENSE_CELLS))
     letter, row, col, digits = cells
     arr = np.zeros((n, dim, dim, F.k), dtype=np.int64)
     arr[letter, row, col] = digits

@@ -113,15 +113,10 @@ def pchar_from_standard(algebra, std):
     """Linear p-character read off a standard-form character: Cartan values
     plus the strictly-lower nilpotent values, on indices whose degree p
     kills; no power classes."""
-    g = algebra.group
-    p = algebra.F.p
-    lin = {}
-    for i in range(algebra.dim):
-        if algebra.is_even(i) and g.scale(p, algebra.degree(i)) == g.zero:
-            v = std.value(i)
-            if v:
-                lin[i] = v
-    return PCharacter(algebra, linear=lin)
+    g, p = algebra.group, algebra.F.p
+    return PCharacter(algebra, linear={
+        i: std.value(i) for i in range(algebra.dim)
+        if algebra.is_even(i) and g.scale(p, algebra.degree(i)) == g.zero})
 
 
 # -- root data and induction orderings -------------------------------------------
@@ -202,22 +197,15 @@ def _is_normalized(Phi, S, normalizer):
 
 def _is_positive_system(Phi, S):
     S = set(S)
-    if len(S) * 2 != len(Phi):
-        return False
-    for r in S:
-        if r not in Phi or _tneg(r) in S:
-            return False
-    return _is_normalized(Phi, S, S)
+    return (len(S) * 2 == len(Phi) and S <= Phi
+            and not any(_tneg(r) in S for r in S)
+            and _is_normalized(Phi, S, S))
 
 
 def _is_simple_root(S, d):
     """d may not split as a sum of two members of S."""
     S = set(S)
-    for a in S:
-        b = tuple(x - y for x, y in zip(d, a))
-        if b in S:
-            return False
-    return True
+    return not any(tuple(x - y for x, y in zip(d, a)) in S for a in S)
 
 
 def _step_certificate(Phi, levi_pos, prefix, rem):

@@ -10,13 +10,16 @@ import sys
 import textwrap
 from math import comb
 
+import numpy as np
 import pytest
 
 import colorlie
 from colorlie.algebra import (bracket_eval, make_gl, subalgebra, ColorAlgebra,
                               validate_algebra)
 from colorlie.cli import load_spec
-from colorlie.envelope import (NormalElement, _Engine, central_check,
+from colorlie import envelope
+from colorlie.envelope import (NormalElement, _Engine, _basis_table,
+                               _color_symmetric, central_check,
                                chi_reduce, _degree_classes, engine_for,
                                frobenius_gram,
                                harish_chandra, monomial_degree, nf_from_element, nf_letter,
@@ -756,6 +759,133 @@ def test_gram_sampled_against_top_coefficient_f25():
         assert codes[u][v] == _top_coeff(eng, tau, mons[u], mons[v]), (u, v)
     assert res["rank"] == 625 and res["nondegenerate"]
     assert res["color_symmetric"] == _color_symmetric_pairwise(A, mons, codes)
+
+
+def _gram_outputs(res):
+    return (res["gram"].to_codes().tolist(), res["rank"],
+            res["nondegenerate"], res["color_symmetric"])
+
+
+@pytest.mark.parametrize("slab", [1, 64])
+@pytest.mark.parametrize("name", ["gl11.json", "borel2.json",
+                                  "z25_class.json"])
+def test_gram_slab_cuts_keep_the_outputs(monkeypatch, name, slab):
+    # the walk's slabs hold whole source columns, so each slab's sums are
+    # final: any slab size gives the same Gram matrix, rank and flags
+    A, chi = _file_spec(name)
+    want = _gram_outputs(frobenius_gram(chi_reduce(A, chi)))
+    monkeypatch.setattr(envelope, "_SLAB", slab)
+    assert _gram_outputs(frobenius_gram(chi_reduce(A, chi))) == want
+
+
+def _column_products(spec, res):
+    """Per walk step and source column, the number of products the walk
+    forms: the column's nonzero rows, each counted as often as it occurs
+    as a row of the letter's table."""
+    A, dim = spec.algebra, res["dimension"]
+    eng = engine_for(A, spec)
+    mons = res["monomials"]
+    index = {m: t for t, m in enumerate(mons)}
+    live = res["gram"].to_codes() != 0
+    counts, stride = [], 1
+    for i in range(A.dim - 1, -1, -1):
+        size = np.bincount(_basis_table(eng, mons, index, i)[0],
+                           minlength=dim)
+        for t in range(1, spec.caps[i]):
+            cols = range((t - 1) * stride, t * stride)
+            counts += [int(size[live[:, c]].sum()) for c in cols]
+        stride *= spec.caps[i]
+    return counts
+
+
+@pytest.mark.parametrize("slab", [None, 64])
+def test_gram_walk_products_stay_within_the_slab(monkeypatch, slab):
+    # every product of the walk holds at most _SLAB entries, unless one
+    # source column alone has more, and then exactly that column's
+    if slab is not None:
+        monkeypatch.setattr(envelope, "_SLAB", slab)
+    bound = envelope._SLAB
+    sizes = []
+
+    def spy(F, a, b, op):
+        if sys._getframe(1).f_code.co_name == "frobenius_gram":
+            sizes.append(len(a))
+        return digit_product(F, a, b, op)
+
+    digit_product = envelope.digit_product
+    monkeypatch.setattr(envelope, "digit_product", spy)
+    A = gl2()
+    spec = chi_reduce(A, pchar_zero(A))
+    res = frobenius_gram(spec)
+    assert res["dimension"] == 625
+    counts = _column_products(spec, res)
+    assert sum(sizes) == sum(counts)
+    wide = {c for c in counts if c > bound}
+    assert all(s <= bound or s in wide for s in sizes)
+    if slab is not None:
+        assert wide and wide <= set(sizes)
+
+
+def _entries(F, codes):
+    """G's nonzero entries as the walk keeps them: keys column * dim + row
+    in increasing order, and their digits."""
+    cols, rows = np.nonzero(codes.T)
+    return cols * len(codes) + rows, F.codes_to_array(codes[rows, cols])
+
+
+def test_color_symmetric_reads_planted_entries():
+    A, chi = _file_spec("gl11.json")
+    F = A.F
+    res = frobenius_gram(chi_reduce(A, chi))
+    mons = res["monomials"]
+    G = res["gram"].to_codes()
+    dim = len(mons)
+    _classes, cls = _degree_classes(A, mons)
+    # the odd monomials: eps(deg u, deg u) = -1, and -1 on any two of them
+    odd = [u for u, m in enumerate(mons) if A.eps.value(
+        monomial_degree(A, m), monomial_degree(A, m)) == F.neg(F.one)]
+
+    def move_mirror():
+        # the mirror of G[u, v] moves to (w, v) -> (w, u), where it keeps
+        # its place among the mirrored entries and its sign: the values
+        # read the same in order, the keys do not
+        for u in range(dim):
+            for v in range(u + 1, dim):
+                if not (G[u, v] and G[v, u]):
+                    continue
+                for w in range(v + 1, dim):
+                    if G[w, u]:
+                        break
+                    if not G[u, w] and cls[w] == cls[v]:
+                        H = G.copy()
+                        H[w, u], H[v, u] = H[v, u], 0
+                        return H
+        raise AssertionError("no mirror to move")
+
+    def lone_entry():
+        u, v = next((u, v) for u in range(dim) for v in range(u + 1, dim)
+                    if not G[u, v] and not G[v, u])
+        H = G.copy()
+        H[u, v] = F.one
+        return H
+
+    def odd_pair_sign():
+        u, v = next((u, v) for u in odd for v in odd if u < v and G[u, v])
+        H = G.copy()
+        H[v, u] = H[u, v]  # a mirror pair of odd degrees needs opposite signs
+        return H
+
+    def odd_diagonal():
+        H = G.copy()
+        H[odd[0], odd[0]] = F.one
+        return H
+
+    assert _color_symmetric(A, mons, *_entries(F, G))
+    assert _color_symmetric_pairwise(A, mons, G.tolist())
+    for plant in (move_mirror, lone_entry, odd_pair_sign, odd_diagonal):
+        H = plant()
+        assert _color_symmetric_pairwise(A, mons, H.tolist()) is False
+        assert _color_symmetric(A, mons, *_entries(F, H)) is False, plant
 
 
 def _graded_gl2(orders, table, dims):

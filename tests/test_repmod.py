@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from colorlie import oracle, repmod
+from colorlie import field, oracle, repmod
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
@@ -1641,6 +1641,23 @@ def test_module_isomorphism_refuses_large_start_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_dense_letters_refuse_before_allocating():
+    # gl(4)/F_5 induces 15,625-dim modules: 16 dense letters would take
+    # 16 x 15,625^2 cells (29 GiB), refused before anything is allocated;
+    # the default max_dim of 2000 still fits for 16 letters at k = 2
+    assert 16 * 2000 ** 2 * 2 <= field._DENSE_CELLS
+    empty = np.zeros(0, dtype=np.int64)
+    cells = (empty, empty, empty, np.zeros((0, 1), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="3906250000 cells"):
+            oracle._dense_letters(F5, 16, 15625, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("lam1, lam2", [((4, 3), (2, 0)), ((4, 0), (0, 1))],
