@@ -545,8 +545,8 @@ def _color_symmetric(A, mons, keys, vals):
     order = np.argsort(mine)
     mirror = digit_product(F, eps[cls[col[low]], cls[row[low]]], vals[low],
                            np.multiply)
-    return bool(np.array_equal(mine[order], keys[low])
-                and np.array_equal(vals[up][order], mirror))
+    return (np.array_equal(mine[order], keys[low])
+            and np.array_equal(vals[up][order], mirror))
 
 
 def frobenius_gram(spec, max_dim=2000):

@@ -846,9 +846,9 @@ def test_color_symmetric_reads_planted_entries():
         monomial_degree(A, m), monomial_degree(A, m)) == F.neg(F.one)]
 
     def move_mirror():
-        # the mirror of G[u, v] moves to (w, v) -> (w, u), where it keeps
-        # its place among the mirrored entries and its sign: the values
-        # read the same in order, the keys do not
+        # the mirror G[v, u] of G[u, v] moves to (w, u): no G[x, u] lies
+        # between, and w has v's degree, so the mirrored values read the
+        # same in order and only the keys differ
         for u in range(dim):
             for v in range(u + 1, dim):
                 if not (G[u, v] and G[v, u]):
