@@ -1,4 +1,5 @@
-"""Eight end-to-end checks, one per release gate, each printing a verdict line.
+"""Eight end-to-end checks, one per release gate, each printing a verdict line,
+and one sweep agreement check beyond the gates.
 
 Every check recomputes its claim from scratch against an independent route:
 structure-constant validation, counting formulas, Gram ranks, the two closed
@@ -7,9 +8,13 @@ classical operator identities evaluated inside the reduced algebras.  Run
 with -s to see the verdict lines; each carries its own time budget.
 """
 
+import io
 import itertools
+import json
 import math
+import os
 import time
+from contextlib import redirect_stdout
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from colorlie import (
     sweep_rows, trivial_bicharacter, uchi_basis, unipotent_socle,
     validate_algebra, verma_build,
 )
+from colorlie.cli import cli_main
 
 F5 = Field(5)
 
@@ -425,3 +431,36 @@ def test_8_simplicity_locus_restricts_to_corner():
     dt = time.monotonic() - t0
     _verdict(8, "corner embedding divides the locus", ok and strict and dt < 60,
              dt, 60, "250 weight triples, 2 characters")
+
+
+# -- beyond the gates: agreement on larger super algebras ----------------------------
+
+GOLDEN_GL12 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", "sweep_gl12.csv")
+
+
+def test_gl12_and_gl31_sweeps_agree(tmp_path):
+    # all 125 rows of gl(1|2)/F_5 at chi = 0, swept through the command
+    # line and pinned byte for byte in golden/sweep_gl12.csv (regenerate
+    # with `colorlie sweep` on the spec below, `--chi zero --out`), and the
+    # five gl(3|1)/F_5 rows with e_11, e_22, e_33 fixed to 1, 2, 0: every
+    # row agrees across f_closed, f_via_hc and the oracle
+    spec = tmp_path / "gl12.json"
+    spec.write_text(json.dumps({
+        "field": {"p": 5}, "group": {"cyclic_orders": [2]},
+        "bicharacter": {"table": [[[4]]]},
+        "algebra": {"type": "gl", "dims": {"0": 1, "1": 2}}}))
+    out = tmp_path / "gl12.csv"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = cli_main(["sweep", str(spec), "--chi", "zero", "--out",
+                       str(out)])
+    summary = json.loads(buf.getvalue())["summary"]
+    assert rc == 0
+    assert summary == {"rows": 125, "simple": 20, "disagreements": 0}
+    with open(GOLDEN_GL12, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    A = _glmn(F5, 3, 1)
+    rows = sweep_rows(_zero(A), fp_order(A), fix={0: 1, 1: 2, 2: 0})
+    assert len(rows) == 5 and all(r["agree"] for r in rows)
+    assert all(r["oracle"] == "not-simple" for r in rows)
