@@ -1,23 +1,24 @@
 """The brute-force simplicity oracle: singular vectors, the span of the
-ordered lowering words, and the spin-up under every letter.
+ordered lowering words, and the closure under every letter.
 
 The oracle reads a module through blocks cut from its nonzero cells
-(`_gather`): the basis splits into the recorded weight spaces, and each
-letter maps a space into one other space, so it is kept as one small block
-per space.  `_judge` gives the verdicts of many modules in one batched
-pass over those blocks; `is_simple` is its one-module case, and
+(`_gather`) and through nothing else: the basis splits into the recorded
+weight spaces, and each letter maps a space into one other space, so it is
+kept as one small block per space.  The word spans and the closures both
+grow on those blocks (`_word_span_ranks`).  `_judge` gives the verdicts of
+many modules in one batched pass; `is_simple` is its one-module case, and
 `repmod.sweep_rows` judges its rows in batches through it.
 """
 
+import functools
 import itertools
 import random
 
 import numpy as np
 
-from .errors import (ChiOnNplus, InvariantError, MixedSpecs,
-                     NoMatrixRealization, TooLarge)
-from .field import _DENSE_CELLS, _SLAB, digit_product, nonzero_digits
-from .linalg import Echelon, Mat, batch_rref, kernel_from_rref
+from .errors import ChiOnNplus, InvariantError, MixedSpecs, NoMatrixRealization
+from .field import _SLAB, digit_product, nonzero_digits
+from .linalg import batch_rref, kernel_from_rref
 
 
 def _group_rows(K):
@@ -45,28 +46,16 @@ class _Blocks:
     its (S, D, D, k) blocks from each space to the one it maps into;
     lowering holds the same per lowering letter, in the order the words
     apply them (the last positive root first), with that target space (-1
-    where the letter acts as zero) and the letter's cap.  letters returns
-    the dense letters for the spin-up, built from the cells on each call;
-    cells counts the digit cells of the blocks."""
-
-
-def _dense_letters(F, n, dim, cells):
-    """The dense (dim, dim) letters {0, ..., n - 1: Mat} holding the
-    nonzero cells (letter, row, column, digits); TooLarge, before any
-    allocation, above _DENSE_CELLS digit cells."""
-    if n * dim * dim * F.k > _DENSE_CELLS:
-        raise TooLarge("dense letters of %d cells exceed the cutoff %d"
-                       % (n * dim * dim * F.k, _DENSE_CELLS))
-    letter, row, col, digits = cells
-    arr = np.zeros((n, dim, dim, F.k), dtype=np.int64)
-    arr[letter, row, col] = digits
-    return {i: Mat(F, a) for i, a in enumerate(arr)}
+    where the letter acts as zero) and the letter's cap.  every() returns
+    the same triples for every letter that has cells, each with cap 2, for
+    the closure; they are cut on the first call.  cells counts the digit
+    cells of the raising and lowering blocks."""
 
 
 def _gather(M):
     """The weight-space blocks of M (see _Blocks), from the nonzero cells
     that verma_build keeps on M (M.cells), or else from those of its dense
-    letters.  A letter whose cells from one weight space land in two
+    letters.  Any letter whose cells from one weight space land in two
     raises InvariantError."""
     A = M.spec.algebra
     F, tri = A.F, A.triangular
@@ -107,13 +96,12 @@ def _gather(M):
     # every cell of a letter from one space must land in the same space
     target = np.full((A.dim, S), -1, dtype=np.int64)
     target[letter, source] = dest
-    two = set(letter[target[letter, source] != dest].tolist())
+    two = letter[target[letter, source] != dest]
+    if len(two):
+        raise InvariantError("letter %s maps one weight space into two "
+                             "recorded weight spaces" % A.names[two.min()])
     raising = [t for t in tri.pos if tri.heights[t] == 1]
     lowering = [tri.pairs[t][1] for t in reversed(tri.pos)]
-    for i in raising + lowering:
-        if i in two:
-            raise InvariantError("letter %s maps one weight space into two "
-                                 "recorded weight spaces" % A.names[i])
 
     def blocks(i):
         on = letter == i
@@ -124,7 +112,9 @@ def _gather(M):
     g.raising = [blocks(t) for t in raising]
     g.lowering = [(blocks(f), target[f], M.spec.caps[f]) for f in lowering]
     g.cells = (len(raising) + len(lowering)) * S * D * D * F.k
-    g.letters = lambda: _dense_letters(F, A.dim, dim, cells).values()
+    g.every = functools.cache(lambda: [
+        (blocks(i), target[i], 2)
+        for i in np.flatnonzero(np.bincount(letter, minlength=A.dim))])
     return g
 
 
@@ -211,29 +201,6 @@ def _unit_lines(F, d):
             yield (0,) * lead + (1,) + tail
 
 
-def _spin(F, mats, v, stop=None):
-    """Echelon basis of the submodule generated by v (early exit once its
-    dimension reaches stop).
-
-    Breadth-first closure; each layer is hit with every letter in one
-    batched product, and each letter's image block is inserted at once."""
-    ech = Echelon(F, v.shape[0])
-    ech.insert(v)
-    if not mats or (stop is not None and ech.dim >= stop):
-        return ech
-    layer = v[:, None]
-    while layer.shape[1]:
-        block = Mat(F, layer)
-        found = []
-        for Mx in mats:
-            out = (Mx @ block).a
-            found.append(out[:, ech.insert(out.swapaxes(0, 1))])
-            if stop is not None and ech.dim >= stop:
-                return ech
-        layer = np.concatenate(found, axis=1)
-    return ech
-
-
 def _lines(F, spaces, max_enumerate, samples, rng):
     """Every nonzero singular line of one module, weight space by weight
     space in sorted order, as (method, space, v on the space's
@@ -297,9 +264,10 @@ def _apply(F, blocks, at, W):
     return np.concatenate(out) if out else W
 
 
-def _word_span_ranks(gathered, lines, D):
+def _word_span_ranks(gathered, lines, D, close=False):
     """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v
-    of every line (module number, space, v), each a_i below the cap of f_i.
+    of every line (module number, space, v), each a_i below the cap of f_i;
+    with close set, the dimension of the submodule each line generates.
 
     Every word lies in one weight space, so a word is its D coordinates
     there plus its line and space.  The words of all lines are built
@@ -307,20 +275,28 @@ def _word_span_ranks(gathered, lines, D):
     `digit_product` of the gathered (words, D, D) blocks with the words
     (`_apply`).  Before a letter would take a line past dim words, that
     line is cut down to a basis of its span (and a full span is done at
-    once), so a line never holds more than max(cap) * dim words."""
+    once), so a line never holds more than max(cap) * dim words.
+
+    With close set, the letters are every letter with cells, each applied
+    once (cap 2), in passes.  After each pass every open line is cut to a
+    basis, and a line is done when the pass left its rank unchanged or
+    full.  Each letter maps a weight space into one space, so a span that
+    a pass of every letter does not grow is closed under every letter: it
+    is the submodule the line generates."""
     F = gathered[0].F
     n = len(lines)
     mods = [gathered[m] for m, _s, _v in lines]
+    letters = [g.every() if close else g.lowering for g in mods]
     dims = np.array([g.dim for g in mods], dtype=np.int64)
-    steps = max(len(g.lowering) for g in mods)
+    steps = max(len(ls) for ls in letters)
     off = np.zeros((n, steps), dtype=np.int64)
     caps = np.ones((n, steps), dtype=np.int64)
-    total = sum(len(g.idx) * len(g.lowering) for g in mods)
+    total = sum(len(g.idx) * len(ls) for g, ls in zip(mods, letters))
     blocks = np.zeros((total, D, D, F.k), dtype=np.int64)
     targets = np.zeros(total, dtype=np.int64)
     at = 0
-    for l, g in enumerate(mods):
-        for j, (blk, target, cap) in enumerate(g.lowering):
+    for l, (g, ls) in enumerate(zip(mods, letters)):
+        for j, (blk, target, cap) in enumerate(ls):
             blocks[at:at + len(blk), :g.D, :g.D] = blk
             targets[at:at + len(blk)] = target
             off[l, j], caps[l, j] = at, cap
@@ -329,32 +305,42 @@ def _word_span_ranks(gathered, lines, D):
     line = np.arange(n)
     space = np.array([s for _m, s, _v in lines], dtype=np.int64)
     rank = np.full(n, -1, dtype=np.int64)
-    for j in range(steps):
-        cap = caps[:, j]
-        cut = (np.bincount(line, minlength=n) * cap > dims) & (rank < 0)
-        if cut.any():
-            sel = cut[line]
-            got, (W2, line2, space2) = _span(F, W[sel], line[sel],
-                                             space[sel], n, basis=True)
-            full = cut & (got == dims)
-            rank[full] = dims[full]
-            keep = ~full[line2]
-            W = np.concatenate([W[~sel], W2[keep]])
-            line = np.concatenate([line[~sel], line2[keep]])
-            space = np.concatenate([space[~sel], space2[keep]])
-        parts = [(W, line, space)]
-        for a in range(1, int(cap.max())):
-            fW, fline, fspace = parts[-1]
-            go = cap[fline] > a
-            at = off[fline[go], j] + fspace[go]
-            fW = _apply(F, blocks, at, fW[go])
-            fline, fspace = fline[go], targets[at]
-            live = (fspace >= 0) & nonzero_digits(fW).any(axis=1)
-            parts.append((fW[live], fline[live], fspace[live]))
-        W, line, space = (np.concatenate(p) for p in zip(*parts))
-    left = rank < 0
-    rank[left] = _span(F, W, line, space, n)[left]
-    return rank
+    last = np.zeros(n, dtype=np.int64)
+    while True:
+        for j in range(steps):
+            cap = caps[:, j]
+            cut = (np.bincount(line, minlength=n) * cap > dims) & (rank < 0)
+            if cut.any():
+                sel = cut[line]
+                got, (W2, line2, space2) = _span(F, W[sel], line[sel],
+                                                 space[sel], n, basis=True)
+                full = cut & (got == dims)
+                rank[full] = dims[full]
+                keep = ~full[line2]
+                W = np.concatenate([W[~sel], W2[keep]])
+                line = np.concatenate([line[~sel], line2[keep]])
+                space = np.concatenate([space[~sel], space2[keep]])
+            parts = [(W, line, space)]
+            for a in range(1, int(cap.max())):
+                fW, fline, fspace = parts[-1]
+                go = cap[fline] > a
+                at = off[fline[go], j] + fspace[go]
+                fW = _apply(F, blocks, at, fW[go])
+                fline, fspace = fline[go], targets[at]
+                live = (fspace >= 0) & nonzero_digits(fW).any(axis=1)
+                parts.append((fW[live], fline[live], fspace[live]))
+            W, line, space = (np.concatenate(p) for p in zip(*parts))
+        left = rank < 0
+        if not close:
+            rank[left] = _span(F, W, line, space, n)[left]
+            return rank
+        got, (W, line, space) = _span(F, W, line, space, n, basis=True)
+        done = left & ((got == last) | (got == dims))
+        rank[done], last = got[done], got
+        if (rank >= 0).all():
+            return rank
+        keep = ~done[line]
+        W, line, space = W[keep], line[keep], space[keep]
 
 
 def _judge(gathered, max_enumerate=3, samples=40, seed=0):
@@ -364,7 +350,9 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
     The singular systems of all modules are reduced together.  The lines
     then run in rounds: round n takes the n-th singular line of every
     module not yet decided, and the word spans of all of them advance
-    together (`_word_span_ranks`).  Each module keeps its own seeded
+    together (`_word_span_ranks`); the lines of the round whose spans fall
+    short are then closed under every letter together, in one more call.
+    Each module keeps its own seeded
     random sample and its own weight order, so every verdict is the one
     the module gets alone."""
     F = gathered[0].F
@@ -404,21 +392,22 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
             else:
                 lines[m] += 1
                 batch.append((m,) + nxt)
-        ranks = _word_span_ranks(gathered, [(m, s, v) for m, _method, s, v
-                                            in batch], D) if batch else []
-        for (m, method, s, v), rank in zip(batch, ranks):
+        for close in (False, True):
+            # the word spans first, then the closure of the short ones only
+            ranks = _word_span_ranks(
+                gathered, [(m, s, v) for m, _method, s, v in batch], D,
+                close) if batch else []
+            batch = [b for b, rank in zip(batch, ranks)
+                     if rank < gathered[b[0]].dim]
+        for m, method, s, v in batch:
             g = gathered[m]
-            if rank == g.dim:
-                continue
             cols = g.idx[s][g.idx[s] >= 0]
             full = np.zeros((g.dim, F.k), dtype=np.int64)
             full[cols] = v[:len(cols)]
-            if _spin(F, g.letters(), full, stop=g.dim).dim < g.dim:
-                verdicts[m] = {
-                    "simple": False, "method": method,
-                    "lines": lines[m],
-                    "weight": [int(c) for c in g.weights[s]],
-                    "witness": [int(c) for c in F.array_to_codes(full)]}
+            verdicts[m] = {
+                "simple": False, "method": method, "lines": lines[m],
+                "weight": [int(c) for c in g.weights[s]],
+                "witness": [int(c) for c in F.array_to_codes(full)]}
         undecided = [m for m in undecided if verdicts[m] is None]
     return verdicts
 
@@ -432,9 +421,10 @@ def is_simple(M, max_enumerate=3, samples=40, seed=0):
     Each line v is first checked against the span of its ordered lowering
     words (`_word_span_ranks`).  Every word lies in the submodule v
     generates, so a full span proves that v generates the module.  Only a
-    line whose word span falls short is spun up under every letter, and
-    that closure alone decides "not simple".  A nonzero module without a
-    singular vector raises InvariantError: n+ acts nilpotently, so the
-    singular space cannot be empty.  This is the one-module case of
-    `_judge`, which judges many modules in one batched pass."""
+    line whose word span falls short is closed under every letter, on the
+    same weight-space blocks, and that closure alone decides "not simple".
+    A nonzero module without a singular vector raises InvariantError: n+
+    acts nilpotently, so the singular space cannot be empty.  This is the
+    one-module case of `_judge`, which judges many modules in one batched
+    pass."""
     return _judge([_gather(M)], max_enumerate, samples, seed)[0]

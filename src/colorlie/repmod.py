@@ -29,10 +29,11 @@ from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
                      NotWeightZero, OddElement, TooLarge)
-from .field import _SLAB, digit_power, digit_product, nonzero_digits
+from .field import (_DENSE_CELLS, _SLAB, digit_power, digit_product,
+                    nonzero_digits)
 from .linalg import Echelon, Mat
-from .oracle import (_dense_letters, _gather, _group_rows, _judge, _spin,
-                     is_simple, singular_vectors)
+from .oracle import (_gather, _group_rows, _judge, is_simple,
+                     singular_vectors)
 
 
 class PowerClass:
@@ -753,6 +754,19 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     return _induce(spec, triple, [base], max_dim, check)[0]
 
 
+def _dense_letters(F, n, dim, cells):
+    """The dense (dim, dim) letters {0, ..., n - 1: Mat} holding the
+    nonzero cells (letter, row, column, digits); TooLarge, before any
+    allocation, above _DENSE_CELLS digit cells."""
+    if n * dim * dim * F.k > _DENSE_CELLS:
+        raise TooLarge("dense letters of %d cells exceed the cutoff %d"
+                       % (n * dim * dim * F.k, _DENSE_CELLS))
+    letter, row, col, digits = cells
+    arr = np.zeros((n, dim, dim, F.k), dtype=np.int64)
+    arr[letter, row, col] = digits
+    return {i: Mat(F, a) for i, a in enumerate(arr)}
+
+
 class GradedModule:
     """A module over a reduced quotient: one action matrix per algebra
     letter plus per-vector gradings (Cartan weight, color degree, height).
@@ -1096,6 +1110,25 @@ def regular_module(spec, max_dim=2000):
             "degrees": [monomial_degree(A, m) for m in mons]}
 
 
+def _spin(F, mats, v):
+    """Echelon basis of the submodule generated by v under the dense
+    letters mats.
+
+    Breadth-first closure; each layer is hit with every letter in one
+    batched product, and each letter's image block is inserted at once."""
+    ech = Echelon(F, v.shape[0])
+    ech.insert(v)
+    layer = v[:, None]
+    while mats and layer.shape[1]:
+        block = Mat(F, layer)
+        found = []
+        for Mx in mats:
+            out = (Mx @ block).a
+            found.append(out[:, ech.insert(out.swapaxes(0, 1))])
+        layer = np.concatenate(found, axis=1)
+    return ech
+
+
 def simple_quotient(spec, seed=0, max_dim=2000):
     """Head of the cyclic submodule generated by a seeded random element of
     the regular module.  Implemented for abelian unipotent algebras, where
@@ -1216,7 +1249,7 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     The oracle judges the rows in batches (`_judge`).  Each row keeps only
     its module's blocks; a batch is judged before the next row's blocks
     would take it past _SLAB cells.  A line whose word span falls short is
-    spun up on dense letters built from the cells.  A row's ms is its own
+    closed under every letter on the same blocks.  A row's ms is its own
     time plus an equal share of the Cartan evaluation, of its chunk's
     induction and of its batch's judging."""
     lams = [lam for lam in admissible_lambdas(spec)

@@ -52,6 +52,11 @@ def gl21():
     return make_gl(eps, {(0,): 2, (1,): 1})
 
 
+def gl22():
+    _, eps = super_bicharacter(F5)
+    return make_gl(eps, {(0,): 2, (1,): 2})
+
+
 def anti_gl3():
     """gl(3) graded by Z/2 x Z/2 with anticommuting off-blocks."""
     G = GradedGroup([2, 2])
@@ -941,23 +946,45 @@ def test_is_simple_rejects_word_across_weight_spaces():
 
 
 def test_is_simple_spins_up_only_short_word_spans(monkeypatch):
+    # only a line whose ordered lowering words fall short is closed under
+    # every letter
     calls = []
-    insert = Echelon.insert
+    spans = oracle._word_span_ranks
 
-    def counted(self, B):
-        calls.append(1)
-        return insert(self, B)
+    def counted(gathered, lines, D, close=False):
+        calls.append(close)
+        return spans(gathered, lines, D, close)
 
-    monkeypatch.setattr(Echelon, "insert", counted)
+    monkeypatch.setattr(oracle, "_word_span_ranks", counted)
     spec = _regss_gl3_f25()
     M = verma_build(spec, fp_order(spec.algebra),
                     weight=admissible_lambdas(spec)[0])
     assert is_simple(M)["simple"] and M.dim == 125
-    assert not calls
+    assert calls and not any(calls)
     spec = zero_spec(gl2())
     M = verma_build(spec, fp_order(spec.algebra), weight=(2, 0))
     assert not is_simple(M)["simple"]
-    assert calls
+    assert calls[-2:] == [False, True]
+
+
+def test_is_simple_rejects_any_letter_across_weight_spaces():
+    # one cell of the height-two raising letter e_13, copied into a second
+    # weight space: a letter that is neither height-one raising nor
+    # lowering is still read per space by the closure, so it is checked
+    A = gl3()
+    spec = zero_spec(A)
+    M = verma_build(spec, fp_order(A), weight=(2, 0, 0), check=False)
+    assert not is_simple(M)["simple"]
+    letter, row, col, digits = M.cells
+    e13 = A.index_of("e_13")
+    at = np.flatnonzero(letter == e13)[0]
+    other = next(u for u in range(M.dim)
+                 if M.weights[u] != M.weights[row[at]])
+    M.cells = (np.append(letter, e13), np.append(row, other),
+               np.append(col, col[at]), np.concatenate([digits,
+                                                        digits[at:at + 1]]))
+    with pytest.raises(InvariantError, match="two recorded weight spaces"):
+        is_simple(M)
 
 
 def test_is_simple_needs_vanishing_chi_on_raising():
@@ -1379,21 +1406,30 @@ def test_blocks_from_cells_match_dense_letters():
 
 
 def test_all_simple_sweep_builds_no_dense_letter(monkeypatch):
+    # the oracle holds no dense letters: simple and not-simple rows are
+    # judged from the cells alone (gl(3)/F_25 at a regular semisimple chi,
+    # gl(2)/F_5 at chi = 0 and the fixed gl(2|2)/F_5 rows)
     def dense(*args):
         raise AssertionError("dense letters built")
 
-    monkeypatch.setattr(oracle, "_dense_letters", dense)
+    assert not hasattr(oracle, "_dense_letters")
     monkeypatch.setattr(repmod, "_dense_letters", dense)
     spec = _regss_gl3_f25()
     rows = sweep_rows(spec, fp_order(spec.algebra), fix={2: 3})
     assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
+    spec = zero_spec(gl2())
+    rows = sweep_rows(spec, fp_order(spec.algebra))
+    assert [r["oracle"] for r in rows].count("not-simple") == 20
+    spec = zero_spec(gl22())
+    rows = sweep_rows(spec, fp_order(spec.algebra), fix={0: 1, 1: 2, 2: 0})
+    assert [r["oracle"] for r in rows] == [
+        "not-simple", "simple", "not-simple", "not-simple", "not-simple"]
 
 
 def test_not_simple_sweep_rows_induce_each_module_once(monkeypatch):
     # gl(2|2) at chi = 0 with e_11, e_22, e_33 fixed: four of the five
-    # 400-dim modules are not simple, and each is spun up from its cells
-    _, eps = super_bicharacter(F5)
-    A = make_gl(eps, {(0,): 2, (1,): 2})
+    # 400-dim modules are not simple, and each is closed from its cells
+    A = gl22()
     spec = zero_spec(A)
     trip = fp_order(A)
     induced = []
@@ -1653,7 +1689,7 @@ def test_dense_letters_refuse_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="3906250000 cells"):
-            oracle._dense_letters(F5, 16, 15625, cells)
+            repmod._dense_letters(F5, 16, 15625, cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
