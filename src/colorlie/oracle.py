@@ -48,7 +48,8 @@ class _Blocks:
     apply them (the last positive root first), with that target space (-1
     where the letter acts as zero) and the letter's cap.  every() returns
     the same triples for every letter that has cells, each with cap 2, for
-    the closure; they are cut on the first call.  cells counts the digit
+    the closure; they are cut on the first call and kept, since a module
+    may close several short lines, one per round.  cells counts the digit
     cells of the raising and lowering blocks."""
 
 
