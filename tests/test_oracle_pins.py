@@ -120,11 +120,16 @@ def _exhaustive_cases():
     triple and judged with the default exhaustive enumeration."""
     gl12, gl31, gl22 = (_zero(_glmn(m, n)) for m, n in ((1, 2), (3, 1),
                                                          (2, 2)))
+    anti, gl21 = _zero(_anti_gl3()), _zero(_gl21())
     return {
+        "anti_gl3_f5": (anti, admissible_lambdas(anti)[::5]),
+        "gl21_f5": (gl21, admissible_lambdas(gl21)[::5]),
         "gl12_f5": (gl12, admissible_lambdas(gl12)[::5]),
         "gl31_f5_fixed": (gl31, [lam for lam in admissible_lambdas(gl31)
                                  if lam[:3] == (1, 2, 0)]),
         "gl22_f5_fixed": (gl22, [(1, 2, 0, 0), (1, 2, 0, 2)]),
+        "gl22_f5_e11_zero": (gl22, [(0, 0, 0, 0), (0, 0, 1, 2),
+                                    (0, 1, 0, 1)]),
     }
 
 
