@@ -1,16 +1,16 @@
-"""The brute-force simplicity oracle: singular vectors, the span of the
-ordered lowering words, and the closure under every letter.
+"""The brute-force simplicity oracle: singular vectors, and the submodule
+each singular line generates, grown from its ordered lowering words.
 
 The oracle reads a module through blocks cut from its nonzero cells
 (`_gather`) and through nothing else: the basis splits into the recorded
 weight spaces, and each letter maps a space into one other space, so it is
-kept as one small block per space.  The word spans and the closures both
-grow on those blocks (`_word_span_ranks`).  `_judge` gives the verdicts of
-many modules in one batched pass; `is_simple` is its one-module case, and
-`repmod.sweep_rows` judges its rows in batches through it.
+kept as one small block per space.  The words and the closure passes after
+them grow on those blocks, in one loop (`_word_span_ranks`).  `_judge`
+gives the verdicts of many modules in one batched pass; `is_simple` is its
+one-module case, and `repmod.sweep_rows` judges its rows in batches
+through it.
 """
 
-import functools
 import itertools
 import random
 
@@ -46,11 +46,10 @@ class _Blocks:
     its (S, D, D, k) blocks from each space to the one it maps into;
     lowering holds the same per lowering letter, in the order the words
     apply them (the last positive root first), with that target space (-1
-    where the letter acts as zero) and the letter's cap.  every() returns
-    the same triples for every letter that has cells, each with cap 2, for
-    the closure; they are cut on the first call and kept, since a module
-    may close several short lines, one per round.  cells counts the digit
-    cells of the raising and lowering blocks."""
+    where the letter acts as zero) and the letter's cap.  every() cuts the
+    same triples for every letter that has cells, each with cap 2, for the
+    closure passes, anew on each call.  cells counts the digit cells of the
+    raising and lowering blocks."""
 
 
 def _gather(M):
@@ -113,9 +112,9 @@ def _gather(M):
     g.raising = [blocks(t) for t in raising]
     g.lowering = [(blocks(f), target[f], M.spec.caps[f]) for f in lowering]
     g.cells = (len(raising) + len(lowering)) * S * D * D * F.k
-    g.every = functools.cache(lambda: [
+    g.every = lambda: [
         (blocks(i), target[i], 2)
-        for i in np.flatnonzero(np.bincount(letter, minlength=A.dim))])
+        for i in np.flatnonzero(np.bincount(letter, minlength=A.dim))]
     return g
 
 
@@ -228,15 +227,14 @@ def _lines(F, spaces, max_enumerate, samples, rng):
                 yield method, s, v
 
 
-def _span(F, W, line, space, n, basis=False):
+def _span(F, W, line, space, n):
     """Rank per line (n of them) of the words W (N, D, k), each tagged with
     its line and weight space, ranked one (line, space) group at a time in
-    one `batch_rref`.  With basis set, also returns rows spanning the same
-    groups, with their line and space tags."""
+    one `batch_rref`, and rows spanning the same groups, with their line
+    and space tags."""
     if not len(W):
         empty = np.zeros(0, dtype=np.int64)
-        rank = np.zeros(n, dtype=np.int64)
-        return (rank, (W, empty, empty)) if basis else rank
+        return np.zeros(n, dtype=np.int64), (W, empty, empty)
     group, first = _group_rows(np.column_stack([line, space]))
     counts = np.bincount(group)
     order = np.argsort(group, kind="stable")
@@ -247,8 +245,6 @@ def _span(F, W, line, space, n, basis=False):
     ranks = pivots.sum(axis=1)
     gline = line[first]
     rank = np.bincount(gline, weights=ranks, minlength=n).astype(np.int64)
-    if not basis:
-        return rank
     gg, tt = np.nonzero(np.arange(R.shape[1]) < ranks[:, None])
     return rank, (R[gg, tt], gline[gg], space[first][gg])
 
@@ -265,62 +261,68 @@ def _apply(F, blocks, at, W):
     return np.concatenate(out) if out else W
 
 
-def _word_span_ranks(gathered, lines, D, close=False):
-    """Rank of the span of the ordered lowering words f_1^a_1 ... f_r^a_r . v
-    of every line (module number, space, v), each a_i below the cap of f_i;
-    with close set, the dimension of the submodule each line generates.
+def _word_span_ranks(gathered, lines, D):
+    """Dimension of the submodule that each line (module number, space, v)
+    generates, grown in passes over the words of all lines together.
 
-    Every word lies in one weight space, so a word is its D coordinates
-    there plus its line and space.  The words of all lines are built
-    together, last letter first: each of a letter's cap - 1 powers is one
-    `digit_product` of the gathered (words, D, D) blocks with the words
-    (`_apply`).  Before a letter would take a line past dim words, that
-    line is cut down to a basis of its span (and a full span is done at
-    once), so a line never holds more than max(cap) * dim words.
-
-    With close set, the letters are every letter with cells, each applied
-    once (cap 2), in passes.  After each pass every open line is cut to a
-    basis, and a line is done when the pass left its rank unchanged or
-    full.  Each letter maps a weight space into one space, so a span that
-    a pass of every letter does not grow is closed under every letter: it
-    is the submodule the line generates."""
+    Every word lies in one weight space: it is its D coordinates there plus
+    its line and space.  Pass 0 builds the ordered lowering words
+    f_1^a_1 ... f_r^a_r . v, each a_i below the cap of f_i, last letter
+    first; every later pass applies every letter that has cells (`every`,
+    cut once, for the modules of the lines still open) once to the basis
+    the pass before left.  Each power of a letter is one product of the
+    gathered blocks with the words (`_apply`).  A line about to pass dim
+    words is cut to a basis first, and every open line at the end of a
+    pass; a line is done when its span is full or, after pass 0, when a
+    pass left its rank unchanged: each letter maps a weight space into one
+    space, so that span is closed under every letter.  For a singular
+    weight vector v it is U(n-) . v, the words' span: one pass confirms it."""
     F = gathered[0].F
     n = len(lines)
     mods = [gathered[m] for m, _s, _v in lines]
-    letters = [g.every() if close else g.lowering for g in mods]
     dims = np.array([g.dim for g in mods], dtype=np.int64)
-    steps = max(len(ls) for ls in letters)
-    off = np.zeros((n, steps), dtype=np.int64)
-    caps = np.ones((n, steps), dtype=np.int64)
-    total = sum(len(g.idx) * len(ls) for g, ls in zip(mods, letters))
-    blocks = np.zeros((total, D, D, F.k), dtype=np.int64)
-    targets = np.zeros(total, dtype=np.int64)
-    at = 0
-    for l, (g, ls) in enumerate(zip(mods, letters)):
-        for j, (blk, target, cap) in enumerate(ls):
-            blocks[at:at + len(blk), :g.D, :g.D] = blk
-            targets[at:at + len(blk)] = target
-            off[l, j], caps[l, j] = at, cap
-            at += len(blk)
+
+    def table(letters):
+        # letter j of line l: blocks from off[l, j], caps[l, j] - 1 powers
+        steps = max(len(ls) for ls in letters)
+        off = np.zeros((n, steps), dtype=np.int64)
+        caps = np.ones((n, steps), dtype=np.int64)
+        total = sum(len(g.idx) * len(ls) for g, ls in zip(mods, letters))
+        blocks = np.zeros((total, D, D, F.k), dtype=np.int64)
+        targets = np.zeros(total, dtype=np.int64)
+        at = 0
+        for l, (g, ls) in enumerate(zip(mods, letters)):
+            for j, (blk, target, cap) in enumerate(ls):
+                blocks[at:at + len(blk), :g.D, :g.D] = blk
+                targets[at:at + len(blk)] = target
+                off[l, j], caps[l, j] = at, cap
+                at += len(blk)
+        return blocks, targets, off, caps
+
+    def cut(W, line, space, sel, last):
+        # lines sel cut to a basis; done (and dropped) if full or at last
+        on = sel[line]
+        got, (B, bline, bspace) = _span(F, W[on], line[on], space[on], n)
+        done = sel & ((got == dims) | (got == last))
+        rank[done] = got[done]
+        keep = ~done[bline]
+        return (np.concatenate([W[~on], B[keep]]),
+                np.concatenate([line[~on], bline[keep]]),
+                np.concatenate([space[~on], bspace[keep]]), got)
+
     W = np.stack([v for _m, _s, v in lines])
     line = np.arange(n)
     space = np.array([s for _m, s, _v in lines], dtype=np.int64)
     rank = np.full(n, -1, dtype=np.int64)
-    last = np.zeros(n, dtype=np.int64)
+    last = np.full(n, -1, dtype=np.int64)
+    blocks, targets, off, caps = table([g.lowering for g in mods])
+    every = None
     while True:
-        for j in range(steps):
+        for j in range(off.shape[1]):
             cap = caps[:, j]
-            cut = (np.bincount(line, minlength=n) * cap > dims) & (rank < 0)
-            if cut.any():
-                sel = cut[line]
-                got, (W2, line2, space2) = _span(F, W[sel], line[sel],
-                                                 space[sel], n, basis=True)
-                full = cut & (got == dims)
-                rank[full] = dims[full]
-                keep = ~full[line2]
-                W = np.concatenate([W[~sel], W2[keep]])
-                line = np.concatenate([line[~sel], line2[keep]])
-                space = np.concatenate([space[~sel], space2[keep]])
+            over = (np.bincount(line, minlength=n) * cap > dims) & (rank < 0)
+            if over.any():
+                W, line, space, _got = cut(W, line, space, over, -1)
             parts = [(W, line, space)]
             for a in range(1, int(cap.max())):
                 fW, fline, fspace = parts[-1]
@@ -331,17 +333,15 @@ def _word_span_ranks(gathered, lines, D, close=False):
                 live = (fspace >= 0) & nonzero_digits(fW).any(axis=1)
                 parts.append((fW[live], fline[live], fspace[live]))
             W, line, space = (np.concatenate(p) for p in zip(*parts))
-        left = rank < 0
-        if not close:
-            rank[left] = _span(F, W, line, space, n)[left]
-            return rank
-        got, (W, line, space) = _span(F, W, line, space, n, basis=True)
-        done = left & ((got == last) | (got == dims))
-        rank[done], last = got[done], got
+        W, line, space, last = cut(W, line, space, rank < 0, last)
         if (rank >= 0).all():
             return rank
-        keep = ~done[line]
-        W, line, space = W[keep], line[keep], space[keep]
+        if every is None:
+            every = {m: gathered[m].every() for m in
+                     {lines[l][0] for l in np.flatnonzero(rank < 0)}}
+            blocks, targets, off, caps = table(
+                [every[m] if r < 0 else []
+                 for (m, _s, _v), r in zip(lines, rank)])
 
 
 def _judge(gathered, max_enumerate=3, samples=40, seed=0):
@@ -350,12 +350,11 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
 
     The singular systems of all modules are reduced together.  The lines
     then run in rounds: round n takes the n-th singular line of every
-    module not yet decided, and the word spans of all of them advance
-    together (`_word_span_ranks`); the lines of the round whose spans fall
-    short are then closed under every letter together, in one more call.
-    Each module keeps its own seeded
-    random sample and its own weight order, so every verdict is the one
-    the module gets alone."""
+    module not yet decided, and the submodules of all of them grow
+    together, in one `_word_span_ranks` call.  A line whose submodule falls
+    short of its module decides "not simple".  Each module keeps its own
+    seeded random sample and its own weight order, so every verdict is the
+    one the module gets alone."""
     F = gathered[0].F
     for g in gathered:
         if g.F != F:
@@ -393,15 +392,13 @@ def _judge(gathered, max_enumerate=3, samples=40, seed=0):
             else:
                 lines[m] += 1
                 batch.append((m,) + nxt)
-        for close in (False, True):
-            # the word spans first, then the closure of the short ones only
-            ranks = _word_span_ranks(
-                gathered, [(m, s, v) for m, _method, s, v in batch], D,
-                close) if batch else []
-            batch = [b for b, rank in zip(batch, ranks)
-                     if rank < gathered[b[0]].dim]
-        for m, method, s, v in batch:
+        ranks = _word_span_ranks(
+            gathered, [(m, s, v) for m, _method, s, v in batch], D
+        ) if batch else []
+        for (m, method, s, v), rank in zip(batch, ranks):
             g = gathered[m]
+            if rank == g.dim:
+                continue
             cols = g.idx[s][g.idx[s] >= 0]
             full = np.zeros((g.dim, F.k), dtype=np.int64)
             full[cols] = v[:len(cols)]
@@ -419,11 +416,12 @@ def is_simple(M, max_enumerate=3, samples=40, seed=0):
     weight's singular space has dimension at most max_enumerate, otherwise
     a seeded random sample of lines, flagged in the verdict.
 
-    Each line v is first checked against the span of its ordered lowering
-    words (`_word_span_ranks`).  Every word lies in the submodule v
-    generates, so a full span proves that v generates the module.  Only a
-    line whose word span falls short is closed under every letter, on the
-    same weight-space blocks, and that closure alone decides "not simple".
+    Each line v grows the submodule it generates (`_word_span_ranks`): the
+    span of its ordered lowering words first, and every word lies in that
+    submodule, so a full span proves that v generates the module.  Only a
+    line whose word span falls short goes on to the passes of every letter
+    over the word basis, on the same weight-space blocks, and the closed
+    span alone decides "not simple".
     A nonzero module without a singular vector raises InvariantError: n+
     acts nilpotently, so the singular space cannot be empty.  This is the
     one-module case of `_judge`, which judges many modules in one batched

@@ -1248,8 +1248,8 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     (`_induce`) whose entry values stay within _SLAB // 2 digit cells.
     The oracle judges the rows in batches (`_judge`).  Each row keeps only
     its module's blocks; a batch is judged before the next row's blocks
-    would take it past _SLAB cells.  A line whose word span falls short is
-    closed under every letter on the same blocks.  A row's ms is its own
+    would take it past _SLAB cells.  A line whose word span falls short
+    is closed from its word basis on the same blocks.  A row's ms is its own
     time plus an equal share of the Cartan evaluation, of its chunk's
     induction and of its batch's judging."""
     lams = [lam for lam in admissible_lambdas(spec)

@@ -876,12 +876,49 @@ def test_word_span_matches_rank_of_all_words():
                 local = np.stack([_on_space(g, w, s)
                                   for w, s in zip(live, spaces)])
                 assert oracle._span(F5, local, np.zeros(len(live), int),
-                                    spaces, 1)[0] == rank
+                                    spaces, 1)[0][0] == rank
                 s0 = space[np.flatnonzero(v.any(axis=-1))[0]]
                 assert oracle._word_span_ranks(
                     [g], [(0, s0, _on_space(g, v, s0))], g.D)[0] == rank
                 short += rank < M.dim
     assert short >= 3
+
+
+@pytest.mark.parametrize("make, lam, drop", [(gl3, (1, 2, 0), 0),
+                                             (gl21, (0, 0, 0), 2)],
+                         ids=["gl3", "gl21"])
+def test_closure_passes_reach_the_submodule(monkeypatch, make, lam, drop):
+    # without one lowering letter the words of a singular line fall short
+    # of the submodule it generates; the passes of every letter still
+    # reach it, against the dense spin-up, and stop only after a pass that
+    # left the rank unchanged
+    spec = zero_spec(make())
+    M = verma_build(spec, fp_order(spec.algebra), weight=lam)
+    g = oracle._gather(M)
+    del g.lowering[drop]
+    space = np.zeros(M.dim, dtype=np.int64)
+    for s, cols in enumerate(g.idx):
+        space[cols[cols >= 0]] = s
+    mats = list(repmod._dense_letters(F5, spec.algebra.dim, M.dim,
+                                      M.cells).values())
+    lines, want = [], []
+    for vecs in singular_vectors(M).values():
+        for v in vecs:
+            s = space[np.flatnonzero(v.any(axis=-1))[0]]
+            lines.append((0, s, _on_space(g, v, s)))
+            want.append(len(repmod._spin(F5, mats, v).pivots))
+    tables = []
+    apply = oracle._apply
+
+    def applying(F, blocks, at, W):
+        tables.append(blocks)
+        return apply(F, blocks, at, W)
+
+    monkeypatch.setattr(oracle, "_apply", applying)
+    assert oracle._word_span_ranks([g], lines, g.D).tolist() == want
+    # every closure pass applies each letter with cells once
+    passes = sum(b is not tables[0] for b in tables) / len(g.every())
+    assert passes >= 2
 
 
 def test_is_simple_raises_on_empty_singular_space(monkeypatch):
@@ -946,25 +983,49 @@ def test_is_simple_rejects_word_across_weight_spaces():
 
 
 def test_is_simple_spins_up_only_short_word_spans(monkeypatch):
-    # only a line whose ordered lowering words fall short is closed under
-    # every letter
-    calls = []
-    spans = oracle._word_span_ranks
+    # one _word_span_ranks call per round; only a line whose ordered
+    # lowering words fall short reads the blocks of every letter, and its
+    # closure applies them to the basis of its words, not to v again
+    calls, cuts, applied = [], [], []
+    spans, gather, apply = (oracle._word_span_ranks, oracle._gather,
+                            oracle._apply)
 
-    def counted(gathered, lines, D, close=False):
-        calls.append(close)
-        return spans(gathered, lines, D, close)
+    def counted(gathered, lines, *rest):
+        calls.append(len(lines))
+        return spans(gathered, lines, *rest)
+
+    def gathered(M):
+        g = gather(M)
+        every = g.every
+
+        def cut():
+            cuts.append(M.dim)
+            return every()
+        g.every = cut
+        return g
+
+    def applying(F, blocks, at, W):
+        applied.append((len(cuts), len(W)))
+        return apply(F, blocks, at, W)
 
     monkeypatch.setattr(oracle, "_word_span_ranks", counted)
+    monkeypatch.setattr(oracle, "_gather", gathered)
+    monkeypatch.setattr(oracle, "_apply", applying)
     spec = _regss_gl3_f25()
     M = verma_build(spec, fp_order(spec.algebra),
                     weight=admissible_lambdas(spec)[0])
     assert is_simple(M)["simple"] and M.dim == 125
-    assert calls and not any(calls)
+    assert calls and not cuts
+    calls.clear()
+    applied.clear()
     spec = zero_spec(gl2())
     M = verma_build(spec, fp_order(spec.algebra), weight=(2, 0))
-    assert not is_simple(M)["simple"]
-    assert calls[-2:] == [False, True]
+    verdict = is_simple(M)
+    assert not verdict["simple"] and verdict["lines"] == 2
+    assert calls == [1, 1] and cuts == [M.dim]
+    # f^3 . v spans the two-dimensional submodule; every letter meets both
+    closing = [n for cut, n in applied if cut]
+    assert closing and min(closing) == 2
 
 
 def test_is_simple_rejects_any_letter_across_weight_spaces():
