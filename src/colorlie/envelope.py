@@ -498,20 +498,80 @@ def uchi_basis(spec):
     return spec.dimension(), itertools.product(*[range(c) for c in spec.caps])
 
 
+def _flatten(F, index, outs):
+    """Rows, columns and coefficient digits of the products outs, the t-th
+    product in column t."""
+    return (np.array([index[m] for out in outs for m in out], dtype=np.int64),
+            np.repeat(np.arange(len(outs)), [len(out) for out in outs]),
+            F.codes_to_array([c for out in outs for c in out.values()]))
+
+
 def _basis_table(eng, mons, index, j, left=False):
     """Multiplication by the letter e_j on the reduced basis mons, flattened
     to arrays with one entry per term c m2 of m e_j (of e_j m when left):
     the row index[m2], the column index[m] and the digits of c.  Entries
-    run column by column."""
+    run column by column; no (row, column) pair repeats and no c is zero.
+
+    The left tables fold e_j onto every monomial, sharing prefixes
+    (times_monomials).  The right tables need mons to be the whole reduced
+    basis in uchi_basis order and eng the spec's engine in the default
+    letter order, whose first letter is e_0.  Write m = e_0^a m', m' free of
+    e_0: the m' are the first stride = dim / cap_0 monomials, and m has
+    index a * stride + index[m'].  Then m e_j = e_0^a (m' e_j), so only the
+    m' go through the engine.  A term c e_0^b x' of m' e_j (x' free of e_0)
+    gives c e_0^(a+b) x', a normal monomial while a + b < cap_0: its row
+    and column move by a * stride.  At or over the cap it gives
+    c Z_(a+b) x', Z_k the normal form of e_0^k (zero or a scalar at the gl
+    root letters); a Z_k made of powers of e_0 only shifts and scales,
+    any other goes through the engine.  Entries that meet at one (row,
+    column) are summed and zero sums dropped."""
     F = eng.F
     if left:
-        outs = eng.times_monomials({_bump((0,) * eng.A.dim, j, 1): F.one},
-                                   mons)
-    else:
-        outs = [eng.times_letter(m, j) for m in mons]
-    return (np.array([index[m] for out in outs for m in out], dtype=np.int64),
-            np.repeat(np.arange(len(outs)), [len(out) for out in outs]),
-            F.codes_to_array([c for out in outs for c in out.values()]))
+        return _flatten(F, index, eng.times_monomials(
+            {_bump((0,) * eng.A.dim, j, 1): F.one}, mons))
+    dim, cap = len(mons), eng.caps[0]
+    stride = dim // cap
+    row, col, val = _flatten(F, index,
+                             [eng.times_letter(m, j) for m in mons[:stride]])
+    low, rest = np.divmod(row, stride)  # e_0 exponent b, and index of x'
+    power = np.arange(cap)[:, None] + low  # a + b for every a and term
+    below = power < cap
+    shift = np.arange(cap)[:, None] * stride
+    rows, cols = [(row + shift)[below]], [(col + shift)[below]]
+    vals = [np.broadcast_to(val, power.shape + (F.k,))[below]]
+    over = np.flatnonzero(~below.ravel())
+    a, t = np.divmod(over, row.size)  # the shift and the term of each
+    k = power.ravel()[over]
+    e0 = _bump((0,) * eng.A.dim, 0, 1)
+    z = {_bump(e0, 0, cap - 2): F.one}  # e_0^(cap-1), raised to Z_cap first
+    for kk in range(cap, int(k.max(initial=cap - 1)) + 1):
+        z = eng.product(z, {e0: F.one})
+        hit = np.flatnonzero(k == kk)
+        if not z or not hit.size:
+            continue
+        x, c, at = rest[t[hit]], val[t[hit]], col[t[hit]] + a[hit] * stride
+        if all(not any(m[1:]) for m in z):
+            for m, cz in z.items():
+                rows.append(m[0] * stride + x)
+                cols.append(at)
+                vals.append(digit_product(F, c, F.codes_to_array(cz),
+                                          np.multiply))
+            continue
+        xs = sorted(set(x.tolist()))
+        flat = {y: _flatten(F, index, [out]) for y, out in zip(
+            xs, eng.times_monomials(z, [mons[y] for y in xs]))}
+        for y, cy, aty in zip(x.tolist(), c, at.tolist()):
+            r2, _, v2 = flat[y]
+            rows.append(r2)
+            cols.append(np.full(r2.size, aty))
+            vals.append(digit_product(F, v2, cy, np.multiply))
+    key = np.concatenate(cols) * dim + np.concatenate(rows)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(np.concatenate(vals)[order], head, axis=0) % F.p
+    live = nonzero_digits(sums)
+    return key[head[live]] % dim, key[head[live]] // dim, sums[live]
 
 
 def _degree_classes(A, mons):
@@ -554,7 +614,8 @@ def frobenius_gram(spec, max_dim=2000):
     the profile monomial e^tau in nf(u v), over the full reduced basis.
 
     mu(m_u, m_v) = (R_{l_1}^T ... R_{l_r}^T e_tau)[u] for v's letters
-    l_1 <= ... <= l_r, R_j the right multiplication by e_j.  The last
+    l_1 <= ... <= l_r, R_j the right multiplication by e_j, whose table
+    `_basis_table` builds from the first letter's stride alone.  The last
     letter runs fastest, so the monomials with exponents only on letters
     after i are the first stride_i columns, and R_i^T turns that block into
     the next cap_i - 1 blocks, one by one.  The walk keeps G's nonzero
@@ -562,7 +623,8 @@ def frobenius_gram(spec, max_dim=2000):
     letter's table grouped by row and sums each key's digit products, in
     slabs of whole source columns of at most _SLAB products (unless one
     column has more).  A slab's output columns are its own, so it is
-    summed alone.
+    summed alone.  The rank of G peels its structural pivots before
+    any elimination (`Mat.rank`).
 
     Returns a dict with the monomial list, tau, the Gram Mat, its rank, and
     the nondegeneracy / color-symmetry flags."""

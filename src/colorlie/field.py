@@ -172,6 +172,7 @@ class Field:
         # tables = (add, mul), both read t[a, b]; computed above LUT_LIMIT
         if q > LUT_LIMIT:
             self._add = self._mul = self._neg = self._inv = None
+            self._inv_digits = None
             self.tables = (_Entries(self.add), _Entries(self.mul))
             return
         digits = self.codes_to_array(np.arange(q))
@@ -186,6 +187,7 @@ class Field:
                 digit_product(self, rows, digits, np.multiply.outer))
         neg = np.argmax(add == 0, axis=1)
         inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
+        self._inv_digits = digits[inv]  # (q, k): the inverse's digits
         # the scalar methods read the tables through zero-copy memoryviews,
         # whose items are plain ints: no numpy scalar is made per call
         self._add, self._mul, self._neg, self._inv = (
@@ -275,11 +277,11 @@ class Field:
         return self.codes_to_array(np.ones(arr.shape[:-1], dtype=np.int64))
 
     def inv_array(self, arr):
-        """Inverses of an array (..., k) of nonzero digit vectors: read from
-        the table when the field has one, otherwise a^(q-2)."""
-        if self._inv is not None:
-            return self.codes_to_array(
-                np.asarray(self._inv)[self.array_to_codes(arr)])
+        """Inverses of an array (..., k) of nonzero digit vectors: the rows
+        of the (q, k) digit table of inverses at the vectors' codes when the
+        field has tables, otherwise a^(q-2)."""
+        if self._inv_digits is not None:
+            return self._inv_digits[self.array_to_codes(arr)]
         return self.pow_array(arr, self.q - 2)
 
     # -- polynomial utilities over this field (little-endian code lists) ---

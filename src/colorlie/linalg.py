@@ -4,9 +4,11 @@ Matrices hold their entries as numpy digit arrays of shape (rows, cols, k),
 one base-p digit vector per entry.  Every product of such arrays goes
 through `field.digit_product`.  Reductions of one matrix run through one
 forward elimination pass, `_forward`, which clears only the rows below
-each pivot: `Mat.rank` counts its pivots, and `Mat.rref` (with it kernel,
-solve and inverse) and the incremental `Echelon` follow it with
-`_back_substitute`.  A batch of many small independent matrices is reduced
+each pivot.  `Mat.rank` first peels the structural pivots (`_peel`: rows
+and columns with a single nonzero entry, which need no arithmetic) and
+counts the pivots of `_forward` on the rows and columns left; `Mat.rref`
+(with it kernel, solve and inverse) and the incremental `Echelon` follow
+`_forward` with `_back_substitute`.  A batch of many small independent matrices is reduced
 by `batch_rref`, one column step for all of them at once.  Kernels are
 read off either reduced form by `kernel_from_rref`.  Everything is
 deterministic: the pivot is always the first nonzero entry.
@@ -56,6 +58,50 @@ def _forward(F, a):
         lead[top] = c
         rows.append(top)
         cols.append(col)
+
+
+def _peel(nz):
+    """Structural pivots of a matrix with the (r, c) nonzero pattern nz
+    (C. Bouillaguet and C. Delaplace, "Sparse Gaussian elimination modulo
+    p: an update", CASC 2016); returns the rows and columns left and the
+    number of pivots peeled.
+
+    A column whose one nonzero entry among the live rows sits in row i is a
+    pivot that needs no arithmetic: column operations with it clear row i
+    elsewhere and touch no other row, so the rank is one more than the
+    rank without row i and the column.  The same holds for a row with one
+    nonzero entry among the live columns.  Each round takes every such
+    column, or every such row when no column is left, one pivot per row
+    and per column, and drops the pivots' rows and columns.  Rows and
+    columns that end with no nonzero entry are dropped as well."""
+    nz = nz.copy()  # pivot rows and columns are cleared as they go
+    in_col, in_row = nz.sum(axis=0), nz.sum(axis=1)
+    peeled = 0
+    while True:
+        cols = np.flatnonzero(in_col == 1)
+        if cols.size:
+            rows = nz[:, cols].argmax(axis=0)
+            other, size = rows, nz.shape[0]
+        else:
+            rows = np.flatnonzero(in_row == 1)
+            if not rows.size:
+                break
+            cols = nz[rows].argmax(axis=1)
+            other, size = cols, nz.shape[1]
+        if other.size > 1:
+            # several single columns may meet in one row (single rows in
+            # one column): the last one written to the row keeps it
+            owner = np.empty(size, dtype=np.int64)
+            owner[other] = np.arange(other.size)
+            keep = owner[other] == np.arange(other.size)
+            rows, cols = rows[keep], cols[keep]
+        peeled += rows.size
+        in_col -= nz[rows].sum(axis=0)
+        nz[rows] = False
+        in_row -= nz[:, cols].sum(axis=1)
+        nz[:, cols] = False
+        in_row[rows] = in_col[cols] = 0
+    return np.flatnonzero(in_row), np.flatnonzero(in_col), peeled
 
 
 def _back_substitute(F, e, cols):
@@ -243,8 +289,13 @@ class Mat:
         return Mat(self.F, R), pivots
 
     def rank(self):
-        """Pivot count of one forward elimination pass on a copy."""
-        return len(_forward(self.F, self.a.copy())[0])
+        """Structural pivots peeled off, then the pivot count of one forward
+        elimination pass on a copy of the rows and columns left (`_peel`):
+        a matrix that peels fully costs no elimination."""
+        rows, cols, peeled = _peel(nonzero_digits(self.a))
+        if not rows.size or not cols.size:
+            return peeled
+        return peeled + len(_forward(self.F, self.a[np.ix_(rows, cols)])[0])
 
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""

@@ -11,6 +11,12 @@ chi = 0 it pins the sorted Cartan terms of `f_via_hc` and the reversal.
 The recorded values live in tests/pins/engine.json.  When an output is
 meant to change, regenerate the file with
 ``PYTHONPATH=src python tests/test_engine_pins.py`` and check the diff.
+
+The right multiplication tables of `_basis_table`, which send only the
+monomials free of the first letter through the engine, are checked entry
+for entry against one times_letter per basis monomial: on the cases
+above and on specs whose first letter's powers past the cap are a
+scalar or leave the powers of that letter.
 """
 
 import hashlib
@@ -22,8 +28,9 @@ import numpy as np
 import pytest
 
 from colorlie.algebra import ColorAlgebra, make_gl
-from colorlie.envelope import (chi_reduce, engine_for, frobenius_gram,
-                               uchi_basis)
+from colorlie.cli import load_spec
+from colorlie.envelope import (_basis_table, chi_reduce, engine_for,
+                               frobenius_gram, uchi_basis)
 from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
@@ -122,6 +129,62 @@ def test_engine_products_pinned(name):
 @pytest.mark.parametrize("name", sorted(_cartan_cases()))
 def test_cartan_terms_pinned(name):
     assert _cartan(name) == _recorded()["cartan/" + name]
+
+
+def _table_cases():
+    """name -> (reduced spec, whether Z_cap = nf(e_0^cap) leaves the powers
+    of the first letter e_0, so that the table takes the engine past the
+    cap)."""
+    out = {n: (_zero(A), False) for n, A in _product_cases().items()}
+    # class-generator cap p * s = 25, Z_25 = 1
+    bundle = load_spec(os.path.join(HERE, "specs", "z25_class.json"))
+    out["z25_class"] = (chi_reduce(bundle["algebra"], bundle["character"]),
+                        False)
+    # chi(e_21) = 2 on the first letter: Z_5 = 2^5, a scalar
+    A = _grid_gl()["trivial_2"]
+    out["gl2_chi_e21"] = (chi_reduce(A, PCharacter(
+        A, linear={A.index_of("e_21"): 2})), False)
+    # abelian a, b with a^[p] = b: Z_5 = b
+    out["abelian_pmap"] = (_zero(ColorAlgebra(
+        trivial_bicharacter(GradedGroup([]), F5), ["a", "b"], [(), ()], {},
+        pmap={0: {1: 1}, 1: {}})), True)
+    # an odd first letter y with [y, y] = c, c even and central: Z_2 = c / 2
+    _, eps = super_bicharacter(F5)
+    out["odd_square"] = (_zero(ColorAlgebra(
+        eps, ["y", "c"], [(1,), (0,)], {(0, 0): {1: 1}}, pmap={1: {}})), True)
+    return out
+
+
+def _per_monomial_table(spec, j):
+    """(column, row, code) of every term of m e_j, one times_letter per
+    basis monomial m on a fresh engine, sorted."""
+    spec = chi_reduce(spec.algebra, spec.chi)
+    eng = engine_for(spec.algebra, spec)
+    mons = list(uchi_basis(spec)[1])
+    index = {m: t for t, m in enumerate(mons)}
+    return sorted((t, index[m2], c) for t, m in enumerate(mons)
+                  for m2, c in eng.times_letter(m, j).items())
+
+
+@pytest.mark.parametrize("name", sorted(_table_cases()))
+def test_basis_tables_match_per_monomial_products(name):
+    spec, leaves = _table_cases()[name]
+    A, F = spec.algebra, spec.algebra.F
+    eng = engine_for(A, spec)
+    cap = spec.caps[0]
+    top = tuple([cap - 1] + [0] * (A.dim - 1))
+    z = eng.product({top: F.one}, {tuple([1] + [0] * (A.dim - 1)): F.one})
+    assert any(any(m[1:]) for m in z) == leaves
+    mons = list(uchi_basis(spec)[1])
+    index = {m: t for t, m in enumerate(mons)}
+    for j in range(A.dim):
+        rows, cols, digits = _basis_table(eng, mons, index, j)
+        codes = F.array_to_codes(digits)
+        got = list(zip(cols.tolist(), rows.tolist(), codes.tolist()))
+        assert got == sorted(got)
+        assert len({(c, r) for c, r, _ in got}) == len(got)
+        assert 0 not in codes
+        assert got == _per_monomial_table(spec, j), (name, j)
 
 
 if __name__ == "__main__":

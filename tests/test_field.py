@@ -264,3 +264,21 @@ def test_arithmetic_matches_schoolbook(p, k):
     invs = F.array_to_codes(F.inv_array(F.codes_to_array(units)))
     assert [schoolbook_mul(a, int(b), p, mod)
             for a, b in zip(units, invs)] == [1] * 40
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (5, 3)],
+                         ids=["f5", "f25", "f125"])
+def test_inv_array_reads_the_digit_table(p, k):
+    # every unit, in a (2, q - 1) block, on the field and on a pickled copy
+    # (which rebuilds its tables)
+    F = Field(p, k)
+    units = np.arange(1, F.q)
+    block = F.codes_to_array(np.stack([units, units[::-1]]))
+    for G in (F, pickle.loads(pickle.dumps(F))):
+        assert G._inv_digits.shape == (G.q, G.k)
+        got = G.inv_array(block)
+        assert got.shape == block.shape and got.dtype == np.int64
+        assert G.array_to_codes(got).tolist() == [
+            [G.inv(int(a)) for a in row] for row in (units, units[::-1])]
+        prod = digit_product(G, block, got, np.multiply)
+        assert (G.array_to_codes(prod) == 1).all()

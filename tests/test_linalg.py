@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorlie.field import Field, digit_product
-from colorlie.linalg import Echelon, Mat, batch_rref
+from colorlie import linalg
+from colorlie.field import Field, digit_product, nonzero_digits
+from colorlie.linalg import Echelon, Mat, _forward, _peel, batch_rref
 
 
 F5 = Field(5)
@@ -142,6 +143,73 @@ def test_rref_shape_and_determinism():
     for ri, pc in enumerate(pivots):
         for i in range(3):
             assert R.entry(i, pc) == (F5.one if i == ri else F5.zero)
+
+
+def _peel_cases(F, rng):
+    """name -> (digit array, number of pivots it should peel, or None when
+    unchecked)."""
+    def uniform(r, c, low=0):
+        return F.codes_to_array(rng.integers(low, F.q, size=(r, c)))
+
+    def upper(r, c):  # nonzero diagonal, uniform above it, zero below
+        a = uniform(r, c) * (np.arange(c) > np.arange(r)[:, None])[..., None]
+        n = min(r, c)
+        a[np.arange(n), np.arange(n)] = uniform(1, n, low=1)[0]
+        return a
+
+    def shuffle(a):
+        return a[rng.permutation(len(a))][:, rng.permutation(a.shape[1])]
+
+    def low_rank(r, c, rank):
+        return digit_product(F, uniform(r, rank), uniform(rank, c), np.matmul)
+
+    bidiagonal = np.zeros((40, 40, F.k), dtype=np.int64)
+    bidiagonal[np.arange(40), np.arange(40)] = uniform(1, 40, low=1)[0]
+    bidiagonal[np.arange(39), np.arange(1, 40)] = uniform(1, 39, low=1)[0]
+    border = np.zeros((34, 31, F.k), dtype=np.int64)
+    border[:18, :18] = upper(18, 18)
+    border[:18, 18:] = uniform(18, 13)
+    border[18:, 18:] = low_rank(16, 13, 5)
+    gaps = shuffle(border)
+    gaps[[2, 9, 20]] = 0
+    gaps[:, [0, 7]] = 0
+    return {
+        "triangular": (shuffle(upper(30, 30)), 30),
+        "bidiagonal": (shuffle(bidiagonal), 40),  # one pivot per round
+        "tall_triangular": (shuffle(upper(25, 18)), 18),
+        "wide_triangular": (shuffle(upper(14, 23)), 14),
+        "dense": (uniform(30, 30, low=1), 0),
+        "dense_wide": (uniform(12, 20, low=1), 0),
+        "dense_low_rank": (low_rank(24, 22, 9), 0),
+        "border": (shuffle(border), 18),
+        "border_gaps": (gaps, None),
+        "zero": (np.zeros((6, 9, F.k), dtype=np.int64), 0),
+        "no_rows": (np.zeros((0, 5, F.k), dtype=np.int64), 0),
+        "no_cols": (np.zeros((5, 0, F.k), dtype=np.int64), 0),
+    }
+
+
+@pytest.mark.parametrize("F", [F5, F25, F125], ids=["f5", "f25", "f125"])
+def test_peeled_rank_matches_forward_elimination(F, monkeypatch):
+    forward, cores = linalg._forward, []
+
+    def spy(F, a):
+        cores.append(a.shape)
+        return forward(F, a)
+
+    monkeypatch.setattr(linalg, "_forward", spy)
+    rng = np.random.default_rng(F.q)
+    for name, (a, peels) in _peel_cases(F, rng).items():
+        want = len(_forward(F, a.copy())[0])
+        cores.clear()
+        assert Mat(F, a).rank() == want, name
+        rows, cols, peeled = _peel(nonzero_digits(a))
+        if peels is not None:
+            assert peeled == peels, name
+        # a fully peeled matrix costs no elimination
+        assert (cores == []) == (peeled == want), name
+        if cores:
+            assert cores == [(rows.size, cols.size, F.k)]
 
 
 def _batch_items(F, r, c, rng):

@@ -86,20 +86,42 @@ def test_benchmark_tracer_layers_resolve():
     assert missing == []
 
 
-_SWEEP_IMPORTS = """
+_CLI_IMPORTS = """
 import sys
 from colorlie.cli import cli_main
-code = cli_main(["sweep", sys.argv[1], "--chi", "zero"])
+code = cli_main(sys.argv[1:])
 print(code, "numpy.ma" in sys.modules)
 """
 
 
 def test_sweep_does_not_import_numpy_ma():
-    # numpy.ma costs every fresh sweep interpreter some 17 ms and 1.2 MB;
-    # np.unique pulls it in lazily (numpy 2.4), so the oracle avoids it
+    # numpy.ma costs every fresh interpreter some 17 ms and 1.2 MB;
+    # np.unique pulls it in lazily (numpy 2.4), so the oracle and the
+    # Frobenius Gram matrix avoid it
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", _SWEEP_IMPORTS,
-         os.path.join(ROOT, "tests", "specs", "gl2.json")],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    spec = os.path.join(ROOT, "tests", "specs", "gl2.json")
+    for argv in (["sweep", spec, "--chi", "zero"], ["frobenius", spec]):
+        out = subprocess.run([sys.executable, "-c", _CLI_IMPORTS] + argv,
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.splitlines()[-1] == "0 False", argv[0]
+
+
+# numpy functions that import numpy.ma on their first call (numpy 2.4)
+_MA_IMPORTERS = {"unique", "setdiff1d", "intersect1d", "union1d",
+                 "percentile", "quantile"}
+
+
+def test_no_numpy_ma_importers():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute)
+                      and node.attr in _MA_IMPORTERS)
+                  or (isinstance(node, ast.ImportFrom)
+                      and (node.module or "").startswith("numpy")
+                      and any(a.name in _MA_IMPORTERS for a in node.names))]
+    assert found == []
