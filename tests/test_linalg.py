@@ -570,6 +570,52 @@ def _gram_outputs(name, workdir):
             "color_symmetric": rep["color_symmetric"]}
 
 
+# name -> (q, items, rows, cols, density, seed): seeded batches for the batch
+# reduction; item t is all zero when t % 6 == 0, zero from row t % rows on
+# when t % 6 == 1, zero in its first t % cols columns when t % 6 == 2 and of
+# rank 1 + t % 3 when t % 6 == 3; density is the share of entries kept
+BATCH_CASES = {
+    "f5_mixed_18x7x9": (5, 18, 7, 9, 1.0, 31),
+    "f5_sparse_12x45x15": (5, 12, 45, 15, 0.03, 32),
+    "f25_mixed_18x9x6": (25, 18, 9, 6, 0.6, 33),
+    "f25_sparse_12x45x15": (25, 12, 45, 15, 0.03, 34),
+    "f125_mixed_12x6x8": (125, 12, 6, 8, 0.8, 35),
+    "f2401_mixed_12x5x7": (2401, 12, 5, 7, 0.7, 36),
+}
+
+
+def _pin_batch(name):
+    """The case's (items, rows, cols, k) batch."""
+    q, b, r, c, density, seed = BATCH_CASES[name]
+    F = PIN_FIELDS[q]
+    rng = np.random.default_rng(seed)
+    items = []
+    for t in range(b):
+        codes = rng.integers(0, q, size=(r, c)) * (rng.random((r, c)) < density)
+        if t % 6 == 0:
+            codes[:] = 0
+        elif t % 6 == 1:
+            codes[t % r:] = 0
+        elif t % 6 == 2:
+            codes[:, :t % c] = 0
+        elif t % 6 == 3:
+            rank = 1 + t % 3
+            left = F.codes_to_array(rng.integers(0, q, size=(r, rank)))
+            right = F.codes_to_array(codes[:rank])
+            items.append(digit_product(F, left, right, np.matmul))
+            continue
+        items.append(F.codes_to_array(codes))
+    return F, np.stack(items)
+
+
+def _batch_outputs(name):
+    F, batch = _pin_batch(name)
+    R, pivots = batch_rref(F, batch)
+    return [{"R": _digest(F, R[t]),
+             "pivots": [int(j) for j in np.flatnonzero(pivots[t])]}
+            for t in range(len(batch))]
+
+
 def _pins():
     with open(PINS) as fh:
         return json.load(fh)
@@ -578,6 +624,11 @@ def _pins():
 @pytest.mark.parametrize("name", sorted(PIN_CASES))
 def test_elimination_outputs_pinned(name):
     assert _pin_outputs(name) == _pins()["matrices"][name]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_outputs_pinned(name):
+    assert _batch_outputs(name) == _pins()["batches"][name]
 
 
 @pytest.mark.parametrize("name", sorted(_gram_specs()))
@@ -590,6 +641,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         data = {"matrices": {n: _pin_outputs(n) for n in sorted(PIN_CASES)},
+                "batches": {n: _batch_outputs(n) for n in sorted(BATCH_CASES)},
                 "gram": {n: _gram_outputs(n, tmp) for n in sorted(_gram_specs())}}
     with open(PINS, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
