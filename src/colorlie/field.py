@@ -267,7 +267,8 @@ class Field:
         return out
 
     def array_to_codes(self, arr):
-        return (arr * np.array(self._powers)).sum(axis=-1).astype(np.int64)
+        """(..., k) digit array -> (...) codes, one product with the p^i"""
+        return arr @ np.array(self._powers)
 
     def pow_array(self, arr, e):
         """a^e for every digit vector a of an array (..., k), e >= 0, every

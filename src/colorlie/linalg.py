@@ -2,16 +2,19 @@
 
 Matrices hold their entries as numpy digit arrays of shape (rows, cols, k),
 one base-p digit vector per entry.  Every product of such arrays goes
-through `field.digit_product`.  Reductions of one matrix run through one
-forward elimination pass, `_forward`, which clears only the rows below
-each pivot.  `Mat.rank` first peels the structural pivots (`_peel`: rows
-and columns with a single nonzero entry, which need no arithmetic) and
-counts the pivots of `_forward` on the rows and columns left; `Mat.rref`
-(with it kernel, solve and inverse) and the incremental `Echelon` follow
-`_forward` with `_back_substitute`.  A batch of many small independent matrices is reduced
-by `batch_rref`, one column step for all of them at once.  Kernels are
-read off either reduced form by `kernel_from_rref`.  Everything is
-deterministic: the pivot is always the first nonzero entry.
+through `field.digit_product`.  There is one elimination kernel, and it
+runs on a batch of independent matrices (b, rows, cols, k); a single
+matrix is a batch of one.  The forward pass, `_forward`, gives every item
+its own pivots and clears only that item's rows that lead in its pivot
+column; `_back_substitute` scales the pivots to one and clears above them.
+`batch_rref` runs the two in a row for `Mat.rref` (with it kernel, solve
+and inverse) and for the simplicity oracle's many small systems.
+`Mat.rank` first peels the structural pivots (`_peel`: rows and columns
+with a single nonzero entry, which need no arithmetic) and counts the
+pivots of `_forward` on the rows and columns left; the incremental
+`Echelon` runs both passes on each block it reduces.  Kernels are read off
+a reduced form by `kernel_from_rref`.  Everything is deterministic: the
+pivot is always the first nonzero entry.
 """
 
 import numpy as np
@@ -20,44 +23,55 @@ from .field import digit_product, nonzero_digits
 
 
 def _leading(nz):
-    """Column of the first True entry of each row of the (m, w) boolean
-    array nz, w for a row without one."""
-    return np.where(nz.any(axis=1), nz.argmax(axis=1), nz.shape[1])
+    """Column of the first True entry of each row of the boolean array nz
+    (..., w), w for a row without one."""
+    last = nz.ndim - 1
+    return np.where(nz.any(axis=last), nz.argmax(axis=last), nz.shape[last])
 
 
 def _forward(F, a):
-    """Forward elimination in place on the (r, c, k) digit array a; returns
-    the pivot rows and their columns, both in column order.
+    """Forward elimination in place on the batch a (b, r, c, k) of digit
+    arrays; returns the (b, n) pivot rows and columns of the items, each
+    item's in column order and padded with -1 past its rank n_i <= n.
 
-    The next pivot column is the first column in which a row without a
-    pivot is nonzero, and its pivot row is the first such row.  Only the
-    rows after it are cleared: every other row without a pivot is already
-    zero in the column.  Each row's leading column is kept, so a column
-    where no such row is nonzero costs nothing.  Rows are not moved and
-    pivots are not scaled, so a[rows] is a row echelon form, every row
-    without a pivot ends zero, and a row holds a pivot exactly when it is
-    independent of the rows above it."""
-    r, c, _ = a.shape
-    rows, cols = [], []
-    if not r or not c:
-        return rows, cols
-    lead = _leading(nonzero_digits(a))
-    while True:
-        col = int(lead.min())
-        if col == c:
-            return rows, cols
-        hit = np.flatnonzero(lead == col)
-        top, below = int(hit[0]), hit[1:]
-        if below.size:
-            inv = F.inv_array(a[top, col])
-            factor = digit_product(F, a[below, col], inv, np.multiply)
-            sub = (a[below, col:] - digit_product(F, factor, a[top, col:],
-                                                  np.multiply.outer)) % F.p
-            a[below, col:] = sub
-            lead[below] = col + _leading(nonzero_digits(sub))
-        lead[top] = c
-        rows.append(top)
-        cols.append(col)
+    At each step every item that still has a pivot takes the first row
+    leading in its own leftmost live column (a row is live until it holds
+    a pivot), and clears only its own rows that lead in that column: every
+    other live row is already zero there.  Each row's leading column is
+    kept, so a column where no live row is nonzero costs nothing.  Rows
+    are not moved and pivots are not scaled, so an item's pivot rows form
+    a row echelon form, every live row ends zero, and a row holds a pivot
+    exactly when it is independent of the rows above it."""
+    b, r, c, _ = a.shape
+    items = at = np.arange(b)     # the items that still have a pivot to take
+    lead = _leading(nonzero_digits(a)) if c else np.zeros((b, r), np.int64)
+    steps = []
+    while items.size:
+        col = lead.min(axis=1, initial=c)
+        live = col < c
+        if not live.all():
+            items, lead = items[live], lead[live]
+            at = np.arange(items.size)
+            continue
+        hit = lead == col[:, None]
+        top = hit.argmax(axis=1)
+        steps.append((items, top, col))
+        lead[at, top] = c
+        if np.count_nonzero(hit) > at.size:
+            hit[at, top] = False
+            jj, below = np.nonzero(hit)
+            ii, pc, pr = items[jj], col[jj], top[jj]
+            c0 = int(pc.min())
+            factor = digit_product(F, a[ii, below, pc],
+                                   F.inv_array(a[ii, pr, pc]), np.multiply)
+            sub = (a[ii, below, c0:] - digit_product(
+                F, factor[:, None], a[ii, pr, c0:], np.multiply)) % F.p
+            a[ii, below, c0:] = sub
+            lead[jj, below] = c0 + _leading(nonzero_digits(sub))
+    rows, cols = np.full((2, b, len(steps)), -1, dtype=np.int64)
+    for t, (items, top, col) in enumerate(steps):
+        rows[items, t], cols[items, t] = top, col
+    return rows, cols
 
 
 def _peel(nz):
@@ -105,64 +119,45 @@ def _peel(nz):
 
 
 def _back_substitute(F, e, cols):
-    """Reduced form of the row echelon form e, in place: row t has its
-    pivot at cols[t]; every pivot is scaled to one and cleared from the
-    rows above it, last pivot first."""
-    n = len(cols)
-    if n:
-        e[:] = digit_product(F, e, F.inv_array(e[np.arange(n), cols])[:, None],
-                             np.multiply)
-    for t in range(n - 1, 0, -1):
-        col = cols[t]
-        above = np.flatnonzero(nonzero_digits(e[:t, col]))
-        if above.size:
-            sub = e[above, col:] - digit_product(F, e[above, col], e[t, col:],
-                                                 np.multiply.outer)
-            e[above, col:] = sub % F.p
+    """Reduced forms of the batch e (b, n, c, k) of row echelon forms, in
+    place: row t of item i has its pivot at cols[i, t], or is zero where
+    cols[i, t] is -1.  Every pivot is scaled to one by one `inv_array`
+    call, then cleared from the rows above it, one pivot index at a time,
+    the last first."""
+    items = np.arange(len(e))[:, None]
+    piv = e[items, np.arange(cols.shape[1]), cols]
+    piv[cols < 0, 0] = 1     # the zero rows are scaled by one
+    e[:] = digit_product(F, e, F.inv_array(piv)[:, :, None], np.multiply)
+    items = items[:, 0]
+    for t in range(cols.shape[1] - 1, 0, -1):
+        col = cols[:, t]
+        ii, above = np.nonzero(nonzero_digits(e[items, :t, col])
+                               & (col >= 0)[:, None])
+        if ii.size:
+            pc = col[ii]
+            c0 = int(pc.min())
+            sub = e[ii, above, c0:] - digit_product(
+                F, e[ii, above, pc][:, None], e[ii, t, c0:], np.multiply)
+            e[ii, above, c0:] = sub % F.p
     return e
 
 
 def batch_rref(F, a):
-    """Reduced row echelon forms of a batch of matrices, in place on the
-    (b, r, c, k) digit array a; returns (a, pivots) with pivots a (b, c)
-    boolean array marking each item's pivot columns.
+    """Reduced row echelon forms of the batch a (b, r, c, k) of digit
+    arrays, in place; returns (a, pivots) with pivots a (b, c) boolean
+    array marking each item's pivot columns.
 
-    One column loop serves the whole batch: at each column every item finds
-    its own pivot row (the first nonzero entry at or below its next pivot
-    row), and the swaps, scalings and clears of all items run as single
-    fancy-indexed `digit_product` calls.  The clear touches only the rows
-    that are nonzero in the column in some item.  Zero rows, such as rows
-    padded in to give the items one shape, never hold a pivot and do not
-    change the result.
-
-    This serves many tiny independent systems, where the cost of Mat.rref
-    is per-call overhead, not arithmetic."""
-    b, r, c, _ = a.shape
-    row = np.zeros(b, dtype=np.int64)     # next pivot row of each item
-    pivots = np.zeros((b, c), dtype=bool)
-    index = np.arange(r)
-    for col in range(c):
-        nz = nonzero_digits(a[:, :, col]) & (index >= row[:, None])
-        items = np.flatnonzero(nz.any(axis=1))
-        if not items.size:
-            continue
-        top = row[items]
-        piv = nz[items].argmax(axis=1)
-        swapped = a[items, piv]
-        a[items, piv] = a[items, top]
-        a[items, top] = swapped
-        inv = F.inv_array(a[items, top, col])
-        prow = digit_product(F, a[items, top, col:], inv[:, None], np.multiply)
-        a[items, top, col:] = prow
-        factor = a[items, :, col]
-        factor[np.arange(items.size), top] = 0
-        ii, hit = items[:, None], np.flatnonzero(factor.any(axis=(0, 2)))
-        sub = a[ii, hit, col:] - digit_product(F, factor[:, hit, None],
-                                               prow[:, None], np.multiply)
-        a[ii, hit, col:] = sub % F.p
-        pivots[items, col] = True
-        row[items] += 1
-    return a, pivots
+    One `_forward` pass and one `_back_substitute` serve the whole batch,
+    and a single matrix is a batch of one.  Zero rows, such as rows padded
+    in to give the items one shape, never hold a pivot and do not change
+    the result."""
+    rows, cols = _forward(F, a)
+    b, n = cols.shape
+    e = a[np.arange(b)[:, None], rows]
+    e[cols < 0] = 0
+    a[:, :n] = _back_substitute(F, e, cols)
+    a[:, n:] = 0
+    return a, (cols[:, :, None] == np.arange(a.shape[2])).any(axis=1)
 
 
 def kernel_from_rref(F, R, pivots):
@@ -282,11 +277,8 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        a = self.a.copy()
-        rows, pivots = _forward(self.F, a)
-        R = np.zeros_like(a)
-        R[:len(rows)] = _back_substitute(self.F, a[rows], pivots)
-        return Mat(self.F, R), pivots
+        R, pivots = batch_rref(self.F, self.a[None].copy())
+        return Mat(self.F, R[0]), np.flatnonzero(pivots[0]).tolist()
 
     def rank(self):
         """Structural pivots peeled off, then the pivot count of one forward
@@ -295,7 +287,8 @@ class Mat:
         rows, cols, peeled = _peel(nonzero_digits(self.a))
         if not rows.size or not cols.size:
             return peeled
-        return peeled + len(_forward(self.F, self.a[np.ix_(rows, cols)])[0])
+        core = self.a[np.ix_(rows, cols)][None]
+        return peeled + int((_forward(self.F, core)[1] >= 0).sum())
 
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""
@@ -382,13 +375,13 @@ class Echelon:
         B = np.asarray(B)
         if B.ndim == 2:
             B = B[None]
-        a = self.reduce(B)
+        a = self.reduce(B)[None]
         rows, cols = _forward(self.F, a)
-        if not rows:
+        if not rows.size:
             return []
-        order = np.argsort(rows)
-        new = _back_substitute(self.F, a[rows], cols)[order]
-        cols = [cols[t] for t in order]
+        order = np.argsort(rows[0])
+        new = _back_substitute(self.F, a[:, rows[0]], cols)[0, order]
+        rows, cols = rows[0, order].tolist(), cols[0, order].tolist()
         R = np.concatenate([self.R, new])
         hit = np.flatnonzero(nonzero_digits(self.R[:, cols]).any(axis=1))
         if hit.size:
@@ -396,7 +389,7 @@ class Echelon:
                                              np.matmul)) % self.F.p
         self.R = R
         self.pivots += cols
-        return sorted(rows)
+        return rows
 
     @property
     def dim(self):

@@ -5,10 +5,11 @@ The oracle reads a module through blocks cut from its nonzero cells
 (`_gather`) and through nothing else: the basis splits into the recorded
 weight spaces, and each letter maps a space into one other space, so it is
 kept as one small block per space.  The words and the closure passes after
-them grow on those blocks, in one loop (`_word_span_ranks`).  `_judge`
-gives the verdicts of many modules in one batched pass; `is_simple` is its
-one-module case, and `repmod.sweep_rows` judges its rows in batches
-through it.
+them grow on those blocks, in one loop (`_word_span_ranks`).  Every
+reduction is one call of `linalg.batch_rref`, the one elimination kernel,
+on a batch of small systems.  `_judge` gives the verdicts of many modules
+in one batched pass; `is_simple` is its one-module case, and
+`repmod.sweep_rows` judges its rows in batches through it.
 """
 
 import itertools
@@ -124,13 +125,14 @@ def _singular(gathered):
     in bucket order.
 
     Each weight space's system is the stack of the blocks of the raising
-    letters from it, and the systems of all spaces of all modules are
-    reduced by one `batch_rref`.  The raising letters keep the buckets of
-    one space apart (a letter shifts color degree and height by its own),
-    so the system is block diagonal up to the order of its columns: no
-    elimination step mixes two buckets, and every kernel vector read off
-    the reduced form lies in the bucket of its free column and equals the
-    one of that bucket's own system.  A row that meets two buckets raises
+    letters from it, and the systems of all spaces of all modules are the
+    items of one `batch_rref`: each takes its own pivots and clears only
+    its own rows.  The raising letters keep the buckets of one space apart
+    (a letter shifts color degree and height by its own), so the system is
+    block diagonal up to the order of its columns: no elimination step
+    mixes two buckets, and every kernel vector read off the reduced form
+    lies in the bucket of its free column and equals the one of that
+    bucket's own system.  A row that meets two buckets raises
     InvariantError."""
     F = gathered[0].F
     D = max(g.D for g in gathered)
@@ -229,9 +231,9 @@ def _lines(F, spaces, max_enumerate, samples, rng):
 
 def _span(F, W, line, space, n):
     """Rank per line (n of them) of the words W (N, D, k), each tagged with
-    its line and weight space, ranked one (line, space) group at a time in
-    one `batch_rref`, and rows spanning the same groups, with their line
-    and space tags."""
+    its line and weight space, each (line, space) group one item of one
+    `batch_rref`, and rows spanning the same groups, with their line and
+    space tags."""
     if not len(W):
         empty = np.zeros(0, dtype=np.int64)
         return np.zeros(n, dtype=np.int64), (W, empty, empty)

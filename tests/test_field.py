@@ -282,3 +282,21 @@ def test_inv_array_reads_the_digit_table(p, k):
             [G.inv(int(a)) for a in row] for row in (units, units[::-1])]
         prod = digit_product(G, block, got, np.multiply)
         assert (G.array_to_codes(prod) == 1).all()
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (5, 3), (7, 4)],
+                         ids=["f5", "f25", "f125", "f2401"])
+def test_array_to_codes_matches_the_digit_sum(p, k):
+    # one product with the digit weights p^i against the weighted digit sum,
+    # on random blocks, an empty array and a single digit vector
+    F = Field(p, k)
+    rng = np.random.default_rng(p ** k)
+    weights = np.array([p ** i for i in range(k)])
+    for shape in ((40,), (3, 5), (2, 3, 4), (0,), (0, 6)):
+        arr = rng.integers(0, p, size=shape + (k,))
+        got = F.array_to_codes(arr)
+        assert got.dtype == np.int64 and got.shape == shape
+        assert np.array_equal(got, (arr * weights).sum(axis=-1))
+        assert np.array_equal(F.codes_to_array(got), arr)
+    one = rng.integers(0, p, size=k)
+    assert int(F.array_to_codes(one)) == int((one * weights).sum())

@@ -200,7 +200,7 @@ def test_peeled_rank_matches_forward_elimination(F, monkeypatch):
     monkeypatch.setattr(linalg, "_forward", spy)
     rng = np.random.default_rng(F.q)
     for name, (a, peels) in _peel_cases(F, rng).items():
-        want = len(_forward(F, a.copy())[0])
+        want = int((_forward(F, a[None].copy())[1] >= 0).sum())
         cores.clear()
         assert Mat(F, a).rank() == want, name
         rows, cols, peeled = _peel(nonzero_digits(a))
@@ -209,7 +209,7 @@ def test_peeled_rank_matches_forward_elimination(F, monkeypatch):
         # a fully peeled matrix costs no elimination
         assert (cores == []) == (peeled == want), name
         if cores:
-            assert cores == [(rows.size, cols.size, F.k)]
+            assert cores == [(1, rows.size, cols.size, F.k)]
 
 
 def _batch_items(F, r, c, rng):
@@ -234,6 +234,8 @@ def _batch_items(F, r, c, rng):
 
 
 def test_batch_rref_matches_rref_item_by_item():
+    # Mat.rref is a batch of one: an item reduced in a batch must equal
+    # the item reduced alone
     import random
     rng = random.Random(12)
     for F in (F5, F25, F125, Field(7, 4)):   # F_2401: no inverse table
@@ -248,6 +250,28 @@ def test_batch_rref_matches_rref_item_by_item():
                 assert list(np.flatnonzero(pivots[t])) == want_piv
                 ranks.add(len(want_piv))
             assert {0, min(r, c)} <= ranks   # all-zero and full-rank items
+
+
+def test_forward_pivot_rows_are_where_the_rank_grows():
+    # Echelon.insert accepts a block's pivot rows: a row must hold a pivot
+    # exactly when it is independent of the rows above it
+    import random
+    rng = random.Random(13)
+    batches = [(F, _batch_items(F, r, c, rng))
+               for F in (F5, F25, F125, Field(7, 4))
+               for r, c in ((6, 4), (4, 6), (5, 5))]
+    batches += [_pin_batch(name) for name in ("f5_sparse_12x45x15",
+                                              "f25_sparse_12x45x15")]
+    for F, batch in batches:
+        rows, cols = _forward(F, batch.copy())
+        assert rows.shape == cols.shape == (len(batch), rows.shape[1])
+        for t, item in enumerate(batch):
+            ranks = [Mat(F, item[:n]).rank() for n in range(len(item) + 1)]
+            grows = [n for n in range(len(item)) if ranks[n + 1] > ranks[n]]
+            rank = ranks[-1]
+            assert (cols[t, rank:] == -1).all() and (rows[t, rank:] == -1).all()
+            assert sorted(rows[t, :rank]) == grows, (F.q, t)
+            assert (np.diff(cols[t, :rank]) > 0).all(), (F.q, t)
 
 
 def test_solve_verified_and_inconsistent():
