@@ -157,7 +157,9 @@ def batch_rref(F, a):
     e[cols < 0] = 0
     a[:, :n] = _back_substitute(F, e, cols)
     a[:, n:] = 0
-    return a, (cols[:, :, None] == np.arange(a.shape[2])).any(axis=1)
+    pivots = np.zeros((b, a.shape[2] + 1), dtype=bool)
+    pivots[np.arange(b)[:, None], cols] = True   # -1 lands in the spare column
+    return a, pivots[:, :-1]
 
 
 def kernel_from_rref(F, R, pivots):
@@ -288,7 +290,7 @@ class Mat:
         if not rows.size or not cols.size:
             return peeled
         core = self.a[np.ix_(rows, cols)][None]
-        return peeled + int((_forward(self.F, core)[1] >= 0).sum())
+        return peeled + _forward(self.F, core)[1].shape[1]
 
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""

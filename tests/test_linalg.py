@@ -200,7 +200,7 @@ def test_peeled_rank_matches_forward_elimination(F, monkeypatch):
     monkeypatch.setattr(linalg, "_forward", spy)
     rng = np.random.default_rng(F.q)
     for name, (a, peels) in _peel_cases(F, rng).items():
-        want = int((_forward(F, a[None].copy())[1] >= 0).sum())
+        want = _forward(F, a[None].copy())[1].shape[1]
         cores.clear()
         assert Mat(F, a).rank() == want, name
         rows, cols, peeled = _peel(nonzero_digits(a))
