@@ -22,9 +22,10 @@ from math import prod
 import numpy as np
 
 from .algebra import bracket_eval, pmap_eval
-from .envelope import (NormalElement, _basis_table, chi_reduce, engine_for,
-                       harish_chandra, monomial_degree, monomial_weight,
-                       nf_letter, nf_one, require_standard, uchi_basis)
+from .envelope import (NormalElement, _axpy, _basis_table, chi_reduce,
+                       engine_for, harish_chandra, monomial_degree,
+                       monomial_weight, nf_letter, nf_one, require_standard,
+                       uchi_basis)
 from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
@@ -32,8 +33,7 @@ from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
 from .field import (_DENSE_CELLS, _SLAB, digit_power, digit_product,
                     nonzero_digits)
 from .linalg import Echelon, Mat
-from .oracle import (_gather, _group_rows, _judge, is_simple,
-                     singular_vectors)
+from .oracle import _gather, _judge, is_simple, singular_vectors
 
 
 class PowerClass:
@@ -573,6 +573,44 @@ def _line_base(spec, triple, lam):
         check=False)
 
 
+def _segments(starts, lens):
+    """The segments [starts[s], starts[s] + lens[s]) of a flat array laid
+    end to end: the segment of each place, and its position in the array."""
+    owner = np.repeat(np.arange(lens.size), lens)
+    return owner, np.arange(owner.size) + np.repeat(
+        starts - np.cumsum(lens) + lens, lens)
+
+
+def _lowering_table(spec, f_letters, rest, exps):
+    """f_n . f^b for every lowering letter n and every exponent row b of
+    exps, through the rewrite engine in the induction order, one letter's
+    products alive at a time: segment n * len(exps) + b of the flat arrays
+    of the terms' rows in exps and coefficient digits, as (rows, digits,
+    starts, lengths).  InvariantError when a term leaves the lowering
+    letters."""
+    A = spec.algebra
+    F, dim = A.F, A.dim
+    eng = engine_for(A, spec, order=f_letters + rest)
+    monos = np.zeros((len(exps), dim), dtype=np.int64)
+    monos[:, f_letters] = exps
+    monos = list(map(tuple, monos.tolist()))
+    index = {m: t for t, m in enumerate(monos)}
+    rows, codes, lens = [], [], []
+    for j in f_letters:
+        for out in eng.times_monomials(
+                {tuple(int(i == j) for i in range(dim)): F.one}, monos):
+            rows += map(index.get, out)
+            codes += out.values()
+            lens.append(len(out))
+    if None in rows:
+        raise InvariantError("a product of lowering letters leaves the "
+                             "lowering letters")
+    lens = np.array(lens, dtype=np.int64)
+    return (np.array(rows, dtype=np.int64),
+            F.codes_to_array(codes).reshape(-1, F.k), np.cumsum(lens) - lens,
+            lens)
+
+
 def _induction_table(spec, triple):
     """The weight-independent plan of inducing along triple (see
     `_induce`), built on the first call and cached per induced-root tuple
@@ -581,13 +619,24 @@ def _induction_table(spec, triple):
     The PBW monomials f^a (amonos) run over the exponent tuples below the
     caps of the lowering letters, lexicographically, and each comes with
     its Cartan shift (the digits of its embedded integral weight), its
-    color degree and its height.  Every product x_i . f^a in the induction
-    order (one times_monomials call per letter) is flattened to entries,
-    one per term c f^a2 r, sorted once by cell (x_i, row of a2, column of
-    a): the digits of c and the number of the exponent pattern of r over
-    the rest letters (a row of patterns).  starts are each cell's first
-    entry; letter, row, col, and the first cell and width of each cell's
-    (letter, row) segment and its index in it, are read per cell."""
+    color degree and its height.  The products x . f^a in the induction
+    order are built one exponent level of a at a time, for every letter x
+    at once, from x . 1 = x and the color commutation rule, f_n the first
+    lowering letter of f^a = f_n f^a'':
+
+        x . f^a = eps(x, f_n) f_n . (x . f^a'') + [x, f_n] . f^a''.
+
+    f_n . f^b is read from one engine table per lowering letter
+    (`_lowering_table`), the only rewriting left.  Every term is then c
+    f^a2 r with r either 1 or a single rest letter, whose pattern number is
+    0 or 1 + its place in rest (patterns holds the exponent rows).  A term
+    whose r is an induced raising letter is dropped as it forms (x . 1 for
+    such x): those letters act as zero on every base, and U u+ stays a left
+    ideal under left multiplication by f_n.  The entries, one per term, are
+    sorted once by cell (x, row of a2, column of a): the digits of c and
+    the pattern of r.  starts are each cell's first entry; letter, row,
+    col, and the first cell and width of each cell's (letter, row) segment
+    and its index in it, are read per cell."""
     tables = vars(spec).setdefault("_induction_tables", {})
     table = tables.get(triple.deltas)
     if table is not None:
@@ -596,33 +645,80 @@ def _induction_table(spec, triple):
     F, tri = A.F, A.triangular
     f_letters = [tri.pairs[t][1] for t in triple.deltas]
     rest = [i for i in range(A.dim) if i not in f_letters]
-    eng = engine_for(A, spec, order=f_letters + rest)
     caps = [spec.caps[j] for j in f_letters]
     amonos = list(itertools.product(*[range(c) for c in caps]))
-    na = len(amonos)
-    monos = np.zeros((na, A.dim), dtype=np.int64)
-    monos[:, f_letters] = amonos
-    monos = list(map(tuple, monos.tolist()))
-    shift = np.zeros((na, len(tri.cartan), F.k), dtype=np.int64)
-    shift[..., 0] = np.array([monomial_weight(A, m) for m in monos]).reshape(
-        na, -1) % F.p
-    fhts = [tri.heights[t] for t in triple.deltas]
-    # the terms of x_i . f^a, product number i * na + a, one letter at a
-    # time so that only one letter's products are alive
-    keys, codes, sizes = [], [], []
-    for i in range(A.dim):
-        outs = eng.times_monomials(
-            {tuple(int(j == i) for j in range(A.dim)): F.one}, monos)
-        keys += [m for out in outs for m in out]
-        codes += [c for out in outs for c in out.values()]
-        sizes += [len(out) for out in outs]
-    terms = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64,
-                        count=len(keys) * A.dim).reshape(-1, A.dim)
+    na, nf, dim = len(amonos), len(caps), A.dim
+    exps = np.array(amonos, dtype=np.int64).reshape(na, nf)
     # amonos runs lexicographically, the last exponent fastest
-    strides = [int(np.prod(caps[n + 1:])) for n in range(len(caps))]
-    rows = terms[:, f_letters] @ np.array(strides, dtype=np.int64)
-    lc = np.repeat(np.arange(len(sizes)), sizes)
-    key = (lc - lc % na + rows) * na + lc % na
+    strides = np.array([prod(caps[n + 1:]) for n in range(nf)],
+                       dtype=np.int64)
+    trow, tc, tstart, tlen = _lowering_table(spec, f_letters, rest, exps)
+    # eps(x, f_n) and the terms (y, d) of [x, f_n], per x * nf + n
+    eps = F.codes_to_array([A.eps.value(A.degree(x), A.degree(j))
+                            for x in range(dim) for j in f_letters])
+    brk = [[(y, d) for y, d in A.bracket(x, j).items() if d]
+           for x in range(dim) for j in f_letters]
+    blen = np.array([len(b) for b in brk], dtype=np.int64)
+    bstart = np.cumsum(blen) - blen
+    by = np.array([y for b in brk for y, _d in b], dtype=np.int64)
+    bc = F.codes_to_array([d for b in brk for _y, d in b]).reshape(
+        -1, F.k)
+    # x . 1 = x: f^a for a lowering letter x, the pattern of x for a rest
+    # letter, and nothing for an induced raising letter
+    raising = {tri.pairs[t][0] for t in triple.deltas}
+    acting = np.array([x for x in range(dim) if x not in raising],
+                      dtype=np.int64)
+    npat = 1 + len(rest)
+    unit_row = np.zeros(dim, dtype=np.int64)
+    unit_row[f_letters] = strides
+    letter_pattern = np.zeros(dim, dtype=np.int64)
+    letter_pattern[rest] = np.arange(1, npat)
+    # f^a = f_n f^a'': n = lead[a] (nf for a = 0) and a'' = below[a]
+    level = exps.sum(axis=1)
+    lead = (exps == 0).cumprod(axis=1).sum(axis=1)
+    below = np.arange(na) - np.append(strides, 0)[lead]
+    done = []
+    for lev in range(int(level.max()) + 1):
+        if lev == 0:
+            parts = [(acting, np.zeros_like(acting), unit_row[acting],
+                      letter_pattern[acting], np.repeat(
+                          F.codes_to_array([F.one]), acting.size, axis=0))]
+        else:
+            at = np.flatnonzero(level == lev)
+            x, a = np.repeat(np.arange(dim), at.size), np.tile(at, dim)
+            xn, a2 = x * nf + lead[a], x * na + below[a]
+            # eps(x, f_n) f_n . (x . f^a'')
+            o, t = _segments(start[a2], count[a2])
+            c = digit_product(F, eps[xn[o]], pc[t], np.multiply)
+            nb = lead[a[o]] * na + pb[t]
+            o2, t2 = _segments(tstart[nb], tlen[nb])
+            parts = [(x[o][o2], a[o][o2], trow[t2], pr[t][o2],
+                      digit_product(F, c[o2], tc[t2], np.multiply))]
+            # [x, f_n] . f^a''
+            o, t = _segments(bstart[xn], blen[xn])
+            y2 = by[t] * na + below[a[o]]
+            o2, t2 = _segments(start[y2], count[y2])
+            parts.append((x[o][o2], a[o][o2], pb[t2], pr[t2],
+                          digit_product(F, bc[t][o2], pc[t2], np.multiply)))
+        x, a, b, r, c = (np.concatenate(v) for v in zip(*parts))
+        key = ((x * na + a) * na + b) * npat + r
+        order = np.argsort(key)
+        head = np.flatnonzero(np.diff(key[order], prepend=-1))
+        c = np.add.reduceat(c[order], head, axis=0) % F.p
+        live = nonzero_digits(c)
+        x, a, pb, pr = (v[order[head[live]]] for v in (x, a, b, r))
+        pc = c[live]
+        # the cell (x, row b, column a) of each entry
+        done.append(((x * na + pb) * na + a, pr, pc))
+        # the entries of x . f^a, at this level, are start[x * na + a] on
+        xa = x * na + a
+        cut = np.flatnonzero(np.diff(xa, prepend=-1))
+        start = np.zeros(dim * na, dtype=np.int64)
+        count = np.zeros(dim * na, dtype=np.int64)
+        start[xa[cut]] = cut
+        count[xa[cut]] = np.diff(cut, append=xa.size)
+    key, pattern, coeffs = (np.concatenate(v) for v in zip(*done))
+    del done
     entry = np.argsort(key, kind="stable")
     key = key[entry]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -630,17 +726,22 @@ def _induction_table(spec, triple):
     new = np.diff(segment, prepend=-1) != 0
     first = np.flatnonzero(new)
     seg = np.cumsum(new) - 1
-    pattern, pfirst = _group_rows(terms[entry][:, rest])
+    froots = np.array([tri.roots[j] for j in f_letters],
+                      dtype=np.int64).reshape(nf, len(tri.cartan))
+    shift = np.zeros((na, len(tri.cartan), F.k), dtype=np.int64)
+    shift[..., 0] = exps @ froots % F.p
+    fdegs = np.array([A.degree(j) for j in f_letters],
+                     dtype=np.int64).reshape(nf, A.group.rank)
     table = tables[triple.deltas] = {
         "amonos": amonos,
         "rest": rest,
         "shift": shift,
-        "degrees": np.array([monomial_degree(A, m) for m in monos],
-                            dtype=np.int64).reshape(na, A.group.rank),
-        "heights": [sum(e * h for e, h in zip(a, fhts)) for a in amonos],
-        "coeffs": F.codes_to_array(codes)[entry],
-        "pattern": pattern,
-        "patterns": terms[entry][pfirst][:, rest],
+        "degrees": exps @ fdegs % np.array(A.group.orders, dtype=np.int64),
+        "heights": (exps @ np.array([tri.heights[t] for t in triple.deltas],
+                                    dtype=np.int64)).tolist(),
+        "coeffs": coeffs[entry],
+        "pattern": pattern[entry],
+        "patterns": np.eye(npat, npat - 1, -1, dtype=np.int64),
         "starts": starts,
         # per cell, shaped (cells, 1, 1) to broadcast over a base block
         "letter": (segment // na)[:, None, None],
@@ -667,29 +768,19 @@ def _induced_dim(spec, triple, bd, max_dim):
 def _induce(spec, triple, bases, max_dim, check=False):
     """The modules induced from bases (all of one dimension bd) along
     triple, built together from the triple's cached plan
-    (`_induction_table`): one power table per rest letter gives each
-    exponent pattern's factor B_1^e_1 ... B_r^e_r once per base (a scalar
-    on a line base, zero there when a root letter occurs), every entry is
-    its coefficient times its pattern's factor, and the entries of each
-    cell are summed, for all bases at once.  The dimension is checked
-    against max_dim before anything is allocated."""
+    (`_induction_table`): each entry is its coefficient times its pattern's
+    factor, the identity or the base action of one rest letter (a scalar on
+    a line base), and the entries of each cell are summed, for all bases at
+    once.  The dimension is checked against max_dim before anything is
+    allocated."""
     A = spec.algebra
     F = A.F
     bd, nb = bases[0].dim, len(bases)
     count = _induced_dim(spec, triple, bd, max_dim)
     plan = _induction_table(spec, triple)
-    rest, patterns = plan["rest"], plan["patterns"]
-    # the normal form lists the parabolic letters left to right, so the
-    # matrix product runs the same way
-    op = np.multiply if bd == 1 else np.matmul
     one = np.broadcast_to(Mat.identity(F, bd).a, (nb, bd, bd, F.k))
-    factor = np.broadcast_to(one, (len(patterns),) + one.shape)
-    for n in np.flatnonzero(patterns.any(axis=0)):
-        B = np.stack([b.action[rest[n]].a for b in bases])
-        pw = [one, B]
-        for _ in range(int(patterns[:, n].max()) - 1):
-            pw.append(digit_product(F, pw[-1], B, op))
-        factor = digit_product(F, factor, np.stack(pw)[patterns[:, n]], op)
+    factor = np.stack([one] + [np.stack([b.action[i].a for b in bases])
+                               for i in plan["rest"]])
     vals = digit_product(F, plan["coeffs"][:, None, None, None],
                          factor[plan["pattern"]], np.multiply)
     sums = np.add.reduceat(vals, plan["starts"]) % F.p
@@ -914,15 +1005,13 @@ def _cartan_terms(spec, triple):
     if reversal is None:
         raise InvariantError("extreme lowering products are not "
                              "proportional")
-    # the integral weights and positive letters of all terms at once
     roots = np.array([tri.roots.get(i, (0,) * len(tri.cartan))
                       for i in range(A.dim)], dtype=np.int64)
     weight = roots[lowering].sum(axis=0)
-    u = rev
-    for e in reversed(raising):
-        u = nf_letter(A, e, spec).mul(u)
-        weight = weight + roots[e]
-        monos = list(u.terms)
+
+    def free(monos):
+        # which of monos carry no positive letter, each checked first to
+        # have the integral weight of the partial product
         exps = np.array(monos, dtype=np.int64).reshape(len(monos), A.dim)
         off = np.flatnonzero((exps @ roots != weight).any(axis=1))
         if off.size:
@@ -930,10 +1019,32 @@ def _cartan_terms(spec, triple):
                                 "has weight %r" % (monos[off[0]],
                                 tuple(weight.tolist()),
                                 monomial_weight(A, monos[off[0]])))
-        kept = ~exps[:, tri.pos].any(axis=1)
-        u = NormalElement(A, spec, {m: u.terms[m] for m, k
-                                    in zip(monos, kept.tolist()) if k})
-    return harish_chandra(u).terms, reversal
+        return (~exps[:, tri.pos].any(axis=1)).tolist()
+
+    # a term is head . tail, its tail the letters from `tail` on: the run
+    # of Cartan letters that ends the letters before the positive ones
+    tail, cartan, zero = last + 1, set(tri.cartan), (0,) * A.dim
+    while tail - 1 in cartan:
+        tail -= 1
+    eng = engine_for(A, spec)
+    u = {m: c for (m, c), k in zip(rev.terms.items(), free(list(rev.terms)))
+         if k}
+    for e in reversed(raising):
+        weight = weight + roots[e]
+        split = {}
+        for m, c in u.items():
+            split.setdefault(m[:tail] + zero[tail:], {})[
+                zero[:tail] + m[tail:]] = c
+        outs = eng.times_monomials({zero[:e] + (1,) + zero[e + 1:]: F.one},
+                                   list(split))
+        keep = iter(free([m for out in outs for m in out]))
+        u = {}
+        for out, tails in zip(outs, split.values()):
+            head = {m: c for (m, c), k in zip(out.items(), keep) if k}
+            if head:
+                _axpy(F, u, F.one, eng.product(head, tails))
+        u = {m: c for (m, c), k in zip(u.items(), free(list(u))) if k}
+    return harish_chandra(NormalElement(A, spec, u)).terms, reversal
 
 
 def f_via_hc(spec, triple, lam):
@@ -951,11 +1062,19 @@ def f_via_hc(spec, triple, lam):
     letter in the normal order (checked too), so the normal forms of that
     ideal are the terms with a positive letter.  Left multiplication keeps
     the dropped part inside the ideal, where the read-off discards it
-    anyway.  Each partial product must be homogeneous of its integral
-    weight; a term of any other weight raises NotWeightZero, and the
-    read-off re-checks what is left.  The (terms, reversal) pair is cached
-    per induced-root tuple on the spec.  This is the one-weight case of
-    `_hc_values`."""
+    anyway.
+
+    Each term of a partial product is a head times its tail, the run of
+    Cartan letters that ends the letters before the positive ones.  E .
+    head is formed once per distinct head, its terms with a positive letter
+    are dropped, and only the rest is multiplied by the tails.  Dropping
+    before the tail is exact too: e' h = (h - alpha(h)) e' for a positive
+    letter e' of root alpha and a Cartan letter h, so U n+ U(h) stays
+    inside U n+.  Every term formed, of E . head and of the products with
+    the tails, must have the partial product's integral weight; a term of
+    any other weight raises NotWeightZero, and the read-off re-checks what
+    is left.  The (terms, reversal) pair is cached per induced-root tuple
+    on the spec.  This is the one-weight case of `_hc_values`."""
     values, reversal = _hc_values(spec, triple, [lam])
     return values[0], reversal
 

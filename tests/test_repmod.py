@@ -17,8 +17,8 @@ from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
                                nf_one, uchi_basis)
 from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
                              InvariantError, MixedSpecs, NoOrderingFound,
-                             NotScalar, NotStandard, NotUnipotent, OddElement,
-                             TooLarge)
+                             NotScalar, NotStandard, NotUnipotent,
+                             NotWeightZero, OddElement, TooLarge)
 from colorlie.field import _SLAB, Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
@@ -50,6 +50,11 @@ def gl11():
 def gl21():
     _, eps = super_bicharacter(F5)
     return make_gl(eps, {(0,): 2, (1,): 1})
+
+
+def gl12():
+    _, eps = super_bicharacter(F5)
+    return make_gl(eps, {(0,): 1, (1,): 2})
 
 
 def gl22():
@@ -299,27 +304,21 @@ def test_levi_sweep_keeps_the_weights_that_extend():
         sweep_rows(spec, trip, fix={0: 1, 1: 0})
 
 
-def natural_base(spec, trip):
-    """The 2-dim natural module of the gl(2) Levi block inside gl(3)."""
+def natural_base(spec, trip, block=(1, 2)):
+    """The 2-dim natural module of the gl(2) Levi block on the basis
+    vectors block = (s, t) inside gl(3); every other letter acts as zero."""
     A = spec.algebra
-    idx = {n: A.index_of(n) for n in A.names}
-
-    def mat(entries):
-        m = np.zeros((2, 2), dtype=np.int64)
-        for (i, j), c in entries.items():
-            m[i, j] = c
-        return Mat.from_codes(F5, m)
-
-    action = {
-        idx["e_12"]: mat({(0, 1): 1}),
-        idx["e_21"]: mat({(1, 0): 1}),
-        idx["e_11"]: mat({(0, 0): 1}),
-        idx["e_22"]: mat({(1, 1): 1}),
-        idx["e_33"]: mat({}),
-        idx["e_23"]: mat({}),
-        idx["e_13"]: mat({}),
-    }
-    return BaseModule(spec, trip, action, [(1, 0, 0), (0, 1, 0)],
+    f_letters = {A.triangular.pairs[t][1] for t in trip.deltas}
+    action = {}
+    for x, name in enumerate(A.names):
+        i, j = int(name[2]), int(name[3])
+        if x not in f_letters:
+            m = np.zeros((2, 2), dtype=np.int64)
+            if i in block and j in block:
+                m[block.index(i), block.index(j)] = 1
+            action[x] = Mat.from_codes(F5, m)
+    return BaseModule(spec, trip, action,
+                      [tuple(int(c == s) for c in (1, 2, 3)) for s in block],
                       [A.group.zero] * 2, [0, 1])
 
 
@@ -1199,7 +1198,11 @@ def _entrywise_action(spec, triple, base):
                                                    Field(7, 4)), {(): 2})),
      (), (3, 1)),
     (lambda: zero_spec(gl3()), ("e_12",), "natural"),
-], ids=["gl3_f5", "gl3_f25_regss", "gl21", "gl2_f2401", "gl3_natural_levi"])
+    (lambda: zero_spec(anti_gl3()), (), None),
+    (lambda: zero_spec(gl12()), (), None),
+    (lambda: zero_spec(gl3()), ("e_23",), "natural"),
+], ids=["gl3_f5", "gl3_f25_regss", "gl21", "gl2_f2401", "gl3_natural_levi",
+        "anti_gl3", "gl12", "gl3_natural_levi_e23"])
 def test_verma_build_matches_entrywise_table(make, levi, lam):
     ref_spec, spec = make(), make()
     if lam is None:
@@ -1209,7 +1212,8 @@ def test_verma_build_matches_entrywise_table(make, levi, lam):
         A = spec.algebra
         trip = fp_order(A, levi=[A.index_of(n) for n in levi])
         if lam == "natural":
-            base = natural_base(spec, trip)
+            base = natural_base(spec, trip,
+                                tuple(int(c) for c in levi[0][2:]))
             return trip, base, {"base": base}
         return trip, repmod._line_base(spec, trip, lam), {"weight": lam}
 
@@ -1220,6 +1224,53 @@ def test_verma_build_matches_entrywise_table(make, levi, lam):
         assert sorted(M.action) == sorted(want)
         for i, codes in want.items():
             assert M.action[i].to_codes().tolist() == codes, i
+
+
+@pytest.mark.parametrize("make, levi, entries", [
+    (_regss_gl3_f25, (), 2270),
+    (lambda: zero_spec(gl21()), (), None),
+    (lambda: zero_spec(anti_gl3()), (), None),
+    (lambda: zero_spec(gl3()), ("e_12",), None),
+], ids=["gl3_f25_regss", "gl21", "anti_gl3", "gl3_levi"])
+def test_induction_plan_terms_carry_one_or_a_rest_letter(make, levi, entries):
+    # every entry c f^a2 r of the plan has r = 1 or one rest letter, never
+    # an induced raising letter: those act as zero on every base
+    spec = make()
+    A = spec.algebra
+    trip = fp_order(A, levi=[A.index_of(n) for n in levi])
+    plan = repmod._induction_table(spec, trip)
+    assert plan["patterns"].sum(axis=1).max() <= 1
+    rows = plan["patterns"][plan["pattern"]]
+    used = {plan["rest"][n] for n in np.flatnonzero(rows.any(axis=0))}
+    assert used and not used & {A.triangular.pairs[t][0]
+                                for t in trip.deltas}
+    if entries is not None:
+        assert len(plan["coeffs"]) == entries
+
+
+def test_plan_refuses_lowering_products_off_the_lowering_letters():
+    # a doctored gl(3) whose [e_21, e_32] also carries e_11: the product
+    # e_32 . e_21 in the induction order leaves the lowering letters
+    A = gl3()
+    i21, i32, i11 = (A.index_of(n) for n in ("e_21", "e_32", "e_11"))
+    A.structure[(i21, i32)] = {**A.bracket(i21, i32), i11: F5.one}
+    A.structure[(i32, i21)] = {**A.bracket(i32, i21), i11: F5.neg(F5.one)}
+    spec = zero_spec(A)
+    with pytest.raises(InvariantError, match="leaves the lowering"):
+        verma_build(spec, fp_order(A), weight=(0, 0, 0), check=False)
+
+
+def test_cartan_route_weight_checks_the_terms_it_drops():
+    # a doctored gl(3) whose [e_12, e_21] also carries e_13, a positive
+    # letter of the wrong weight: every term it spawns carries a positive
+    # letter and is dropped, so only the check of every formed term (not
+    # just the kept ones) sees it
+    A = gl3()
+    i12, i21, i13 = (A.index_of(n) for n in ("e_12", "e_21", "e_13"))
+    A.structure[(i12, i21)] = {**A.bracket(i12, i21), i13: F5.one}
+    A.structure[(i21, i12)] = {**A.bracket(i21, i12), i13: F5.neg(F5.one)}
+    with pytest.raises(NotWeightZero, match="partial product"):
+        f_via_hc(zero_spec(A), fp_order(A), (0, 0, 0))
 
 
 def test_f_via_hc_cold_gl3_f7_under_10s():
