@@ -30,6 +30,9 @@ CASES = {
     "sweep_gl3_slice": (["sweep", "gl3_slice.json"], None),
     "sweep_anti_gl3": (["sweep", "anti_gl3.json", "--chi", "zero"], None),
     "sweep_gl21_f7": (["sweep", "gl21_f7.json", "--chi", "zero"], None),
+    "sweep_gl3_levi12": (["sweep", "gl3_levi12.json", "--chi", "zero"], None),
+    "sweep_gl21_levi12": (["sweep", "gl21_levi12.json", "--chi", "zero"],
+                          None),
     "verma_gl2_f5": (["verma", "gl2.json", "--chi", "zero",
                       "--lambda", "2,0"], None),
     "verma_gl2_f25": (["verma", "gl2_f25.json", "--lambda", "1;3,0;3"], None),
