@@ -1,11 +1,16 @@
 """The brute-force simplicity oracle: singular vectors, and the submodule
 each singular line generates, grown from its ordered lowering words.
 
-The oracle reads a module through blocks cut from its nonzero cells
-(`_gather`) and through nothing else: the basis splits into the recorded
-weight spaces, and each letter maps a space into one other space, so it is
-kept as one small block per space.  The words and the closure passes after
-them grow on those blocks, in one loop (`_word_span_ranks`).  Every
+The oracle reads a module through weight-space blocks and through nothing
+else: the basis splits into the recorded weight spaces, and each letter
+maps a space into one other space, so it is kept as one small block per
+space.  `_layout` lays out the spaces, buckets and letter cells of a
+grading once, and raises InvariantError for a letter that maps one space
+into two; `_fill` scatters the cell digits of many modules on one layout
+into their blocks at once.  A sweep makes one layout per triple and fills
+each chunk of rows on it; `_gather` is the one-module case, on a module's
+own gradings and cells.  The words and the closure passes after them grow
+on the blocks, in one loop (`_word_span_ranks`).  Every
 reduction is one call of `linalg.batch_rref`, the one elimination kernel,
 on a batch of small systems.  `_judge` gives the verdicts of many modules
 in one batched pass; `is_simple` is its one-module case, and
@@ -35,64 +40,48 @@ def _group_rows(K):
 
 
 class _Blocks:
-    """What the simplicity oracle reads of one module, cut from its nonzero
-    cells by `_gather`.
+    """What the simplicity oracle reads of one module, filled by `_fill` on
+    a layout (`_layout`): the module's own for `_gather`, or the one that
+    every row of a sweep shares per triple.
 
     The basis falls into the recorded weight spaces, numbered in sorted
     weight order: idx (S, D) lists each space's basis indices, padded with
     -1 to the largest size D.  The singular buckets (weight, color degree,
     height) are numbered in sorted order: bucket (S, D) holds the bucket of
     each basis vector in the same places, and bfirst the first basis
-    vector of each bucket.  raising holds, per height-one raising letter,
-    its (S, D, D, k) blocks from each space to the one it maps into;
-    lowering holds the same per lowering letter, in the order the words
-    apply them (the last positive root first), with that target space (-1
-    where the letter acts as zero) and the letter's cap.  every() cuts the
-    same triples for every letter that has cells, each with cap 2, for the
-    closure passes, anew on each call.  cells counts the digit cells of the
-    raising and lowering blocks."""
+    vector of each bucket.  weights lists each space's weight.  raising
+    holds, per height-one raising letter, its (S, D, D, k) blocks from
+    each space to the one it maps into; lowering holds the same per
+    lowering letter, in the order the words apply them (the last positive
+    root first), with that target space (-1 where the letter's block is
+    zero) and the letter's cap.  every() cuts the same triples for every
+    letter with a nonzero cell, each with cap 2, for the closure passes,
+    anew on each call.  cells counts the digit cells of the raising and
+    lowering blocks."""
 
 
-def _gather(M):
-    """The weight-space blocks of M (see _Blocks), from the nonzero cells
-    that verma_build keeps on M (M.cells), or else from those of its dense
-    letters.  Any letter whose cells from one weight space land in two
+def _layout(A, key, degrees, heights, letter, row, col):
+    """The weight-space layout of a basis graded by the rows of key (a
+    weight, or a Cartan shift that a line base's weight moves alike),
+    degrees and heights, for the cells (letter, row, column) that may be
+    nonzero: spaces numbered in sorted key order (idx, first), buckets in
+    sorted (space, degree, height) order (bucket, bfirst, bspace), and per
+    letter its cells with their source and target spaces and local row and
+    column (pick).  Any letter whose cells from one space land in two
     raises InvariantError."""
-    A = M.spec.algebra
-    F, tri = A.F, A.triangular
-    if tri is None:
-        raise NoMatrixRealization("algebra carries no triangular "
-                                  "decomposition")
-    dim = M.dim
-    g = _Blocks()
-    g.F, g.spec, g.dim = F, M.spec, dim
-    weights = np.fromiter(itertools.chain.from_iterable(M.weights),
-                          dtype=np.int64, count=dim * len(tri.cartan))
-    space, first = _group_rows(weights.reshape(dim, len(tri.cartan)))
+    n = len(key)
+    space, first = _group_rows(key)
     S = len(first)
     sizes = np.bincount(space, minlength=S)
-    D = g.D = int(sizes.max()) if S else 1
+    D = int(sizes.max()) if S else 1
     order = np.argsort(space, kind="stable")
-    local = np.empty(dim, dtype=np.int64)
-    local[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[space[order]]
-    g.idx = np.full((S, D), -1, dtype=np.int64)
-    g.idx[space, local] = np.arange(dim)
-    g.weights = [M.weights[u] for u in first.tolist()]
-
-    keys = [space[:, None], np.array(M.heights, dtype=np.int64)[:, None]]
-    if dim and len(M.degrees[0]):
-        keys.insert(1, np.array([tuple(d) for d in M.degrees],
-                                dtype=np.int64))
-    bucket, g.bfirst = _group_rows(np.concatenate(keys, axis=1))
-    g.bucket = np.full((S, D), -1, dtype=np.int64)
-    g.bucket[space, local] = bucket
-
-    cells = M.cells
-    if cells is None:
-        arr = np.stack([M.action[i].a for i in range(A.dim)])
-        cells = np.nonzero(nonzero_digits(arr))
-        cells += (arr[cells],)
-    letter, row, col, digits = cells
+    local = np.empty(n, dtype=np.int64)
+    local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[space[order]]
+    idx = np.full((S, D), -1, dtype=np.int64)
+    idx[space, local] = np.arange(n)
+    bucket, bfirst = _group_rows(np.column_stack([space, degrees, heights]))
+    bidx = np.full((S, D), -1, dtype=np.int64)
+    bidx[space, local] = bucket
     source, dest = space[col], space[row]
     # every cell of a letter from one space must land in the same space
     target = np.full((A.dim, S), -1, dtype=np.int64)
@@ -101,22 +90,108 @@ def _gather(M):
     if len(two):
         raise InvariantError("letter %s maps one weight space into two "
                              "recorded weight spaces" % A.names[two.min()])
-    raising = [t for t in tri.pos if tri.heights[t] == 1]
-    lowering = [tri.pairs[t][1] for t in reversed(tri.pos)]
+    by = np.argsort(letter, kind="stable")
+    cut = np.searchsorted(letter[by], np.arange(A.dim + 1))
+    tri = A.triangular
+    letters = sum(tri.heights[t] == 1 for t in tri.pos) + len(tri.pos)
+    return {"dim": n, "D": D, "idx": idx, "first": first, "bucket": bidx,
+            "bfirst": bfirst, "bspace": space[bfirst], "letter": letter,
+            "pick": [np.stack([c, source[c], dest[c], local[row[c]],
+                               local[col[c]]])
+                     for c in (by[cut[i]:cut[i + 1]] for i in range(A.dim))],
+            "cells": letters * S * D * D * A.F.k}
 
-    def blocks(i):
-        on = letter == i
-        out = np.zeros((S, D, D, F.k), dtype=np.int64)
-        out[source[on], local[row[on]], local[col[on]]] = digits[on]
-        return out
 
-    g.raising = [blocks(t) for t in raising]
-    g.lowering = [(blocks(f), target[f], M.spec.caps[f]) for f in lowering]
-    g.cells = (len(raising) + len(lowering)) * S * D * D * F.k
-    g.every = lambda: [
-        (blocks(i), target[i], 2)
-        for i in np.flatnonzero(np.bincount(letter, minlength=A.dim))]
-    return g
+def _fill(spec, layout, weights, values):
+    """The `_Blocks` of nb modules on one layout, from weights (nb, S, c),
+    the codes of each layout space's weight in each module, and values
+    (nb, cells, k), the digits of the layout's cells in each module.
+
+    Each module's spaces are renumbered into its own sorted weight order
+    by one lexsort over all modules, and its buckets follow its spaces.
+    The raising and lowering letters of all modules are scattered in one
+    assignment; a module's targets are -1 where its block is zero, and its
+    every() cuts the letters with a nonzero cell in it."""
+    A = spec.algebra
+    F, tri = A.F, A.triangular
+    nb, S, h = weights.shape
+    D, B = layout["D"], len(layout["bfirst"])
+    mods = np.arange(nb)[:, None]
+    order = np.lexsort(np.column_stack([
+        np.repeat(np.arange(nb), S), weights.reshape(nb * S, h)]).T[::-1])
+    order = order.reshape(nb, S) - mods * S
+    rank = np.empty_like(order)
+    rank[mods, order] = np.arange(S)
+    border = np.argsort(rank[:, layout["bspace"]] * B + np.arange(B), axis=1)
+    renum = np.full((nb, B + 1), -1, dtype=np.int64)
+    renum[mods, border] = np.arange(B)
+    bucket = renum[mods[:, :, None], layout["bucket"][order]]
+    live = nonzero_digits(values)
+    has = np.zeros((nb, A.dim), dtype=bool)
+    on, cell = np.nonzero(live)
+    has[on, layout["letter"][cell]] = True
+
+    def blocks(letters, sel):
+        # the blocks (letters, modules, S, D, D, k) and targets (letters,
+        # modules, S) of letters in the modules sel, in one assignment
+        picks = [layout["pick"][i] for i in letters]
+        slot = np.repeat(np.arange(len(picks)), [p.shape[1] for p in picks])
+        c, source, dest, r, col = np.concatenate(
+            [np.zeros((5, 0), dtype=np.int64)] + picks, axis=1)
+        at, m = sel[:, None], np.arange(len(sel))[:, None]
+        out = np.zeros((len(picks), len(sel), S, D, D, F.k), dtype=np.int64)
+        out[slot, m, rank[at, source], r, col] = values[at, c]
+        target = np.full((len(picks), len(sel), S), -1, dtype=np.int64)
+        m, j = np.nonzero(live[at, c])
+        target[slot[j], m, rank[sel[m], source[j]]] = rank[sel[m], dest[j]]
+        return out, target
+
+    up = [t for t in tri.pos if tri.heights[t] == 1]
+    down = [tri.pairs[t][1] for t in reversed(tri.pos)]
+    out, target = blocks(up + down, np.arange(nb))
+    idx, bfirst = layout["idx"][order], layout["bfirst"][border]
+    codes = weights[mods, order].tolist()
+    gathered = []
+    for m in range(nb):
+        g = _Blocks()
+        g.F, g.spec, g.dim, g.D = F, spec, layout["dim"], D
+        g.idx, g.bucket, g.bfirst = idx[m], bucket[m], bfirst[m]
+        g.weights = list(map(tuple, codes[m]))
+        # copies, so that a row keeps only its own blocks alive, not its
+        # chunk's, while it waits to be judged
+        g.raising = [blk.copy() for blk in out[:len(up), m]]
+        g.lowering = [(out[n, m].copy(), target[n, m], spec.caps[f])
+                      for n, f in enumerate(down, len(up))]
+        g.cells = layout["cells"]
+        g.every = lambda m=m: [
+            (blk[0], tgt[0], 2) for blk, tgt in zip(*blocks(
+                np.flatnonzero(has[m]), np.array([m])))]
+        gathered.append(g)
+    return gathered
+
+
+def _gather(M):
+    """The weight-space blocks of M (see _Blocks): the one-module case of
+    `_layout` and `_fill`, on M's own gradings and on the nonzero cells
+    that verma_build keeps on M (M.cells), or else those of its dense
+    letters."""
+    A = M.spec.algebra
+    if A.triangular is None:
+        raise NoMatrixRealization("algebra carries no triangular "
+                                  "decomposition")
+    cells = M.cells
+    if cells is None:
+        arr = np.stack([M.action[i].a for i in range(A.dim)])
+        cells = np.nonzero(nonzero_digits(arr))
+        cells += (arr[cells],)
+    letter, row, col, digits = cells
+    weights = np.array(M.weights, dtype=np.int64).reshape(
+        M.dim, len(A.triangular.cartan))
+    layout = _layout(A, weights, np.array(M.degrees, dtype=np.int64).reshape(
+        M.dim, A.group.rank), np.array(M.heights, dtype=np.int64), letter,
+        row, col)
+    return _fill(M.spec, layout, weights[layout["first"]][None],
+                 digits[None])[0]
 
 
 def _singular(gathered):

@@ -33,7 +33,7 @@ from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
 from .field import (_DENSE_CELLS, _SLAB, digit_power, digit_product,
                     nonzero_digits)
 from .linalg import Echelon, Mat
-from .oracle import _gather, _judge, is_simple, singular_vectors
+from .oracle import _fill, _judge, _layout, is_simple, singular_vectors
 
 
 class PowerClass:
@@ -613,7 +613,7 @@ def _lowering_table(spec, f_letters, rest, exps):
 
 def _induction_table(spec, triple):
     """The weight-independent plan of inducing along triple (see
-    `_induce`), built on the first call and cached per induced-root tuple
+    `verma_build`), built on the first call and cached per induced-root tuple
     on the spec.
 
     The PBW monomials f^a (amonos) run over the exponent tuples below the
@@ -765,54 +765,39 @@ def _induced_dim(spec, triple, bd, max_dim):
     return count
 
 
-def _induce(spec, triple, bases, max_dim, check=False):
-    """The modules induced from bases (all of one dimension bd) along
-    triple, built together from the triple's cached plan
-    (`_induction_table`): each entry is its coefficient times its pattern's
-    factor, the identity or the base action of one rest letter (a scalar on
-    a line base), and the entries of each cell are summed, for all bases at
-    once.  The dimension is checked against max_dim before anything is
-    allocated."""
-    A = spec.algebra
-    F = A.F
+def _cell_sums(F, plan, bases):
+    """The value of every cell of plan on each of bases (all of one
+    dimension bd), as (cells, nb, bd, bd, k) digits: each entry is its
+    coefficient times its pattern's factor, the identity or the base
+    action of one rest letter (a scalar on a line base), and the entries
+    of each cell are summed, for all bases at once."""
     bd, nb = bases[0].dim, len(bases)
-    count = _induced_dim(spec, triple, bd, max_dim)
-    plan = _induction_table(spec, triple)
     one = np.broadcast_to(Mat.identity(F, bd).a, (nb, bd, bd, F.k))
     factor = np.stack([one] + [np.stack([b.action[i].a for b in bases])
                                for i in plan["rest"]])
     vals = digit_product(F, plan["coeffs"][:, None, None, None],
                          factor[plan["pattern"]], np.multiply)
-    sums = np.add.reduceat(vals, plan["starts"]) % F.p
-    # cell (letter, row, col) of the plan holds the (bd, bd) block at rows
-    # row * bd + i and columns col * bd + j: sorted by letter, row and
-    # column, i runs slowest in its (letter, row) segment, then col, then j
-    i, j = np.arange(bd)[:, None], np.arange(bd)
-    at = ((plan["first"] * bd + i * plan["width"] + plan["index"]) * bd
-          + j).ravel()
-    where = np.empty_like(at)
-    where[at] = np.arange(at.size)
-    shape = (len(plan["starts"]), bd, bd)
-    letter, row, col = (np.broadcast_to(v, shape).ravel()[where]
-                        for v in (plan["letter"], plan["row"] * bd + i,
-                                  plan["col"] * bd + j))
-    digits = np.moveaxis(sums, 1, 0).reshape(nb, -1, F.k)[:, where]
-    live = nonzero_digits(digits)
-    weights = F.array_to_codes((plan["shift"][:, None] + F.codes_to_array(
-        [b.weights for b in bases])[:, None]) % F.p).reshape(
-            nb, count, -1).tolist()
-    labels = [(a, j) for a in plan["amonos"] for j in range(bd)]
-    orders = np.array(A.group.orders, dtype=np.int64)
-    out = []
-    for b, w, on, d in zip(bases, weights, live, digits):
-        degrees = (plan["degrees"][:, None] + np.array(
-            b.degrees, dtype=np.int64).reshape(bd, -1)) % orders
-        out.append(GradedModule(
-            spec, None, w, map(tuple, degrees.reshape(count, -1).tolist()),
-            [ht + h for ht in plan["heights"] for h in b.heights],
-            labels=list(labels), triple=triple, check=check,
-            cells=(letter[on], row[on], col[on], d[on])))
-    return out
+    return np.add.reduceat(vals, plan["starts"]) % F.p
+
+
+def _line_layout(spec, plan):
+    """The weight-space layout (`oracle._layout`) that every module induced
+    from a line base along plan's triple shares, built once and kept on
+    the plan with the plan cells it reads.  A basis vector's weight is the
+    base weight plus its monomial's Cartan shift, so the spaces are the
+    shift classes.  A cell whose every entry carries a root letter is left
+    out: root letters act as zero on a line base."""
+    if "layout" not in plan:
+        A = spec.algebra
+        cartan = set(A.triangular.cartan)
+        root = np.array([False] + [i not in cartan for i in plan["rest"]])
+        kept = np.flatnonzero(~np.logical_and.reduceat(
+            root[plan["pattern"]], plan["starts"]))
+        plan["layout"] = kept, _layout(
+            A, plan["shift"][..., 0], plan["degrees"],
+            np.array(plan["heights"], dtype=np.int64),
+            *(plan[v].ravel()[kept] for v in ("letter", "row", "col")))
+    return plan["layout"]
 
 
 def verma_build(spec, triple, weight=None, base=None, check=True,
@@ -820,9 +805,11 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     """Induce a parabolic base module up to the reduced quotient.  The
     result has basis f_{d1}^{a1} ... f_{dm}^{am} (x) v_j with each a_i below
     the cap of the lowering letter, exponent tuples ordered lexicographically
-    and the base index fastest.  The arguments are checked here; the module
-    is the one-base case of `_induce`, which reads everything that does not
-    depend on the base from the triple's cached plan."""
+    and the base index fastest.  Everything that does not depend on the
+    base is read from the triple's cached plan (`_induction_table`), and
+    the cells are valued on the base by `_cell_sums`, as a sweep values
+    its chunks.  The dimension is checked against max_dim before anything
+    is allocated."""
     A = spec.algebra
     if triple.algebra is not A:
         raise MixedSpecs("ordering data lives on a different algebra")
@@ -842,7 +829,34 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
         raise ValueError("pass a weight or a base module, not both")
     elif base.spec is not spec or base.triple is not triple:
         raise MixedSpecs("base module was built for different data")
-    return _induce(spec, triple, [base], max_dim, check)[0]
+    F, bd = A.F, base.dim
+    count = _induced_dim(spec, triple, bd, max_dim)
+    plan = _induction_table(spec, triple)
+    # cell (letter, row, col) of the plan holds the (bd, bd) block at rows
+    # row * bd + i and columns col * bd + j: sorted by letter, row and
+    # column, i runs slowest in its (letter, row) segment, then col, then j
+    i, j = np.arange(bd)[:, None], np.arange(bd)
+    at = ((plan["first"] * bd + i * plan["width"] + plan["index"]) * bd
+          + j).ravel()
+    where = np.empty_like(at)
+    where[at] = np.arange(at.size)
+    shape = (len(plan["starts"]), bd, bd)
+    letter, row, col = (np.broadcast_to(v, shape).ravel()[where]
+                        for v in (plan["letter"], plan["row"] * bd + i,
+                                  plan["col"] * bd + j))
+    digits = _cell_sums(F, plan, [base]).reshape(-1, F.k)[where]
+    on = nonzero_digits(digits)
+    weights = F.array_to_codes((plan["shift"][:, None] + F.codes_to_array(
+        base.weights)) % F.p).reshape(count, -1).tolist()
+    degrees = (plan["degrees"][:, None] + np.array(
+        base.degrees, dtype=np.int64).reshape(bd, -1)) % np.array(
+            A.group.orders, dtype=np.int64)
+    return GradedModule(
+        spec, None, weights, map(tuple, degrees.reshape(count, -1).tolist()),
+        [ht + h for ht in plan["heights"] for h in base.heights],
+        labels=[(a, j) for a in plan["amonos"] for j in range(bd)],
+        triple=triple, check=check,
+        cells=(letter[on], row[on], col[on], digits[on]))
 
 
 def _dense_letters(F, n, dim, cells):
@@ -1363,14 +1377,19 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
     when no weight extends.
 
     f_closed runs per weight; the Cartan route is evaluated for all the
-    weights at once (`_hc_values`).  The modules are induced in chunks
-    (`_induce`) whose entry values stay within _SLAB // 2 digit cells.
-    The oracle judges the rows in batches (`_judge`).  Each row keeps only
-    its module's blocks; a batch is judged before the next row's blocks
-    would take it past _SLAB cells.  A line whose word span falls short
-    is closed from its word basis on the same blocks.  A row's ms is its own
-    time plus an equal share of the Cartan evaluation, of its chunk's
-    induction and of its batch's judging."""
+    weights at once (`_hc_values`).  No module is built: every line base's
+    module has the triple's weight-space layout up to the order of its
+    spaces, so the layout is made once per triple (`_line_layout`), and
+    each chunk of rows is valued on the plan's cells (`_cell_sums`) and
+    filled straight into its weight-space blocks (`oracle._fill`).  A
+    chunk holds as many rows as keep its entry values within _SLAB // 2
+    digit cells and its filled blocks within _SLAB, and at least one.  The
+    oracle judges the rows in batches (`_judge`); a batch is judged before
+    the next row's blocks would take it past _SLAB cells.  A line whose
+    word span falls short is closed from its word basis on the same
+    blocks.  A row's ms is its own time plus an equal share of the Cartan
+    evaluation, of its chunk's valuing and fill and of its batch's
+    judging."""
     lams = [lam for lam in admissible_lambdas(spec)
             if all(lam[n] == c for n, c in (fix or {}).items())]
     if not lams:
@@ -1410,16 +1429,23 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
 
     if oracle and rows:
         _induced_dim(spec, triple, 1, max_dim)   # before the plan is built
-        entries = len(_induction_table(spec, triple)["coeffs"])
-        step = max(1, _SLAB // 2 // (entries * spec.algebra.F.k))
+        F = spec.algebra.F
+        plan = _induction_table(spec, triple)
+        kept, layout = _line_layout(spec, plan)
+        step = max(1, min(_SLAB // 2 // (len(plan["coeffs"]) * F.k),
+                          _SLAB // max(1, layout["cells"])))
+        shift = plan["shift"][layout["first"]]
         for c0 in range(0, len(rows), step):
             t0 = time.perf_counter()
-            modules = _induce(spec, triple, bases[c0:c0 + step], max_dim)
-            share = (time.perf_counter() - t0) * 1000.0 / len(modules)
-            for row, M in zip(rows[c0:c0 + step], modules):
-                t0 = time.perf_counter()
-                g = _gather(M)
-                row["ms"] += share + (time.perf_counter() - t0) * 1000.0
+            chunk = bases[c0:c0 + step]
+            sums = _cell_sums(F, plan, chunk)[kept]
+            lams = F.codes_to_array([b.weights[0] for b in chunk])
+            gathered = _fill(spec, layout, F.array_to_codes(
+                (shift + lams[:, None]) % F.p), sums.reshape(
+                    len(kept), len(chunk), F.k).swapaxes(0, 1))
+            share = (time.perf_counter() - t0) * 1000.0 / len(chunk)
+            for row, g in zip(rows[c0:c0 + step], gathered):
+                row["ms"] += share
                 if pending and (sum(h.cells for _row, h in pending)
                                 + g.cells > _SLAB):
                     judge()

@@ -1,5 +1,7 @@
 """Induction orderings, induced modules, and the simplicity machinery."""
 
+import contextlib
+import io
 import itertools
 import os
 import random
@@ -9,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from colorlie import field, oracle, repmod
+from colorlie import cli, field, oracle, repmod
 from colorlie.algebra import ColorAlgebra, TriangularData, make_gl, subalgebra
 from colorlie.cli import load_spec
 from colorlie.envelope import (chi_reduce, engine_for, harish_chandra,
@@ -30,6 +32,7 @@ from colorlie.repmod import (BaseModule, FPTriple, GradedModule, PCharacter,
                              regular_module, root_datum, simple_quotient,
                              singular_vectors, sweep_rows, unipotent_socle,
                              verma_build, weight_tuple)
+from test_golden import CASES, SPECS
 
 F5 = Field(5)
 
@@ -1398,23 +1401,29 @@ def test_sweep_batches_stay_within_slab(monkeypatch):
 
 def test_sweep_induces_in_chunks_within_budget(monkeypatch):
     # the sweep induces its modules in chunks whose entry values (entries
-    # x bases x bd^2 x k digit cells) stay within _SLAB // 2, each row's
-    # module once
-    chunks = []
-    induce = repmod._induce
+    # x bases x bd^2 x k digit cells) stay within _SLAB // 2 and whose
+    # filled blocks stay within _SLAB, each row's module once
+    chunks, filled = [], []
+    sums, fill = repmod._cell_sums, repmod._fill
 
-    def recorded(spec, triple, bases, *args):
-        entries = len(repmod._induction_table(spec, triple)["coeffs"])
-        chunks.append(([b.weights[0] for b in bases], entries * len(bases)
-                       * bases[0].dim ** 2 * spec.algebra.F.k))
-        return induce(spec, triple, bases, *args)
+    def recorded(F, plan, bases):
+        chunks.append(([b.weights[0] for b in bases], len(plan["coeffs"])
+                       * len(bases) * bases[0].dim ** 2 * F.k))
+        return sums(F, plan, bases)
 
-    monkeypatch.setattr(repmod, "_induce", recorded)
+    def filling(*args):
+        gathered = fill(*args)
+        filled.append(sum(g.cells for g in gathered))
+        return gathered
+
+    monkeypatch.setattr(repmod, "_cell_sums", recorded)
+    monkeypatch.setattr(repmod, "_fill", filling)
     spec = _regss_gl3_f25()
     rows = sweep_rows(spec, fp_order(spec.algebra), fix={2: 3}, seed=11)
     assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
-    assert len(chunks) > 1
+    assert len(chunks) > 1 and len(filled) == len(chunks)
     assert max(cells for _w, cells in chunks) <= _SLAB // 2
+    assert max(filled) <= _SLAB
     assert sorted(w for ws, _cells in chunks for w in ws) == sorted(
         tuple(r["lambda"]) for r in rows)
 
@@ -1545,14 +1554,13 @@ def test_not_simple_sweep_rows_induce_each_module_once(monkeypatch):
     spec = zero_spec(A)
     trip = fp_order(A)
     induced = []
-    induce = repmod._induce
+    sums = repmod._cell_sums
 
-    def counted(spec, triple, bases, *args):
-        modules = induce(spec, triple, bases, *args)
-        induced.extend(M.weights[0] for M in modules)
-        return modules
+    def counted(F, plan, bases):
+        induced.extend(b.weights[0] for b in bases)
+        return sums(F, plan, bases)
 
-    monkeypatch.setattr(repmod, "_induce", counted)
+    monkeypatch.setattr(repmod, "_cell_sums", counted)
     rows = sweep_rows(spec, trip, fix={0: 1, 1: 2, 2: 0})
     assert len(rows) == 5
     assert sorted(induced) == sorted(tuple(r["lambda"]) for r in rows)
@@ -1565,6 +1573,129 @@ def test_not_simple_sweep_rows_induce_each_module_once(monkeypatch):
         assert r["oracle"] == ("simple" if is_simple(M)["simple"]
                                else "not-simple")
         assert r["agree"] and (r["f_closed"] == 0) == (r["oracle"] != "simple")
+
+
+def _chunk_blocks(monkeypatch, sweeps):
+    """Every row that the CLI sweeps of the golden cases named in sweeps
+    give, plus the regular semisimple gl(3)/F_25 slice, with the blocks
+    its chunk filled and its verdict: (name, spec, triple, row, blocks,
+    verdict) in sweep order."""
+    swept, judged = [], []
+    sweep, judge = repmod.sweep_rows, repmod._judge
+
+    def sweeping(spec, triple, **kw):
+        swept.append((spec, triple, sweep(spec, triple, **kw)))
+        return swept[-1][2]
+
+    def judging(gathered, *args):
+        verdicts = judge(gathered, *args)
+        judged.extend(zip(gathered, verdicts))
+        return verdicts
+
+    monkeypatch.setattr(cli, "sweep_rows", sweeping)
+    monkeypatch.setattr(repmod, "_judge", judging)
+    names = []
+    for name in sweeps:
+        argv = list(CASES[name][0])
+        argv[1] = os.path.join(SPECS, argv[1])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.cli_main(argv) == 0
+        names += [name] * len(swept[-1][2])
+    regss = _regss_gl3_f25()
+    sweeping(regss, fp_order(regss.algebra), fix={2: 3})
+    names += ["gl3_f25_regss"] * len(swept[-1][2])
+    rows = [(spec, triple, row) for spec, triple, rs in swept for row in rs]
+    assert len(rows) == len(judged) == len(names)
+    return [(name,) + row + got for name, row, got in
+            zip(names, rows, judged)]
+
+
+def _same_blocks(g, h):
+    """Whether two _Blocks hold the same layout, blocks and targets."""
+    assert (g.D, g.dim, g.cells, g.weights) == (h.D, h.dim, h.cells,
+                                                h.weights)
+    for a in ("idx", "bucket", "bfirst"):
+        assert np.array_equal(getattr(g, a), getattr(h, a)), a
+    assert len(g.raising) == len(h.raising)
+    for x, y in zip(g.raising, h.raising):
+        assert np.array_equal(x, y)
+    for lowering in ((g.lowering, h.lowering), (g.every(), h.every())):
+        assert len(lowering[0]) == len(lowering[1])
+        for (x, tx, cx), (y, ty, cy) in zip(*lowering):
+            assert np.array_equal(x, y) and np.array_equal(tx, ty)
+            assert cx == cy
+    return True
+
+
+def test_chunk_blocks_match_gathered_modules(monkeypatch):
+    # every row of every golden sweep (Borel and Levi triples, over F_5,
+    # F_7 and F_25) and of the regular semisimple gl(3)/F_25 slice: the
+    # blocks its chunk filled on the triple's layout equal those gathered
+    # from its own induced module; on the anti-commuting gl(3) each
+    # batched verdict is the module's own is_simple verdict
+    sweeps = sorted(n for n in CASES if n.startswith("sweep_"))
+    assert {"sweep_gl3_levi12", "sweep_gl21_levi12"} <= set(sweeps)
+    got = _chunk_blocks(monkeypatch, sweeps)
+    monkeypatch.undo()
+    simple = {}
+    for name, spec, triple, row, g, verdict in got:
+        M = verma_build(spec, triple, weight=row["lambda"], check=False)
+        assert _same_blocks(g, oracle._gather(M)), (name, row["lambda"])
+        if name == "sweep_anti_gl3":
+            assert verdict == is_simple(M)
+            simple[verdict["simple"]] = simple.get(verdict["simple"], 0) + 1
+    assert simple == {True: 5, False: 120}
+    assert {name for name, *_rest in got} == set(sweeps) | {"gl3_f25_regss"}
+
+
+def test_sweep_builds_the_layout_once_and_gathers_nothing(monkeypatch):
+    # a 25-row sweep lays its triple's weight spaces out once, keeps the
+    # layout on the plan, and fills every chunk on it without _gather
+    layouts = []
+    layout = repmod._layout
+
+    def counted(*args):
+        layouts.append(len(args[1]))
+        return layout(*args)
+
+    def gather(M):
+        raise AssertionError("a module gathered")
+
+    monkeypatch.setattr(repmod, "_layout", counted)
+    monkeypatch.setattr(oracle, "_gather", gather)
+    spec = _regss_gl3_f25()
+    trip = fp_order(spec.algebra)
+    for _ in range(2):
+        rows = sweep_rows(spec, trip, fix={2: 3})
+        assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
+    assert layouts == [125]
+
+
+def test_sweep_rejects_a_plan_cell_across_weight_spaces(monkeypatch):
+    # one cell of a lowering letter whose entries carry no root letter,
+    # moved to a row of another weight space: the layout refuses the plan
+    # before any chunk is filled
+    def fill(*args):
+        raise AssertionError("blocks filled")
+
+    spec = zero_spec(gl3())
+    A = spec.algebra
+    trip = fp_order(A)
+    plan = repmod._induction_table(spec, trip)
+    root = np.array([False] + [i not in A.triangular.cartan
+                               for i in plan["rest"]])
+    shift = plan["shift"][..., 0]
+    f = A.triangular.pairs[trip.deltas[0]][1]
+    cell = next(c for c, start in enumerate(plan["starts"])
+                if plan["letter"][c, 0, 0] == f
+                and not root[plan["pattern"][start:plan["starts"][c + 1]]
+                             ].any())
+    row = plan["row"][cell, 0, 0]
+    plan["row"][cell] = next(b for b in range(len(shift))
+                             if (shift[b] != shift[row]).any())
+    monkeypatch.setattr(repmod, "_fill", fill)
+    with pytest.raises(InvariantError, match="two recorded weight spaces"):
+        sweep_rows(spec, trip)
 
 
 # -- the p-power scalar ------------------------------------------------------------
