@@ -127,9 +127,6 @@ def _fill(spec, layout, weights, values):
     renum[mods, border] = np.arange(B)
     bucket = renum[mods[:, :, None], layout["bucket"][order]]
     live = nonzero_digits(values)
-    has = np.zeros((nb, A.dim), dtype=bool)
-    on, cell = np.nonzero(live)
-    has[on, layout["letter"][cell]] = True
 
     def blocks(letters, sel):
         # the blocks (letters, modules, S, D, D, k) and targets (letters,
@@ -164,8 +161,9 @@ def _fill(spec, layout, weights, values):
                       for n, f in enumerate(down, len(up))]
         g.cells = layout["cells"]
         g.every = lambda m=m: [
-            (blk[0], tgt[0], 2) for blk, tgt in zip(*blocks(
-                np.flatnonzero(has[m]), np.array([m])))]
+            (blk[0], tgt[0], 2) for blk, tgt in zip(*blocks(np.flatnonzero(
+                np.bincount(layout["letter"][live[m]], minlength=A.dim)),
+                np.array([m])))]
         gathered.append(g)
     return gathered
 

@@ -1686,10 +1686,10 @@ def test_sweep_rejects_a_plan_cell_across_weight_spaces(monkeypatch):
                                for i in plan["rest"]])
     shift = plan["shift"][..., 0]
     f = A.triangular.pairs[trip.deltas[0]][1]
-    cell = next(c for c, start in enumerate(plan["starts"])
+    ends = np.append(plan["starts"][1:], len(plan["pattern"]))
+    cell = next(c for c, (start, end) in enumerate(zip(plan["starts"], ends))
                 if plan["letter"][c, 0, 0] == f
-                and not root[plan["pattern"][start:plan["starts"][c + 1]]
-                             ].any())
+                and not root[plan["pattern"][start:end]].any())
     row = plan["row"][cell, 0, 0]
     plan["row"][cell] = next(b for b in range(len(shift))
                              if (shift[b] != shift[row]).any())
