@@ -22,7 +22,7 @@ the trivial group).  An explicit algebra gives the data directly::
      "structure": [[i, j, [[t, scalar]]]], "pmap": [[i, [[t, scalar]]]]}
 
 Unknown keys anywhere in the file are rejected.  Recognized options:
-oracle, seed, max_dim, singular_cutoff, samples, enumerate, levi.
+oracle, seed, singular_cutoff, samples, enumerate, levi.
 
 Exit codes: 0 success, 1 a validation or agreement check failed, 2 bad
 input, 3 a broken internal invariant (a fault in colorlie, not in the
@@ -33,26 +33,22 @@ code of the exception class.
 import argparse
 import csv
 import json
-import os
 import sys
 from functools import lru_cache
 
 from .algebra import ColorAlgebra, make_gl, standardize_character, validate_algebra
 from .envelope import (NormalElement, chi_reduce, frobenius_gram,
                        harish_chandra, uchi_basis)
-from .errors import (ColorLieError, InvariantError, NotStandard, SpecError,
-                     TooLarge)
-from .field import Field
+from .errors import ColorLieError, InvariantError, NotStandard, SpecError
+from .field import Field, _require_cells
 from .groups import Bicharacter, GradedGroup, trivial_bicharacter
 from .repmod import (PCharacter, PowerClass, fp_order, is_simple, pchar_zero,
                      root_datum, sweep_rows, verma_build)
 
-DEFAULT_MAX_DIM = 2000
-
 _TOP_KEYS = {"field", "group", "bicharacter", "algebra", "character",
              "sweep", "options"}
-_OPTION_KEYS = {"oracle", "seed", "max_dim", "singular_cutoff", "samples",
-                "enumerate", "levi"}
+_OPTION_KEYS = {"oracle", "seed", "singular_cutoff", "samples", "enumerate",
+                "levi"}
 
 
 # -- spec-file ingestion ----------------------------------------------------------
@@ -180,15 +176,6 @@ def _resolve_chi(args, bundle):
     return bundle["character"] or pchar_zero(A)
 
 
-def _resolve_max_dim(args, options):
-    if getattr(args, "max_dim", None) is not None:
-        return args.max_dim
-    env = os.environ.get("COLORLIE_MAX_DIM")
-    if env:
-        return int(env)
-    return int(options.get("max_dim", DEFAULT_MAX_DIM))
-
-
 def _resolve_seed(args, options):
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -244,9 +231,7 @@ def _cmd_basis(args):
     count, it = uchi_basis(spec)
     report = {"dim": count, "caps": list(spec.caps)}
     if bundle["options"].get("enumerate"):
-        if count > _resolve_max_dim(args, bundle["options"]):
-            raise TooLarge("refusing to enumerate %d monomials" % count,
-                           dimension=count)
+        _require_cells(count * spec.algebra.dim, "the monomial listing")
         report["monomials"] = [list(m) for m in it]
     _emit(report, args.out)
     return 0
@@ -268,8 +253,7 @@ def _cmd_hc(args):
 def _cmd_frobenius(args):
     bundle = load_spec(args.spec)
     spec = chi_reduce(bundle["algebra"], _resolve_chi(args, bundle))
-    rep = frobenius_gram(spec, max_dim=_resolve_max_dim(args,
-                                                        bundle["options"]))
+    rep = frobenius_gram(spec)
     _emit({"dimension": rep["dimension"], "rank": rep["rank"],
            "nondegenerate": rep["nondegenerate"],
            "color_symmetric": rep["color_symmetric"],
@@ -313,8 +297,7 @@ def _cmd_verma(args):
     if args.lam is None:
         raise SpecError("verma needs --lambda")
     lam = _parse_lambda(A.F, args.lam, len(root_datum(A).cartan))
-    M = verma_build(spec, trip, weight=lam,
-                    max_dim=_resolve_max_dim(args, options))
+    M = verma_build(spec, trip, weight=lam)
     verdict = is_simple(M,
                         max_enumerate=int(options.get("singular_cutoff", 3)),
                         samples=int(options.get("samples", 40)),
@@ -377,7 +360,6 @@ def _cmd_sweep(args):
     if oracle is None:
         oracle = bool(options.get("oracle", True))
     rows = sweep_rows(spec, trip, oracle=oracle,
-                      max_dim=_resolve_max_dim(args, options),
                       max_enumerate=int(options.get("singular_cutoff", 3)),
                       samples=int(options.get("samples", 40)),
                       seed=_resolve_seed(args, options), fix=fixed)
@@ -412,10 +394,6 @@ def _build_parser():
         sp = sub.add_parser(name, help=help)
         sp.add_argument("spec", help="path to the JSON spec file")
         sp.add_argument("--out", help="also write the artifact here")
-        sp.add_argument("--max-dim", type=int, default=None,
-                        help="exact-linear-algebra size guard "
-                             "(default %d, env COLORLIE_MAX_DIM)"
-                             % DEFAULT_MAX_DIM)
         if chi:
             sp.add_argument("--chi", metavar="FILE|zero",
                             help="character file, or 'zero'")

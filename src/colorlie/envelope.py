@@ -26,8 +26,8 @@ from math import comb, prod
 import numpy as np
 
 from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
-                     NotWeightZero, OddElement, TooLarge)
-from .field import _SLAB, digit_product, nonzero_digits
+                     NotWeightZero, OddElement)
+from .field import _SLAB, _require_cells, digit_product, nonzero_digits
 from .linalg import Mat
 
 
@@ -609,7 +609,7 @@ def _color_symmetric(A, mons, keys, vals):
             and np.array_equal(vals[up][order], mirror))
 
 
-def frobenius_gram(spec, max_dim=2000):
+def frobenius_gram(spec):
     """Gram matrix of the top-coefficient pairing mu(u, v) = coefficient of
     the profile monomial e^tau in nf(u v), over the full reduced basis.
 
@@ -624,15 +624,14 @@ def frobenius_gram(spec, max_dim=2000):
     slabs of whole source columns of at most _SLAB products (unless one
     column has more).  A slab's output columns are its own, so it is
     summed alone.  The rank of G peels its structural pivots before
-    any elimination (`Mat.rank`).
+    any elimination (`Mat.rank`).  The dense G is checked against the cell
+    budget before the monomials are listed.
 
     Returns a dict with the monomial list, tau, the Gram Mat, its rank, and
     the nondegeneracy / color-symmetry flags."""
     A, F = spec.algebra, spec.algebra.F
     dim, it = uchi_basis(spec)
-    if dim > max_dim:
-        raise TooLarge("reduced dimension %d exceeds the cutoff %d"
-                       % (dim, max_dim), dimension=dim, cutoff=max_dim)
+    _require_cells(dim * dim * F.k, "the Gram matrix")
     mons = list(it)
     index = {m: t for t, m in enumerate(mons)}
     tau = tuple(c - 1 for c in spec.caps)

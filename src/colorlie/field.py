@@ -11,14 +11,26 @@ large for tables, and serves every product in the linear algebra layer.
 
 import numpy as np
 
-from .errors import BadCharacteristic, NonPrime, ReducibleModulus
+from .errors import BadCharacteristic, NonPrime, ReducibleModulus, TooLarge
 
 LUT_LIMIT = 2048  # build full q x q tables only below this size
 
 # entries per digit-array product in slabbed loops (the Gram walk, the
 # axiom checks): bounds the scratch arrays whatever the dimension
 _SLAB = 1 << 16
-_DENSE_CELLS = 1 << 27  # cells of dense module letters: 16 x 2000^2 x 2 fit
+# digit cells of any one array the library allocates whole (a plan, a
+# module's blocks, dense letters, a Gram matrix): 16 x 2000^2 x 2 fit
+_CELLS = 1 << 27
+
+
+def _require_cells(cells, what, cutoff=None):
+    """TooLarge when an array of cells digit cells, about to be allocated,
+    exceeds cutoff (by default the budget _CELLS, read at the call)."""
+    cutoff = _CELLS if cutoff is None else cutoff
+    if cells > cutoff:
+        raise TooLarge("%s of %d cells exceed the cutoff %d"
+                       % (what, cells, cutoff), cells=int(cells),
+                       cutoff=int(cutoff))
 
 
 def _is_prime(n):

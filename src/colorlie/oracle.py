@@ -23,7 +23,7 @@ import random
 import numpy as np
 
 from .errors import ChiOnNplus, InvariantError, MixedSpecs, NoMatrixRealization
-from .field import _SLAB, digit_product, nonzero_digits
+from .field import _SLAB, _require_cells, digit_product, nonzero_digits
 from .linalg import batch_rref, kernel_from_rref
 
 
@@ -111,7 +111,8 @@ def _fill(spec, layout, weights, values):
     by one lexsort over all modules, and its buckets follow its spaces.
     The raising and lowering letters of all modules are scattered in one
     assignment; a module's targets are -1 where its block is zero, and its
-    every() cuts the letters with a nonzero cell in it."""
+    every() cuts the letters with a nonzero cell in it.  Each assignment
+    checks its blocks against the cell budget first."""
     A = spec.algebra
     F, tri = A.F, A.triangular
     nb, S, h = weights.shape
@@ -132,6 +133,8 @@ def _fill(spec, layout, weights, values):
         # the blocks (letters, modules, S, D, D, k) and targets (letters,
         # modules, S) of letters in the modules sel, in one assignment
         picks = [layout["pick"][i] for i in letters]
+        _require_cells(len(picks) * len(sel) * S * D * D * F.k,
+                       "weight-space blocks")
         slot = np.repeat(np.arange(len(picks)), [p.shape[1] for p in picks])
         c, source, dest, r, col = np.concatenate(
             [np.zeros((5, 0), dtype=np.int64)] + picks, axis=1)
@@ -363,6 +366,7 @@ def _word_span_ranks(gathered, lines, D):
         off = np.zeros((n, steps), dtype=np.int64)
         caps = np.ones((n, steps), dtype=np.int64)
         total = sum(len(g.idx) * len(ls) for g, ls in zip(mods, letters))
+        _require_cells(total * D * D * F.k, "the word blocks")
         blocks = np.zeros((total, D, D, F.k), dtype=np.int64)
         targets = np.zeros(total, dtype=np.int64)
         at = 0

@@ -29,8 +29,8 @@ from .envelope import (NormalElement, _axpy, _basis_table, chi_reduce,
 from .errors import (BadWeight, ChiOnDelta, DoubledRoot,
                      InvariantError, MixedSpecs, NoMatrixRealization,
                      NoOrderingFound, NotScalar, NotStandard, NotUnipotent,
-                     NotWeightZero, OddElement, TooLarge)
-from .field import (_DENSE_CELLS, _SLAB, digit_power, digit_product,
+                     NotWeightZero, OddElement)
+from .field import (_SLAB, _require_cells, digit_power, digit_product,
                     nonzero_digits)
 from .linalg import Echelon, Mat
 from .oracle import _fill, _judge, _layout, is_simple, singular_vectors
@@ -575,7 +575,9 @@ def _line_base(spec, triple, lam):
 
 def _segments(starts, lens):
     """The segments [starts[s], starts[s] + lens[s]) of a flat array laid
-    end to end: the segment of each place, and its position in the array."""
+    end to end: the segment of each place, and its position in the array.
+    TooLarge when the places exceed the cell budget."""
+    _require_cells(int(lens.sum()), "an induction plan expansion")
     owner = np.repeat(np.arange(lens.size), lens)
     return owner, np.arange(owner.size) + np.repeat(
         starts - np.cumsum(lens) + lens, lens)
@@ -646,6 +648,7 @@ def _induction_table(spec, triple):
     f_letters = [tri.pairs[t][1] for t in triple.deltas]
     rest = [i for i in range(A.dim) if i not in f_letters]
     caps = [spec.caps[j] for j in f_letters]
+    _require_cells(prod(caps) * A.dim, "the induction plan's PBW table")
     amonos = list(itertools.product(*[range(c) for c in caps]))
     na, nf, dim = len(amonos), len(caps), A.dim
     exps = np.array(amonos, dtype=np.int64).reshape(na, nf)
@@ -754,24 +757,16 @@ def _induction_table(spec, triple):
     return table
 
 
-def _induced_dim(spec, triple, bd, max_dim):
-    """The dimension of a module induced from a bd-dimensional base along
-    triple; TooLarge above max_dim."""
-    pairs = spec.algebra.triangular.pairs
-    count = bd * prod(spec.caps[pairs[t][1]] for t in triple.deltas)
-    if count > max_dim:
-        raise TooLarge("induced dimension %d exceeds the cutoff %d"
-                       % (count, max_dim), dimension=count, cutoff=max_dim)
-    return count
-
-
 def _cell_sums(F, plan, bases):
     """The value of every cell of plan on each of bases (all of one
     dimension bd), as (cells, nb, bd, bd, k) digits: each entry is its
     coefficient times its pattern's factor, the identity or the base
     action of one rest letter (a scalar on a line base), and the entries
-    of each cell are summed, for all bases at once."""
+    of each cell are summed, for all bases at once.  TooLarge when the
+    entry values exceed the cell budget."""
     bd, nb = bases[0].dim, len(bases)
+    _require_cells(len(plan["coeffs"]) * nb * bd * bd * F.k,
+                   "the induction plan's entry values")
     one = np.broadcast_to(Mat.identity(F, bd).a, (nb, bd, bd, F.k))
     factor = np.stack([one] + [np.stack([b.action[i].a for b in bases])
                                for i in plan["rest"]])
@@ -800,16 +795,15 @@ def _line_layout(spec, plan):
     return plan["layout"]
 
 
-def verma_build(spec, triple, weight=None, base=None, check=True,
-                max_dim=2000):
+def verma_build(spec, triple, weight=None, base=None, check=True):
     """Induce a parabolic base module up to the reduced quotient.  The
     result has basis f_{d1}^{a1} ... f_{dm}^{am} (x) v_j with each a_i below
     the cap of the lowering letter, exponent tuples ordered lexicographically
     and the base index fastest.  Everything that does not depend on the
     base is read from the triple's cached plan (`_induction_table`), and
     the cells are valued on the base by `_cell_sums`, as a sweep values
-    its chunks.  The dimension is checked against max_dim before anything
-    is allocated."""
+    its chunks.  The plan and the values check their arrays against the
+    cell budget before they are allocated."""
     A = spec.algebra
     if triple.algebra is not A:
         raise MixedSpecs("ordering data lives on a different algebra")
@@ -830,8 +824,8 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
     elif base.spec is not spec or base.triple is not triple:
         raise MixedSpecs("base module was built for different data")
     F, bd = A.F, base.dim
-    count = _induced_dim(spec, triple, bd, max_dim)
     plan = _induction_table(spec, triple)
+    count = len(plan["amonos"]) * bd
     # cell (letter, row, col) of the plan holds the (bd, bd) block at rows
     # row * bd + i and columns col * bd + j: sorted by letter, row and
     # column, i runs slowest in its (letter, row) segment, then col, then j
@@ -862,10 +856,8 @@ def verma_build(spec, triple, weight=None, base=None, check=True,
 def _dense_letters(F, n, dim, cells):
     """The dense (dim, dim) letters {0, ..., n - 1: Mat} holding the
     nonzero cells (letter, row, column, digits); TooLarge, before any
-    allocation, above _DENSE_CELLS digit cells."""
-    if n * dim * dim * F.k > _DENSE_CELLS:
-        raise TooLarge("dense letters of %d cells exceed the cutoff %d"
-                       % (n * dim * dim * F.k, _DENSE_CELLS))
+    allocation, above the cell budget."""
+    _require_cells(n * dim * dim * F.k, "dense letters")
     letter, row, col, digits = cells
     arr = np.zeros((n, dim, dim, F.k), dtype=np.int64)
     arr[letter, row, col] = digits
@@ -1186,7 +1178,7 @@ def _require_unipotent(algebra):
         layer = nxt
 
 
-def unipotent_socle(algebra, max_dim=2000):
+def unipotent_socle(algebra):
     """Socle data of the zero-character reduced quotient of a unipotent
     algebra: the one-dimensional space killed by every left multiplication,
     the matching right-multiplication kernel, and the constant relating
@@ -1194,7 +1186,7 @@ def unipotent_socle(algebra, max_dim=2000):
     _require_unipotent(algebra)
     F = algebra.F
     spec = chi_reduce(algebra, pchar_zero(algebra))
-    reg = regular_module(spec, max_dim)
+    reg = regular_module(spec)
     count, mons = reg["dim"], reg["monomials"]
     pos = {m: t for t, m in enumerate(mons)}
     eng = engine_for(algebra, spec)
@@ -1222,15 +1214,15 @@ def unipotent_socle(algebra, max_dim=2000):
             "right": codes(vr), "ratio": ratio}
 
 
-def regular_module(spec, max_dim=2000):
+def regular_module(spec):
     """Left-multiplication matrices of the algebra letters on the reduced
-    monomial basis, with the color degree of each monomial."""
+    monomial basis, with the color degree of each monomial.  Their dense
+    letters are checked against the cell budget before the monomials are
+    listed."""
     A = spec.algebra
     F = A.F
     count, it = uchi_basis(spec)
-    if count > max_dim:
-        raise TooLarge("reduced dimension %d exceeds the cutoff %d"
-                       % (count, max_dim), dimension=count, cutoff=max_dim)
+    _require_cells(A.dim * count * count * F.k, "dense letters")
     mons = list(it)
     pos = {m: t for t, m in enumerate(mons)}
     eng = engine_for(A, spec)
@@ -1262,7 +1254,7 @@ def _spin(F, mats, v):
     return ech
 
 
-def simple_quotient(spec, seed=0, max_dim=2000):
+def simple_quotient(spec, seed=0):
     """Head of the cyclic submodule generated by a seeded random element of
     the regular module.  Implemented for abelian unipotent algebras, where
     the reduced quotient is local, every cyclic head is a line, and the
@@ -1277,7 +1269,7 @@ def simple_quotient(spec, seed=0, max_dim=2000):
                                  "algebras only")
     if spec.chi.fclasses:
         raise NotStandard("cyclic heads need a linear character")
-    reg = regular_module(spec, max_dim=max_dim)
+    reg = regular_module(spec)
     count = reg["dim"]
     rng = random.Random(seed)
     v = np.zeros((count, F.k), dtype=np.int64)
@@ -1335,9 +1327,8 @@ def module_isomorphism(algebra, M1, M2):
                                  dtype=bool).reshape(d2, d1))
     if not u2.size:
         raise ValueError("no degree-preserving maps exist")
-    if u2.size * d2 * d1 * F.k > 1 << 23:
-        raise TooLarge("the start stack of %d units of dimension %d exceeds "
-                       "2^23 digit cells" % (u2.size, d1), dimension=d1)
+    _require_cells(u2.size * d2 * d1 * F.k, "the start stack",
+                   cutoff=1 << 23)
     a1, a2 = _mod_view(M1, "action"), _mod_view(M2, "action")
     S = np.zeros((u2.size, d2 * d1, F.k), dtype=np.int64)
     S[np.arange(u2.size), u2 * d1 + u1, 0] = 1
@@ -1367,8 +1358,8 @@ def module_isomorphism(algebra, M1, M2):
 
 # -- weight sweeps ----------------------------------------------------------------
 
-def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
-               samples=40, seed=0, fix=None):
+def sweep_rows(spec, triple, oracle=True, max_enumerate=3, samples=40,
+               seed=0, fix=None):
     """One row per admissible weight whose line base extends to the
     parabolic of triple: both routes to the simplicity value, the optional
     brute-force verdict, the agreement flag (vanishing loci and verdict
@@ -1428,7 +1419,6 @@ def sweep_rows(spec, triple, oracle=True, max_dim=2000, max_enumerate=3,
         pending.clear()
 
     if oracle and rows:
-        _induced_dim(spec, triple, 1, max_dim)   # before the plan is built
         F = spec.algebra.F
         plan = _induction_table(spec, triple)
         kept, layout = _line_layout(spec, plan)

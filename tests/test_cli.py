@@ -65,7 +65,12 @@ def test_basis_enumeration_guard(capsys, tmp_path):
     rc, out, _ = run(capsys, "basis", str(listing))
     assert rc == 0
     assert json.loads(out)["monomials"] == [[a] for a in range(5)]
-    rc, _, err = run(capsys, "basis", str(listing), "--max-dim", "3")
+    # gl(4)/F_5 has 5^16 monomials of 16 exponents each: refused
+    gl4 = tmp_path / "gl4.json"
+    gl4.write_text(json.dumps({"field": {"p": 5},
+                               "algebra": {"type": "gl", "dims": {"": 4}},
+                               "options": {"enumerate": True}}))
+    rc, _, err = run(capsys, "basis", str(gl4))
     assert rc == 2
     assert json.loads(err)["error"]["code"] == "too_large"
 
@@ -255,16 +260,17 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     assert json.loads(err)["error"]["code"] == "invariant_error"
 
 
-def test_max_dim_guard(capsys, monkeypatch):
-    rc, _, err = run(capsys, "verma", spec("gl3.json"), "--chi", "zero",
-                     "--lambda", "0,0,0", "--max-dim", "10")
+def test_cell_budget_guard(capsys, tmp_path):
+    # gl(5)/F_5 induces 5^10-dim modules: refused before the plan is built
+    gl5 = tmp_path / "gl5.json"
+    gl5.write_text(json.dumps({"field": {"p": 5},
+                               "algebra": {"type": "gl", "dims": {"": 5}}}))
+    rc, _, err = run(capsys, "verma", str(gl5), "--chi", "zero",
+                     "--lambda", "1,2,3,4,0")
     assert rc == 2
-    assert json.loads(err)["error"]["code"] == "too_large"
-    monkeypatch.setenv("COLORLIE_MAX_DIM", "10")
-    rc, _, err = run(capsys, "verma", spec("gl3.json"), "--chi", "zero",
-                     "--lambda", "0,0,0")
-    assert rc == 2
-    assert json.loads(err)["error"]["code"] == "too_large"
+    error = json.loads(err)["error"]
+    assert error["code"] == "too_large"
+    assert error["detail"]["cells"] > error["detail"]["cutoff"]
 
 
 def test_sweep_restriction_errors(capsys, tmp_path):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -913,10 +914,17 @@ def test_degree_classes_match_monomial_degree(name):
 
 
 def test_gram_too_large():
-    A = gl2()
+    # gl(3)/F_5: a dense G of 5^9 x 5^9 cells
+    A = gl3()
     spec = chi_reduce(A, pchar_zero(A))
-    with pytest.raises(TooLarge):
-        frobenius_gram(spec, max_dim=100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="Gram matrix"):
+            frobenius_gram(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     # the guard runs before any engine or table is built
     assert getattr(spec, "_engines", {}) == {}
 

@@ -45,6 +45,14 @@ def gl3():
     return make_gl(trivial_bicharacter(GradedGroup([]), F5), {(): 3})
 
 
+def gl4():
+    return make_gl(trivial_bicharacter(GradedGroup([]), F5), {(): 4})
+
+
+def gl5():
+    return make_gl(trivial_bicharacter(GradedGroup([]), F5), {(): 5})
+
+
 def gl11():
     _, eps = super_bicharacter(F5)
     return make_gl(eps, {(0,): 1, (1,): 1})
@@ -262,8 +270,11 @@ def test_verma_errors():
     trip = fp_order(A)
     with pytest.raises(BadWeight):
         verma_build(spec, trip)
-    with pytest.raises(TooLarge):
-        verma_build(spec, trip, weight=(0, 0), max_dim=4)
+    # gl(5)/F_5 induces 5^10-dim modules: its plan's PBW table alone of
+    # 5^10 x 25 cells is refused before its monomials are listed
+    A5 = gl5()
+    with pytest.raises(TooLarge, match="PBW table of 244140625 cells"):
+        verma_build(zero_spec(A5), fp_order(A5), weight=(1, 2, 3, 4, 0))
     other = gl2()
     with pytest.raises(MixedSpecs):
         verma_build(spec, fp_order(other), weight=(0, 0))
@@ -1850,8 +1861,8 @@ def test_regular_module_and_socle_match_entrywise_products(make):
 def test_socle_not_a_line_is_an_invariant_error(monkeypatch):
     # zero left actions leave the whole space in the left kernel, which a
     # local Frobenius quotient never does: a fault, not bad input
-    def zero_actions(spec, max_dim=2000):
-        reg = real(spec, max_dim)
+    def zero_actions(spec):
+        reg = real(spec)
         reg["action"] = {i: Mat.zeros(F5, reg["dim"], reg["dim"])
                          for i in reg["action"]}
         return reg
@@ -1925,8 +1936,8 @@ def test_module_isomorphism_refuses_large_start_stack(monkeypatch):
 def test_dense_letters_refuse_before_allocating():
     # gl(4)/F_5 induces 15,625-dim modules: 16 dense letters would take
     # 16 x 15,625^2 cells (29 GiB), refused before anything is allocated;
-    # the default max_dim of 2000 still fits for 16 letters at k = 2
-    assert 16 * 2000 ** 2 * 2 <= field._DENSE_CELLS
+    # a 2000-dim module's 16 letters at k = 2 still fit the cell budget
+    assert 16 * 2000 ** 2 * 2 <= field._CELLS
     empty = np.zeros(0, dtype=np.int64)
     cells = (empty, empty, empty, np.zeros((0, 1), dtype=np.int64))
     tracemalloc.start()
@@ -1937,6 +1948,102 @@ def test_dense_letters_refuse_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _refusal_peak(match, call):
+    """The tracemalloc peak, in bytes, of call(), which TooLarge refuses
+    with a message matching match."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_induction_plan_refuses_before_allocating():
+    # gl(5)/F_5: the PBW table of 5^10 monomials x 25 letters is refused
+    # before the monomials are listed (they alone would take tens of GB)
+    A = gl5()
+    spec, trip = zero_spec(A), fp_order(A)
+    assert _refusal_peak("PBW table", lambda: verma_build(
+        spec, trip, weight=(1, 2, 3, 4, 0), check=False)) < 1 << 20
+    # an expansion of 2^40 places is refused before its owner array
+    assert _refusal_peak("expansion of 1099511627776 cells",
+                         lambda: repmod._segments(np.zeros(1, dtype=np.int64),
+                                                  np.array([1 << 40]))
+                         ) < 1 << 20
+
+
+def test_cell_sums_refuse_before_allocating(monkeypatch):
+    # the plan fits; its entry values, one per entry and digit, do not
+    A = gl3()
+    spec, trip = zero_spec(A), fp_order(A)
+    plan = repmod._induction_table(spec, trip)
+    verma_build(spec, trip, weight=(1, 3, 0), check=False)
+    monkeypatch.setattr(field, "_CELLS", len(plan["coeffs"]) - 1)
+    assert _refusal_peak("entry values", lambda: verma_build(
+        spec, trip, weight=(1, 3, 0), check=False)) < 1 << 20
+
+
+def _gl3_module():
+    A = gl3()
+    return verma_build(zero_spec(A), fp_order(A), weight=(1, 3, 0),
+                       check=False)
+
+
+def test_filled_blocks_refuse_before_allocating(monkeypatch):
+    # the raising and lowering blocks fit the budget exactly, and one cell
+    # less refuses them
+    M = _gl3_module()
+    g = oracle._gather(M)
+    monkeypatch.setattr(field, "_CELLS", g.cells)
+    oracle._gather(M)
+    monkeypatch.setattr(field, "_CELLS", g.cells - 1)
+    assert _refusal_peak("weight-space blocks",
+                         lambda: is_simple(M)) < 1 << 20
+
+
+def test_every_cut_refuses_before_allocating(monkeypatch):
+    # every() cuts all nine letters, more than the five filled ones
+    g = oracle._gather(_gl3_module())
+    monkeypatch.setattr(field, "_CELLS", g.cells)
+    assert _refusal_peak("weight-space blocks", g.every) < 1 << 20
+
+
+def test_word_table_refuses_before_allocating(monkeypatch):
+    g = oracle._gather(_gl3_module())
+    # the top line, which spans the module in pass 0: its table holds the
+    # three lowering letters' blocks of every space
+    _b, s, V = oracle._singular([g])[0][0]
+    lines = [(0, s, V[0])]
+    cells = 3 * len(g.idx) * g.D ** 2
+    assert oracle._word_span_ranks([g], lines, g.D).tolist() == [g.dim]
+    monkeypatch.setattr(field, "_CELLS", cells - 1)
+    assert _refusal_peak("word blocks of %d cells" % cells, lambda:
+                         oracle._word_span_ranks([g], lines, g.D)) < 1 << 20
+
+
+def test_regular_module_refuses_before_allocating():
+    # gl(3)/F_5: 9 dense letters of 5^9 x 5^9 cells, refused before the
+    # 5^9 monomials are listed
+    spec = zero_spec(gl3())
+    assert _refusal_peak("dense letters",
+                         lambda: regular_module(spec)) < 1 << 20
+
+
+def test_gl4_line_module_is_built_and_judged():
+    # 15,625 dims: within the cell budget, built and judged in the library
+    A = gl4()
+    spec, trip = zero_spec(A), fp_order(A)
+    lam = (1, 2, 3, 4)
+    M = verma_build(spec, trip, weight=lam, check=False)
+    assert M.dim == 5 ** 6
+    assert is_simple(M) == {"simple": True, "method": "exhaustive",
+                            "lines": 1, "weight": None, "witness": None}
+    assert f_closed(spec, trip, lam) == 1
+    assert f_via_hc(spec, trip, lam)[0] != 0
 
 
 @pytest.mark.parametrize("lam1, lam2", [((4, 3), (2, 0)), ((4, 0), (0, 1))],

@@ -46,6 +46,35 @@ def test_no_interpreter_state_setters():
     assert found == []
 
 
+def _builds_too_large(node):
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "TooLarge"
+        or getattr(node.func, "attr", None) == "TooLarge")
+
+
+def test_one_cell_budget():
+    # every size refusal is raised by field._require_cells against the one
+    # cell budget, and no dimension cut-off is left beside it
+    raised, allowed, knobs = set(), set(), []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            text = fh.read()
+        if "max_dim" in text:
+            knobs.append(name)
+        tree = ast.parse(text, path)
+        for node in ast.walk(tree):
+            where = {"%s:%d:%d" % (name, n.lineno, n.col_offset)
+                     for n in ast.walk(node) if _builds_too_large(n)}
+            raised |= where
+            if (isinstance(node, ast.FunctionDef) and name == "field.py"
+                    and node.name == "_require_cells"):
+                allowed |= where
+    assert len(allowed) == 1
+    assert sorted(raised - allowed) == []
+    assert knobs == []
+
+
 def _is_last_axis(node):
     return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
             and isinstance(node.operand, ast.Constant)
