@@ -577,7 +577,7 @@ def _segments(starts, lens):
     """The segments [starts[s], starts[s] + lens[s]) of a flat array laid
     end to end: the segment of each place, and its position in the array.
     TooLarge when the places exceed the cell budget."""
-    _require_cells(int(lens.sum()), "an induction plan expansion")
+    _require_cells(lens.sum(), "an induction plan expansion")
     owner = np.repeat(np.arange(lens.size), lens)
     return owner, np.arange(owner.size) + np.repeat(
         starts - np.cumsum(lens) + lens, lens)
