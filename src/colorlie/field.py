@@ -7,6 +7,8 @@ CLI.  Small fields get full add/mul/neg/inv lookup tables so bulk code stays
 cheap.  `digit_product` is the one routine that multiplies arrays of digit
 vectors: it fills the multiplication table, multiplies scalars of fields too
 large for tables, and serves every product in the linear algebra layer.
+Over a tabled extension field an entrywise product is one lookup in a
+digit table of products: its operands must hold digits reduced mod p.
 """
 
 import numpy as np
@@ -47,7 +49,9 @@ def _is_prime(n):
 def digit_product(F, A, B, op):
     """Product of two F_q digit arrays under the bilinear numpy op.
 
-    The op runs on each pair of base-p digit planes, A[..., i] with
+    np.multiply over a tabled field with k > 1 reads the (q^2, k) digit
+    table of products at code(A) * q + code(B), digits in [0, p).
+    Otherwise the op runs on each pair of base-p digit planes, A[..., i] with
     B[..., j], read as views of the operands (which may themselves be
     transposed, strided or sliced views); the results are summed by degree
     i + j, the degrees >= k are folded back down with the little-endian
@@ -57,6 +61,9 @@ def digit_product(F, A, B, op):
     below (p-1)^2 * inner-dim * k << 2^53; other ops (np.multiply,
     np.multiply.outer) run in int64."""
     p, k = F.p, F.k
+    if op is np.multiply and F._mul_digits is not None:
+        codes = F.array_to_codes(A) * F.q + F.array_to_codes(B)
+        return np.take(F._mul_digits, codes, axis=0).astype(np.int64)
     if op is np.matmul:
         A = A.astype(np.float64)
         B = B.astype(np.float64)
@@ -180,26 +187,29 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def _build_tables(self):
-        q = self.q
+        q, k = self.q, self.k
         # tables = (add, mul), both read t[a, b]; computed above LUT_LIMIT
         if q > LUT_LIMIT:
             self._add = self._mul = self._neg = self._inv = None
-            self._inv_digits = None
+            self._inv_digits = self._mul_digits = None
             self.tables = (_Entries(self.add), _Entries(self.mul))
             return
         digits = self.codes_to_array(np.arange(q))
-        # blocks of rows of about 2^16 cells keep the digit planes small
+        # blocks of rows of about 2^16 cells keep the digit planes small;
+        # the digits of every product fit int8 for k > 1 (then p <= 45)
         add = np.empty((q, q), dtype=np.int64)
         mul = np.empty((q, q), dtype=np.int64)
+        prods = np.empty((q, q, k), dtype=np.int8 if k > 1 else np.int64)
         step = max(1, 2 ** 16 // q)
         for s in range(0, q, step):
             rows = digits[s:s + step]
             add[s:s + step] = self.array_to_codes((rows[:, None] + digits) % self.p)
-            mul[s:s + step] = self.array_to_codes(
-                digit_product(self, rows, digits, np.multiply.outer))
+            prods[s:s + step] = digit_product(self, rows, digits, np.multiply.outer)
+            mul[s:s + step] = self.array_to_codes(prods[s:s + step])
         neg = np.argmax(add == 0, axis=1)
         inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
         self._inv_digits = digits[inv]  # (q, k): the inverse's digits
+        self._mul_digits = prods.reshape(q * q, k) if k > 1 else None
         # the scalar methods read the tables through zero-copy memoryviews,
         # whose items are plain ints: no numpy scalar is made per call
         self._add, self._mul, self._neg, self._inv = (

@@ -12,8 +12,8 @@ and inverse) and for the simplicity oracle's many small systems.
 `Mat.rank` first peels the structural pivots (`_peel`: rows and columns
 with a single nonzero entry, which need no arithmetic) and counts the
 pivots of `_forward` on the rows and columns left; the incremental
-`Echelon` runs both passes on each block it reduces.  Kernels are read off
-a reduced form by `kernel_from_rref`.  Everything is deterministic: the
+`Echelon` runs both passes on each block it reduces.  Kernels of a batch
+are read off its reduced forms by `kernel_from_rref`.  Everything is deterministic: the
 pivot is always the first nonzero entry.
 """
 
@@ -163,17 +163,20 @@ def batch_rref(F, a):
 
 
 def kernel_from_rref(F, R, pivots):
-    """Kernel basis of a matrix from its reduced form R (r, c, k) and its
-    pivot columns: one (c, k) column per free column j, with 1 at j and
-    minus R's column j at the pivots; returns a (c, nullity, k) array."""
-    c = R.shape[1]
-    pivots = [int(j) for j in pivots]
-    taken = set(pivots)
-    free = [j for j in range(c) if j not in taken]
-    out = np.zeros((c, len(free), F.k), dtype=np.int64)
-    out[free, np.arange(len(free)), 0] = 1
-    out[pivots] = (-R[:len(pivots), free]) % F.p
-    return out
+    """Kernel bases of a batch from its reduced forms R (b, r, c, k) and
+    pivot columns (b, c), in one pass: per free column j of an item, 1 at j
+    and minus R's column j at the pivots; returns the item, the free column
+    and the (n, c, k) vectors, by item, each item's in column order."""
+    b, r, c, k = R.shape
+    item, free = np.nonzero(~pivots)
+    # the column of each item's pivot row t, c (a spare column) past its rank
+    at = np.full((b, r), c, dtype=np.int64)
+    pi, pc = np.nonzero(pivots)
+    at[pi, np.cumsum(pivots, axis=1)[pi, pc] - 1] = pc
+    out = np.zeros((len(item), c + 1, k), dtype=np.int64)
+    out[np.arange(len(item))[:, None], at[item]] = -R[item, :, free] % F.p
+    out[np.arange(len(item)), free, 0] = 1
+    return item, free, out[:, :c]
 
 
 class Mat:
@@ -295,7 +298,9 @@ class Mat:
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""
         R, pivots = self.rref()
-        return Mat(self.F, kernel_from_rref(self.F, R.a, pivots))
+        on = np.isin(np.arange(self.shape[1]), pivots)[None]
+        vecs = kernel_from_rref(self.F, R.a[None], on)[2]
+        return Mat(self.F, vecs.swapaxes(0, 1))
 
     def solve(self, b):
         """One solution x of self @ x = b (b a Mat with matching rows), or None."""

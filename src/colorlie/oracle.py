@@ -10,11 +10,13 @@ into two; `_fill` scatters the cell digits of many modules on one layout
 into their blocks at once.  A sweep makes one layout per triple and fills
 each chunk of rows on it; `_gather` is the one-module case, on a module's
 own gradings and cells.  The words and the closure passes after them grow
-on the blocks, in one loop (`_word_span_ranks`).  Every
-reduction is one call of `linalg.batch_rref`, the one elimination kernel,
-on a batch of small systems.  `_judge` gives the verdicts of many modules
-in one batched pass; `is_simple` is its one-module case, and
-`repmod.sweep_rows` judges its rows in batches through it.
+on the blocks, in one loop (`_word_span_ranks`).  Every reduction is one
+call of `linalg.batch_rref`, the one elimination kernel, on a batch of
+small systems, and the singular vectors of all systems are read off in one
+`kernel_from_rref` call; a space of one singular vector is its own line.
+`_judge` gives the verdicts of many modules in one batched pass;
+`is_simple` is its one-module case, and `repmod.sweep_rows` judges its
+rows in batches through it.
 """
 
 import itertools
@@ -239,18 +241,15 @@ def _singular(gathered):
     keep = np.argsort(~live, axis=1, kind="stable")[
         :, :int(live.sum(axis=1).max())]
     red, pivots = batch_rref(F, rows[np.arange(len(rows))[:, None], keep])
-    width = (labels >= 0).sum(axis=1)
-    for j in np.flatnonzero(pivots.sum(axis=1) < width):
-        m, s = owner[j]
-        c = width[j]
-        K = kernel_from_rref(F, red[j, :, :c], np.flatnonzero(pivots[j]))
-        free = np.flatnonzero(~pivots[j, :c])
-        vecs = np.zeros((K.shape[1], D, F.k), dtype=np.int64)
-        vecs[:, :c] = K.swapaxes(0, 1)
-        for b in sorted(set(labels[j, free].tolist())):
-            found[m].append((b, s, vecs[labels[j, free] == b]))
-    for f in found:
-        f.sort(key=lambda item: item[0])
+    # every system's kernel vectors at once, those of padded columns
+    # dropped, grouped by module and bucket, each group in column order
+    item, free, vecs = kernel_from_rref(F, red, pivots)
+    on = labels[item, free] >= 0
+    mod, space = np.array(owner, dtype=np.int64).reshape(-1, 2)[item[on]].T
+    bucket, vecs = labels[item[on], free[on]], vecs[on]
+    group, first = _group_rows(np.column_stack([mod, bucket]))
+    for g, n in enumerate(first.tolist()):
+        found[mod[n]].append((int(bucket[n]), int(space[n]), vecs[group == g]))
     return found
 
 
@@ -286,10 +285,13 @@ def _lines(F, spaces, max_enumerate, samples, rng):
     space with d at most max_enumerate yields all its lines, any other a
     seeded random sample of combinations, and marks its lines and all
     later ones "randomized".  The combinations are formed in chunks, one
-    product each."""
+    product each (none for an enumerated space of one vector)."""
     method = "exhaustive"
     for s, vecs in spaces:
         d = len(vecs)
+        if d == 1 and d <= max_enumerate:
+            yield method, s, vecs[0]
+            continue
         if d <= max_enumerate:
             combos = _unit_lines(F, d)
         else:

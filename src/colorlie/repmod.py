@@ -539,12 +539,13 @@ class BaseModule:
                              [tri.pairs[t][0] for t in self.triple.deltas])
 
 
-def _line_base(spec, triple, lam):
-    """The one-dimensional base: Cartan letters act by the weight, all root
-    letters by zero.  Obstructions (weight not compatible with the
-    character, character or weight alive on the Levi part) surface from the
-    `_relations`, read on those scalars, as BadWeight.  The letters, their
-    Cartan coordinates and relations are cached per triple on the spec."""
+def _line_values(spec, triple, lams):
+    """The line bases of all weights of lams at once: Cartan letters act by
+    the weight, root letters by zero.  Returns the acting letters (the
+    plan's rest), the (weights, letters) codes of their scalars and, per
+    weight, None or the BadWeight of its first failing relation of
+    `_relations`, each relation read on all weights in one pass.  The
+    relations' digits are cached per triple on the spec."""
     A = spec.algebra
     F, tri = A.F, A.triangular
     plans = vars(spec).setdefault("_line_plans", {})
@@ -552,25 +553,51 @@ def _line_base(spec, triple, lam):
         cpos = {h: n for n, h in enumerate(tri.cartan)}
         f_letters = set(tri.pairs[t][1] for t in triple.deltas)
         letters = [i for i in range(A.dim) if i not in f_letters]
-        plans[triple.deltas] = (letters, [cpos.get(i, len(cpos))
-                                          for i in letters],
-                                _relations(spec, letters))
-    letters, pick, rels = plans[triple.deltas]
-    codes = np.array(list(lam) + [0], dtype=np.int64)[pick]
-    value = dict(zip(letters, codes.tolist()))
+        col = {t: x for x, t in enumerate(letters)}
+        i, j, eps, elems, rho, messages = zip(*_relations(spec, letters))
+        j = [col[t] for t in j if t is not None]
+        # relation r: rho_r + sum_t coef[t, r] x_t = x_i x_j (1 - eps) for a
+        # pair, x_i^p else; one leaving the letters (spare row) always fails
+        coef = np.zeros((len(letters) + 1, len(elems)), dtype=np.int64)
+        for r, elem in enumerate(elems):
+            for t, c in elem.items():
+                coef[col.get(t, -1), r] = c
+        plans[triple.deltas] = (
+            letters, [cpos.get(t, len(cpos)) for t in letters],
+            F.codes_to_array(coef[:-1]), F.codes_to_array(rho),
+            [col[t] for t in i], j, F.codes_to_array(
+                [F.sub(F.one, e) for e in eps[:len(j)]]).reshape(-1, F.k),
+            np.array([not col.keys() >= elem.keys() for elem in elems]),
+            messages)
+    letters, pick, coef, rho, i, j, eps, leaves, messages = plans[
+        triple.deltas]
+    codes = np.pad(np.array(lams, dtype=np.int64).reshape(
+        len(lams), len(tri.cartan)), ((0, 0), (0, 1)))[:, pick]
+    V = F.codes_to_array(codes)
+    x = V[:, i]
+    rhs = np.concatenate([digit_product(F, digit_product(
+        F, x[:, :len(j)], V[:, j], np.multiply), eps, np.multiply),
+        F.pow_array(x[:, len(j):], F.p)], axis=1)
+    bad = nonzero_digits((digit_product(F, V, coef, np.matmul) + rho - rhs)
+                         % F.p) | leaves
+    first = np.where(bad.any(axis=1), bad.argmax(axis=1), -1).tolist()
     prefix = "the weight does not extend to the parabolic: "
-    for i, j, eps, elem, rho, (leaves, fails) in rels:
-        if any(t not in value for t in elem):
-            raise BadWeight(prefix + leaves)
-        for t, c in elem.items():
-            rho = F.add(rho, F.mul(c, value[t]))
-        if rho != (F.pow(value[i], F.p) if j is None else
-                   F.mul(F.mul(value[i], value[j]), F.sub(F.one, eps))):
-            raise BadWeight(prefix + fails)
-    digits = F.codes_to_array(codes).reshape(len(letters), 1, 1, F.k)
-    return BaseModule(spec, triple, dict(zip(letters, (
-        Mat(F, d) for d in digits))), [lam], [A.group.zero], [0],
-        check=False)
+    return letters, codes, [
+        None if r < 0 else BadWeight(
+            prefix + messages[r][0 if leaves[r] else 1])
+        for r in first]
+
+
+def _line_base(spec, triple, lam):
+    """The line base of weight lam, or its BadWeight: the one-weight case
+    of `_line_values`."""
+    A = spec.algebra
+    letters, codes, errors = _line_values(spec, triple, [lam])
+    if errors[0] is not None:
+        raise errors[0]
+    return BaseModule(spec, triple, {t: Mat.from_codes(A.F, [[c]]) for t, c
+                                     in zip(letters, codes[0].tolist())},
+                      [lam], [A.group.zero], [0], check=False)
 
 
 def _segments(starts, lens):
@@ -757,19 +784,18 @@ def _induction_table(spec, triple):
     return table
 
 
-def _cell_sums(F, plan, bases):
-    """The value of every cell of plan on each of bases (all of one
-    dimension bd), as (cells, nb, bd, bd, k) digits: each entry is its
-    coefficient times its pattern's factor, the identity or the base
-    action of one rest letter (a scalar on a line base), and the entries
-    of each cell are summed, for all bases at once.  TooLarge when the
-    entry values exceed the cell budget."""
-    bd, nb = bases[0].dim, len(bases)
-    _require_cells(len(plan["coeffs"]) * nb * bd * bd * F.k,
+def _cell_sums(F, plan, acts):
+    """The value of every cell of plan on nb bases of dimension bd, as
+    (cells, nb, bd, bd, k) digits, from acts (rest letters, nb, bd, bd, k),
+    the rest letters' actions on each base (scalars on line bases): each
+    entry is its coefficient times its pattern's factor, the identity or
+    one rest letter's action, and the entries of each cell are summed.
+    TooLarge when the entry values exceed the cell budget."""
+    _require_cells(len(plan["coeffs"]) * acts[0].size,
                    "the induction plan's entry values")
-    one = np.broadcast_to(Mat.identity(F, bd).a, (nb, bd, bd, F.k))
-    factor = np.stack([one] + [np.stack([b.action[i].a for b in bases])
-                               for i in plan["rest"]])
+    one = Mat.identity(F, acts.shape[2]).a
+    factor = np.concatenate([np.broadcast_to(one, (1,) + acts.shape[1:]),
+                             acts])
     vals = digit_product(F, plan["coeffs"][:, None, None, None],
                          factor[plan["pattern"]], np.multiply)
     return np.add.reduceat(vals, plan["starts"]) % F.p
@@ -838,7 +864,8 @@ def verma_build(spec, triple, weight=None, base=None, check=True):
     letter, row, col = (np.broadcast_to(v, shape).ravel()[where]
                         for v in (plan["letter"], plan["row"] * bd + i,
                                   plan["col"] * bd + j))
-    digits = _cell_sums(F, plan, [base]).reshape(-1, F.k)[where]
+    acts = np.stack([base.action[i].a for i in plan["rest"]])[:, None]
+    digits = _cell_sums(F, plan, acts).reshape(-1, F.k)[where]
     on = nonzero_digits(digits)
     weights = F.array_to_codes((plan["shift"][:, None] + F.codes_to_array(
         base.weights)) % F.p).reshape(count, -1).tolist()
@@ -919,7 +946,7 @@ def module_from_wire(spec, wire):
     bytes and read dimensions, not to run degree-graded computations on
     nontrivially graded algebras."""
     F = spec.algebra.F
-    action = {int(i): Mat(F, np.asarray(rows, dtype=np.int64))
+    action = {int(i): Mat(F, np.asarray(rows, dtype=np.int64) % F.p)
               for i, rows in wire["action"]}
     weights = [tuple(F.from_wire(c) for c in w) for w in wire["weights"]]
     labels = None
@@ -1367,20 +1394,21 @@ def sweep_rows(spec, triple, oracle=True, max_enumerate=3, samples=40,
     position: code}) keeps only the weights with those values.  BadWeight
     when no weight extends.
 
-    f_closed runs per weight; the Cartan route is evaluated for all the
-    weights at once (`_hc_values`).  No module is built: every line base's
-    module has the triple's weight-space layout up to the order of its
-    spaces, so the layout is made once per triple (`_line_layout`), and
-    each chunk of rows is valued on the plan's cells (`_cell_sums`) and
-    filled straight into its weight-space blocks (`oracle._fill`).  A
+    f_closed runs per weight; the Cartan route (`_hc_values`) and the line
+    bases (`_line_values`) are evaluated for all the weights at once.  No
+    base or module is built: every line base's module has the triple's
+    weight-space layout up to the order of its spaces, so the layout is
+    made once per triple (`_line_layout`), and each chunk of rows is valued
+    on the plan's cells (`_cell_sums`, from the line bases' scalar codes)
+    and filled straight into its weight-space blocks (`oracle._fill`).  A
     chunk holds as many rows as keep its entry values within _SLAB // 2
     digit cells and its filled blocks within _SLAB, and at least one.  The
     oracle judges the rows in batches (`_judge`); a batch is judged before
     the next row's blocks would take it past _SLAB cells.  A line whose
     word span falls short is closed from its word basis on the same
-    blocks.  A row's ms is its own time plus an equal share of the Cartan
-    evaluation, of its chunk's valuing and fill and of its batch's
-    judging."""
+    blocks.  A row's ms is an equal share of f_closed, the Cartan route and
+    the line-base check of all weights, of its chunk's valuing and fill and
+    of its batch's judging."""
     lams = [lam for lam in admissible_lambdas(spec)
             if all(lam[n] == c for n, c in (fix or {}).items())]
     if not lams:
@@ -1388,22 +1416,15 @@ def sweep_rows(spec, triple, oracle=True, max_enumerate=3, samples=40,
     t0 = time.perf_counter()
     closed = [f_closed(spec, triple, lam) for lam in lams]
     hc, _rev = _hc_values(spec, triple, lams)
+    _letters, codes, errors = _line_values(spec, triple, lams)
+    ok = [n for n, exc in enumerate(errors) if exc is None]
+    if not ok:
+        raise errors[-1]
     share = (time.perf_counter() - t0) * 1000.0 / len(lams)
-    rows, bases = [], []
-    unextended = None
-    for lam, fc, fh in zip(lams, closed, hc):
-        t0 = time.perf_counter()
-        try:
-            bases.append(_line_base(spec, triple, lam))
-        except BadWeight as exc:
-            unextended = exc
-            continue
-        rows.append({"lambda": [int(c) for c in lam], "f_closed": fc,
-                     "f_hc": fh, "oracle": None,
-                     "agree": (fc == 0) == (fh == 0),
-                     "ms": share + (time.perf_counter() - t0) * 1000.0})
-    if not rows and unextended is not None:
-        raise unextended
+    rows = [{"lambda": [int(c) for c in lams[n]], "f_closed": closed[n],
+             "f_hc": hc[n], "oracle": None,
+             "agree": (closed[n] == 0) == (hc[n] == 0), "ms": share}
+            for n in ok]
     pending = []
 
     def judge():
@@ -1425,16 +1446,17 @@ def sweep_rows(spec, triple, oracle=True, max_enumerate=3, samples=40,
         step = max(1, min(_SLAB // 2 // (len(plan["coeffs"]) * F.k),
                           _SLAB // max(1, layout["cells"])))
         shift = plan["shift"][layout["first"]]
+        acts = F.codes_to_array(codes[ok]).swapaxes(0, 1)[:, :, None, None]
+        lams = F.codes_to_array(np.array(lams, dtype=np.int64)[ok])
         for c0 in range(0, len(rows), step):
             t0 = time.perf_counter()
-            chunk = bases[c0:c0 + step]
-            sums = _cell_sums(F, plan, chunk)[kept]
-            lams = F.codes_to_array([b.weights[0] for b in chunk])
+            chunk = slice(c0, c0 + step)
+            sums = _cell_sums(F, plan, acts[:, chunk])[kept]
             gathered = _fill(spec, layout, F.array_to_codes(
-                (shift + lams[:, None]) % F.p), sums.reshape(
-                    len(kept), len(chunk), F.k).swapaxes(0, 1))
-            share = (time.perf_counter() - t0) * 1000.0 / len(chunk)
-            for row, g in zip(rows[c0:c0 + step], gathered):
+                (shift + lams[chunk, None]) % F.p), sums.reshape(
+                    len(kept), -1, F.k).swapaxes(0, 1))
+            share = (time.perf_counter() - t0) * 1000.0 / len(gathered)
+            for row, g in zip(rows[chunk], gathered):
                 row["ms"] += share
                 if pending and (sum(h.cells for _row, h in pending)
                                 + g.cells > _SLAB):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie.errors import BadCharacteristic, NonPrime, ReducibleModulus
-from colorlie.field import Field, digit_product
+from colorlie.field import LUT_LIMIT, Field, digit_product
 
 
 def brute_irreducible(f, p):
@@ -300,3 +300,51 @@ def test_array_to_codes_matches_the_digit_sum(p, k):
         assert np.array_equal(F.codes_to_array(got), arr)
     one = rng.integers(0, p, size=k)
     assert int(F.array_to_codes(one)) == int((one * weights).sum())
+
+
+def _plane_product(F, A, B):
+    """The digit-plane product: every op but np.multiply itself takes it."""
+    return digit_product(F, A, B, lambda a, b: np.multiply(a, b))
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (5, 3), (43, 2)],
+                         ids=["f25", "f125", "f1849"])
+def test_table_products_match_the_digit_planes(p, k):
+    # q = 43^2 lies just below LUT_LIMIT; random reduced operands in
+    # broadcast shapes, zero-size ones included, in both orders
+    F = Field(p, k)
+    assert F.q <= LUT_LIMIT and F._mul_digits.shape == (F.q ** 2, k)
+    assert F._mul_digits.dtype == np.int8
+    rng = np.random.default_rng(F.q)
+    for sa, sb in [((50,), (50,)), ((3, 1, 5), (4, 1)), ((6, 1), (1, 7)),
+                   ((), (8,)), ((0,), (0,)), ((0, 3), (1, 3)), ((2, 0), ())]:
+        A = rng.integers(0, p, size=sa + (k,))
+        B = rng.integers(0, p, size=sb + (k,))
+        for X, Y in ((A, B), (B, A)):
+            got = digit_product(F, X, Y, np.multiply)
+            want = _plane_product(F, X, Y)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+    if F.q <= 125:
+        # every pair of the field, against the scalar table
+        codes = np.arange(F.q)
+        a, b = F.codes_to_array(codes)[:, None], F.codes_to_array(codes)
+        got = F.array_to_codes(digit_product(F, a, b, np.multiply))
+        assert got.tolist() == [[F.mul(x, y) for y in range(F.q)]
+                                for x in range(F.q)]
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 4)], ids=["f5", "f2401"])
+def test_prime_and_untabled_fields_multiply_on_the_digit_planes(p, k):
+    # k = 1 needs no digit table, and F_2401 has no tables at all
+    F = Field(p, k)
+    assert F._mul_digits is None
+    assert (F._mul is None) == (F.q > LUT_LIMIT)
+    rng = np.random.default_rng(F.q)
+    A = rng.integers(0, p, size=(4, 1, 3, k))
+    B = rng.integers(0, p, size=(5, 1, k))
+    got = F.array_to_codes(digit_product(F, A, B, np.multiply))
+    ca, cb, mod = F.array_to_codes(A), F.array_to_codes(B), list(F.modulus)
+    assert got.tolist() == [[[schoolbook_mul(int(ca[i, 0, t]), int(cb[j, 0]),
+                                             p, mod) for t in range(3)]
+                             for j in range(5)] for i in range(4)]

@@ -7,6 +7,7 @@ import os
 import random
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from colorlie.errors import (BadWeight, ChiOnDelta, ChiOnNplus, DoubledRoot,
 from colorlie.field import _SLAB, Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
-from colorlie.linalg import Echelon, Mat
+from colorlie.linalg import Echelon, Mat, batch_rref, kernel_from_rref
 from colorlie.repmod import (BaseModule, FPTriple, GradedModule, PCharacter,
                              admissible_lambdas, extract_kappa, f_closed,
                              f_via_hc, fp_order, is_simple,
@@ -495,6 +496,94 @@ def test_line_base_reports_exact_relation():
                               "reduced power relation fails at e_11")
 
 
+def _line_reference(spec, triple, lam):
+    """Reference for repmod._line_values: one weight at a time, relation by
+    relation of `_relations` in scalar arithmetic, the letters' scalars
+    and the message of the first failing relation (None if all hold)."""
+    A = spec.algebra
+    F, tri = A.F, A.triangular
+    cpos = {h: n for n, h in enumerate(tri.cartan)}
+    fs = {tri.pairs[t][1] for t in triple.deltas}
+    value = {i: lam[cpos[i]] if i in cpos else 0
+             for i in range(A.dim) if i not in fs}
+    for i, j, eps, elem, rho, (leaves, fails) in repmod._relations(
+            spec, list(value)):
+        if any(t not in value for t in elem):
+            return value, leaves
+        for t, c in elem.items():
+            rho = F.add(rho, F.mul(c, value[t]))
+        if rho != (F.pow(value[i], F.p) if j is None else
+                   F.mul(F.mul(value[i], value[j]), F.sub(F.one, eps))):
+            return value, fails
+    return value, None
+
+
+def _outside_triple(A):
+    """A stand-in triple that induces e_23 alone, on gl(3): its acting
+    letters keep e_12 and e_31 but not e_32 = -[e_12, e_31]."""
+    return types.SimpleNamespace(deltas=(A.index_of("e_23"),))
+
+
+@pytest.mark.parametrize("make, triple, failing, first", [
+    (lambda: zero_spec(gl3()), lambda A: fp_order(A), 0, None),
+    (lambda: zero_spec(gl3()), lambda A: fp_order(
+        A, levi=[A.index_of("e_12")]), 100,
+     "bracket relation fails at (e_12, e_21)"),
+    (lambda: zero_spec(gl21()), lambda A: fp_order(A), None, None),
+    (lambda: zero_spec(gl21()), lambda A: fp_order(
+        A, levi=[A.index_of("e_23")]), None, None),
+    (lambda: _line_chi(gl2(), "e_11"), lambda A: fp_order(A), None,
+     "reduced power relation fails at e_11"),
+    (lambda: _regss_gl3_f25(), lambda A: fp_order(
+        A, levi=[A.index_of("e_23")]), None, None),
+    (lambda: zero_spec(gl3()), _outside_triple, 125,
+     "bracket of e_12 and e_31 leaves the acting letters"),
+], ids=["gl3_borel", "gl3_levi_e12", "gl21", "gl21_odd_levi", "gl2_chi",
+        "gl3_f25_regss_levi", "gl3_leaving"])
+def test_line_values_match_the_per_weight_check(make, triple, failing,
+                                                first):
+    # the batched check gives each weight the scalars and the exact
+    # BadWeight of the per-weight relation loop, on every weight (a sample
+    # of 400 over F_25), admissible or not; first is a message some weight
+    # must get
+    spec = make()
+    trip = triple(spec.algebra)
+    lams = list(itertools.product(range(spec.algebra.F.q),
+                                  repeat=len(spec.algebra.triangular.cartan)))
+    if len(lams) > 400:
+        lams = random.Random(1).sample(lams, 400)
+    letters, codes, errors = repmod._line_values(spec, trip, lams)
+    assert codes.shape == (len(lams), len(letters))
+    prefix = "the weight does not extend to the parabolic: "
+    for lam, row, err in zip(lams, codes.tolist(), errors):
+        value, want = _line_reference(spec, trip, lam)
+        assert letters == list(value) and row == list(value.values()), lam
+        assert (err is None) == (want is None), lam
+        if err is not None:
+            assert type(err) is BadWeight and str(err) == prefix + want, lam
+    if failing is not None:
+        assert sum(e is not None for e in errors) == failing
+    if first is not None:
+        assert prefix + first in map(str, errors)
+    assert repmod._line_values(spec, trip, [])[1].shape == (0, len(letters))
+
+
+def test_all_failing_sweep_raises_the_last_weights_error():
+    # every weight with e_11 = 1, e_22 = 0 fails on the Levi of e_12, and
+    # the sweep raises the BadWeight of the last of them, as a per-weight
+    # loop over the line bases would
+    A = gl3()
+    spec = zero_spec(A)
+    trip = fp_order(A, levi=[A.index_of("e_12")])
+    lams = [lam for lam in admissible_lambdas(spec) if lam[:2] == (1, 0)]
+    want = [_line_reference(spec, trip, lam)[1] for lam in lams]
+    assert len(lams) == 5 and None not in want
+    with pytest.raises(BadWeight) as exc:
+        sweep_rows(spec, trip, fix={0: 1, 1: 0})
+    assert str(exc.value) == ("the weight does not extend to the "
+                              "parabolic: " + want[-1])
+
+
 def _line_chi(A, name):
     return chi_reduce(A, PCharacter(A, linear={A.index_of(name): 1}))
 
@@ -611,6 +700,24 @@ def test_module_wire_dump():
     assert back.labels == M.labels
 
 
+def test_module_from_wire_reduces_the_digits():
+    # entrywise products over F_25 read a digit table, so wire digits
+    # outside [0, p) are reduced on the way in
+    F = Field(5, 2)
+    A = make_gl(trivial_bicharacter(GradedGroup([]), F), {(): 2})
+    spec = zero_spec(A)
+    M = verma_build(spec, fp_order(A), weight=(2, 0))
+    wire = M.to_wire()
+    rng = np.random.default_rng(0)
+    shifted = dict(wire, action=[
+        [i, (np.asarray(rows) + 5 * rng.integers(-2, 3, np.shape(rows)))
+         .tolist()] for i, rows in wire["action"]])
+    assert shifted["action"] != wire["action"]
+    back = module_from_wire(spec, shifted)
+    assert back.to_wire() == wire
+    assert is_simple(back) == is_simple(M)
+
+
 # -- singular vectors and simplicity ----------------------------------------------
 
 
@@ -701,6 +808,88 @@ def test_singular_vectors_match_per_bucket_nullspace():
                         (lam, key)
             modules += 1
     assert modules == 25 + 25 + 125 + 25 + 2 + 1 + 2
+
+
+def _singular_system_by_system(gathered):
+    """Reference for oracle._singular: each weight space's system (the
+    stacked raising blocks from it, cut to its own columns) reduced alone
+    and read by kernel_from_rref as a batch of one, its vectors split by
+    the bucket of their free column; per module in bucket order.  Also
+    returns the bucket sequence of each system's free columns."""
+    F = gathered[0].F
+    D = max(g.D for g in gathered)
+    out, seqs = [], []
+    for g in gathered:
+        found = []
+        for s in range(len(g.idx)):
+            labels = g.bucket[s][g.bucket[s] >= 0]
+            rows = np.concatenate([np.zeros((0, len(labels), F.k),
+                                            dtype=np.int64)]
+                                  + [blk[s][:, :len(labels)]
+                                     for blk in g.raising])
+            R, pivots = batch_rref(F, rows[None].copy())
+            item, free, vecs = kernel_from_rref(F, R, pivots)
+            assert (item == 0).all()
+            padded = np.zeros((len(vecs), D, F.k), dtype=np.int64)
+            padded[:, :len(labels)] = vecs
+            seqs.append(labels[free].tolist())
+            for b in sorted(set(seqs[-1])):
+                found.append((b, s, padded[labels[free] == b]))
+        out.append(sorted(found, key=lambda f: f[0]))
+    return out, seqs
+
+
+def _doubled(M):
+    """M + M, each letter acting on both copies: every singular bucket of M
+    twice over, its free columns alternating between the copies."""
+    A, n = M.spec.algebra, M.dim
+    action = {}
+    for i in range(A.dim):
+        a = np.zeros((2 * n, 2 * n, A.F.k), dtype=np.int64)
+        a[:n, :n] = a[n:, n:] = M.action[i].a
+        action[i] = Mat(A.F, a)
+    return GradedModule(M.spec, action, M.weights * 2, M.degrees * 2,
+                        M.heights * 2, check=False)
+
+
+def test_singular_reads_every_kernel_as_system_by_system():
+    # the gl(2|2) rows with e_11 = 0 and the five gl(3|1) rows with e_11,
+    # e_22, e_33 = 1, 2, 0, plus gl(3|1) and anti-commuting gl(3) weights
+    # with a space whose kernel spans two buckets, its free columns in
+    # falling bucket order; each spec's rows gathered as one sweep batch.
+    # Doubled, the last gl(3|1) modules' free columns interleave two
+    # buckets and their buckets hold two vectors each.
+    _, eps = super_bicharacter(F5)
+    gl31 = zero_spec(make_gl(eps, {(0,): 3, (1,): 1}))
+    five = [lam for lam in admissible_lambdas(gl31) if lam[:3] == (1, 2, 0)]
+    cases = [(zero_spec(gl22()), [(0, 0, 0, 0), (0, 0, 1, 2), (0, 1, 0, 1)]),
+             (gl31, five + [(0, 0, 2, 3), (1, 1, 3, 2)]),
+             (zero_spec(anti_gl3()), [(0, 2, 1), (0, 3, 1)])]
+    seqs, vectors, doubled = [], 0, 0
+    for spec, lams in cases:
+        trip = fp_order(spec.algebra)
+        modules = [verma_build(spec, trip, weight=lam, check=False)
+                   for lam in lams]
+        if spec is gl31:
+            modules += [_doubled(M) for M in modules[-2:]]
+        gathered = [oracle._gather(M) for M in modules]
+        got = oracle._singular(gathered)
+        want, seq = _singular_system_by_system(gathered)
+        seqs += seq
+        assert len(got) == len(want) == len(modules)
+        for g_mod, w_mod in zip(got, want):
+            assert len(g_mod) == len(w_mod)
+            for (gb, gs, gv), (wb, ws, wv) in zip(g_mod, w_mod):
+                assert (gb, gs) == (wb, ws)
+                assert type(gb) is int and type(gs) is int
+                assert gv.shape == wv.shape and np.array_equal(gv, wv)
+                vectors += len(gv)
+                doubled += len(gv) == 2
+    assert len(five) == 5 and vectors and doubled
+    assert sum(seq != sorted(seq) for seq in seqs) >= 4
+    runs = [[b for n, b in enumerate(seq) if not n or b != seq[n - 1]]
+            for seq in seqs]
+    assert any(len(r) > len(set(r)) for r in runs)
 
 
 def test_is_simple_gl2():
@@ -1410,17 +1599,28 @@ def test_sweep_batches_stay_within_slab(monkeypatch):
     assert max(cells for _n, cells in batches) <= _SLAB
 
 
+def _base_weights(spec, plan, acts):
+    """The weight of each line base whose rest-letter actions (rest
+    letters, bases, 1, 1, k) acts holds: its Cartan letters' scalars."""
+    A = spec.algebra
+    at = [plan["rest"].index(h) for h in A.triangular.cartan]
+    assert acts.shape[2:4] == (1, 1)
+    return list(map(tuple, A.F.array_to_codes(acts[at, :, 0, 0]).T.tolist()))
+
+
 def test_sweep_induces_in_chunks_within_budget(monkeypatch):
     # the sweep induces its modules in chunks whose entry values (entries
     # x bases x bd^2 x k digit cells) stay within _SLAB // 2 and whose
     # filled blocks stay within _SLAB, each row's module once
     chunks, filled = [], []
     sums, fill = repmod._cell_sums, repmod._fill
+    spec = _regss_gl3_f25()
 
-    def recorded(F, plan, bases):
-        chunks.append(([b.weights[0] for b in bases], len(plan["coeffs"])
-                       * len(bases) * bases[0].dim ** 2 * F.k))
-        return sums(F, plan, bases)
+    def recorded(F, plan, acts):
+        _r, nb, bd, _bd, k = acts.shape
+        chunks.append((_base_weights(spec, plan, acts),
+                       len(plan["coeffs"]) * nb * bd ** 2 * k))
+        return sums(F, plan, acts)
 
     def filling(*args):
         gathered = fill(*args)
@@ -1429,7 +1629,6 @@ def test_sweep_induces_in_chunks_within_budget(monkeypatch):
 
     monkeypatch.setattr(repmod, "_cell_sums", recorded)
     monkeypatch.setattr(repmod, "_fill", filling)
-    spec = _regss_gl3_f25()
     rows = sweep_rows(spec, fp_order(spec.algebra), fix={2: 3}, seed=11)
     assert len(rows) == 25 and all(r["oracle"] == "simple" for r in rows)
     assert len(chunks) > 1 and len(filled) == len(chunks)
@@ -1567,9 +1766,9 @@ def test_not_simple_sweep_rows_induce_each_module_once(monkeypatch):
     induced = []
     sums = repmod._cell_sums
 
-    def counted(F, plan, bases):
-        induced.extend(b.weights[0] for b in bases)
-        return sums(F, plan, bases)
+    def counted(F, plan, acts):
+        induced.extend(_base_weights(spec, plan, acts))
+        return sums(F, plan, acts)
 
     monkeypatch.setattr(repmod, "_cell_sums", counted)
     rows = sweep_rows(spec, trip, fix={0: 1, 1: 2, 2: 0})
@@ -1985,6 +2184,12 @@ def test_cell_sums_refuse_before_allocating(monkeypatch):
     monkeypatch.setattr(field, "_CELLS", len(plan["coeffs"]) - 1)
     assert _refusal_peak("entry values", lambda: verma_build(
         spec, trip, weight=(1, 3, 0), check=False)) < 1 << 20
+    # a sweep chunk's scalar actions of 4096 line bases: 2^12 times the
+    # values of one base, refused before any of them is formed
+    acts = np.zeros((len(plan["rest"]), 1 << 12, 1, 1, 1), dtype=np.int64)
+    monkeypatch.setattr(field, "_CELLS", (len(plan["coeffs"]) << 12) - 1)
+    assert _refusal_peak("entry values", lambda: repmod._cell_sums(
+        spec.algebra.F, plan, acts)) < 1 << 20
 
 
 def _gl3_module():
