@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (MixedSpecs, NoMatrixRealization, NotStandard,
                      NotWeightZero, OddElement)
 from .field import _SLAB, _require_cells, digit_product, nonzero_digits
-from .linalg import Mat
+from .linalg import entry_rank
 
 
 def _axpy(F, out, c, src):
@@ -623,12 +623,14 @@ def frobenius_gram(spec):
     letter's table grouped by row and sums each key's digit products, in
     slabs of whole source columns of at most _SLAB products (unless one
     column has more).  A slab's output columns are its own, so it is
-    summed alone.  The rank of G peels its structural pivots before
-    any elimination (`Mat.rank`).  The dense G is checked against the cell
-    budget before the monomials are listed.
+    summed alone.  G is ranked from these entries (`entry_rank`), its
+    structural pivots peeled before any elimination, and is never dense;
+    its worst case, dim^2 cells, is checked against the cell budget before
+    the monomials are listed.
 
-    Returns a dict with the monomial list, tau, the Gram Mat, its rank, and
-    the nondegeneracy / color-symmetry flags."""
+    Returns a dict with the monomial list, tau, G's nonzero cells (rows,
+    cols, digits) in column-major order, its rank, and the nondegeneracy /
+    color-symmetry flags."""
     A, F = spec.algebra, spec.algebra.F
     dim, it = uchi_basis(spec)
     _require_cells(dim * dim * F.k, "the Gram matrix")
@@ -673,11 +675,9 @@ def frobenius_gram(spec):
             blocks.append(tuple(np.concatenate(x) for x in zip(*out)))
         keys, vals = (np.concatenate(x) for x in zip(*blocks))
         stride *= spec.caps[i]
-    G = np.zeros((dim, dim, F.k), dtype=np.int64)  # dense once, for the rank
-    G[keys % dim, keys // dim] = vals
-    gram = Mat(F, G)
-    rank = gram.rank()
-    return {"dimension": dim, "monomials": mons, "tau": tau, "gram": gram,
+    cells = (keys % dim, keys // dim, vals)
+    rank = entry_rank(F, *cells, (dim, dim))
+    return {"dimension": dim, "monomials": mons, "tau": tau, "cells": cells,
             "rank": rank, "nondegenerate": rank == dim,
             "color_symmetric": _color_symmetric(A, mons, keys, vals)}
 

@@ -196,9 +196,10 @@ class Field:
             return
         digits = self.codes_to_array(np.arange(q))
         # blocks of rows of about 2^16 cells keep the digit planes small;
-        # the digits of every product fit int8 for k > 1 (then p <= 45)
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
+        # the digits of every product fit int8 for k > 1 (then p <= 45),
+        # and every code, below LUT_LIMIT, fits int16
+        add = np.empty((q, q), dtype=np.int16)
+        mul = np.empty((q, q), dtype=np.int16)
         prods = np.empty((q, q, k), dtype=np.int8 if k > 1 else np.int64)
         step = max(1, 2 ** 16 // q)
         for s in range(0, q, step):
@@ -206,8 +207,9 @@ class Field:
             add[s:s + step] = self.array_to_codes((rows[:, None] + digits) % self.p)
             prods[s:s + step] = digit_product(self, rows, digits, np.multiply.outer)
             mul[s:s + step] = self.array_to_codes(prods[s:s + step])
-        neg = np.argmax(add == 0, axis=1)
-        inv = np.argmax(mul == 1, axis=1)  # row 0 has no 1: inv[0] = 0
+        neg = np.argmax(add == 0, axis=1).astype(np.int16)
+        # row 0 has no 1: inv[0] = 0
+        inv = np.argmax(mul == 1, axis=1).astype(np.int16)
         self._inv_digits = digits[inv]  # (q, k): the inverse's digits
         self._mul_digits = prods.reshape(q * q, k) if k > 1 else None
         # the scalar methods read the tables through zero-copy memoryviews,

@@ -9,9 +9,11 @@ its own pivots and clears only that item's rows that lead in its pivot
 column; `_back_substitute` scales the pivots to one and clears above them.
 `batch_rref` runs the two in a row for `Mat.rref` (with it kernel, solve
 and inverse) and for the simplicity oracle's many small systems.
-`Mat.rank` first peels the structural pivots (`_peel`: rows and columns
-with a single nonzero entry, which need no arithmetic) and counts the
-pivots of `_forward` on the rows and columns left; the incremental
+`entry_rank` ranks a matrix given by its nonzero entries: it peels the
+structural pivots (`_peel`: rows and columns with a single nonzero entry,
+which need no arithmetic) and counts the pivots of `_forward` on the rows
+and columns left, gathered dense.  `Mat.rank` is its dense case, and the
+Frobenius Gram matrix, never dense, its sparse one; the incremental
 `Echelon` runs both passes on each block it reduces.  Kernels of a batch
 are read off its reduced forms by `kernel_from_rref`.  Everything is deterministic: the
 pivot is always the first nonzero entry.
@@ -74,48 +76,65 @@ def _forward(F, a):
     return rows, cols
 
 
-def _peel(nz):
-    """Structural pivots of a matrix with the (r, c) nonzero pattern nz
-    (C. Bouillaguet and C. Delaplace, "Sparse Gaussian elimination modulo
-    p: an update", CASC 2016); returns the rows and columns left and the
-    number of pivots peeled.
+def _peel(rows, cols, shape):
+    """Structural pivots of the (r, c) matrix whose nonzero entries sit at
+    (rows, cols), each at most once (C. Bouillaguet and C. Delaplace,
+    "Sparse Gaussian elimination modulo p: an update", CASC 2016); returns
+    the rows and columns left and the number of pivots peeled.
 
     A column whose one nonzero entry among the live rows sits in row i is a
     pivot that needs no arithmetic: column operations with it clear row i
     elsewhere and touch no other row, so the rank is one more than the
     rank without row i and the column.  The same holds for a row with one
     nonzero entry among the live columns.  Each round takes every such
-    column, or every such row when no column is left, one pivot per row
-    and per column, and drops the pivots' rows and columns.  Rows and
-    columns that end with no nonzero entry are dropped as well."""
-    nz = nz.copy()  # pivot rows and columns are cleared as they go
-    in_col, in_row = nz.sum(axis=0), nz.sum(axis=1)
+    column from a `bincount` of the live entries, or every such row when
+    no column is left, one pivot per row and per column, and masks the
+    pivots' rows and columns off the entries.  Rows and columns that end
+    with no nonzero entry are dropped as well."""
+    in_row = np.bincount(rows, minlength=shape[0])
+    in_col = np.bincount(cols, minlength=shape[1])
+    gone_row, gone_col = np.zeros(shape[0], bool), np.zeros(shape[1], bool)
     peeled = 0
     while True:
-        cols = np.flatnonzero(in_col == 1)
-        if cols.size:
-            rows = nz[:, cols].argmax(axis=0)
-            other, size = rows, nz.shape[0]
-        else:
-            rows = np.flatnonzero(in_row == 1)
-            if not rows.size:
+        single = np.flatnonzero(in_col[cols] == 1)
+        other, size = rows, shape[0]
+        if not single.size:
+            single = np.flatnonzero(in_row[rows] == 1)
+            other, size = cols, shape[1]
+            if not single.size:
                 break
-            cols = nz[rows].argmax(axis=1)
-            other, size = cols, nz.shape[1]
-        if other.size > 1:
+        if single.size > 1:
             # several single columns may meet in one row (single rows in
             # one column): the last one written to the row keeps it
             owner = np.empty(size, dtype=np.int64)
-            owner[other] = np.arange(other.size)
-            keep = owner[other] == np.arange(other.size)
-            rows, cols = rows[keep], cols[keep]
-        peeled += rows.size
-        in_col -= nz[rows].sum(axis=0)
-        nz[rows] = False
-        in_row -= nz[:, cols].sum(axis=1)
-        nz[:, cols] = False
-        in_row[rows] = in_col[cols] = 0
+            owner[other[single]] = single
+            single = single[owner[other[single]] == single]
+        peeled += single.size
+        gone_row[rows[single]] = gone_col[cols[single]] = True
+        drop = gone_row[rows] | gone_col[cols]
+        in_row -= np.bincount(rows[drop], minlength=shape[0])
+        in_col -= np.bincount(cols[drop], minlength=shape[1])
+        rows, cols = rows[~drop], cols[~drop]
     return np.flatnonzero(in_row), np.flatnonzero(in_col), peeled
+
+
+def entry_rank(F, rows, cols, digits, shape):
+    """Rank of the (r, c) matrix whose nonzero entries are the digit vectors
+    digits (n, k) at (rows, cols): its structural pivots peeled off
+    (`_peel`), then the pivot count of one forward elimination pass on the
+    rows and columns left, gathered dense only when some are left.  A
+    matrix that peels fully costs no elimination and no dense array."""
+    left_rows, left_cols, peeled = _peel(rows, cols, shape)
+    if not left_rows.size or not left_cols.size:
+        return peeled
+    at_row, at_col = np.full(shape[0], -1), np.full(shape[1], -1)
+    at_row[left_rows] = np.arange(left_rows.size)
+    at_col[left_cols] = np.arange(left_cols.size)
+    i, j = at_row[rows], at_col[cols]
+    live = (i >= 0) & (j >= 0)
+    core = np.zeros((1, left_rows.size, left_cols.size, F.k), dtype=np.int64)
+    core[0, i[live], j[live]] = digits[live]
+    return peeled + _forward(F, core)[1].shape[1]
 
 
 def _back_substitute(F, e, cols):
@@ -286,14 +305,9 @@ class Mat:
         return Mat(self.F, R[0]), np.flatnonzero(pivots[0]).tolist()
 
     def rank(self):
-        """Structural pivots peeled off, then the pivot count of one forward
-        elimination pass on a copy of the rows and columns left (`_peel`):
-        a matrix that peels fully costs no elimination."""
-        rows, cols, peeled = _peel(nonzero_digits(self.a))
-        if not rows.size or not cols.size:
-            return peeled
-        core = self.a[np.ix_(rows, cols)][None]
-        return peeled + _forward(self.F, core)[1].shape[1]
+        """`entry_rank` on the nonzero entries of the matrix."""
+        rows, cols = np.nonzero(nonzero_digits(self.a))
+        return entry_rank(self.F, rows, cols, self.a[rows, cols], self.shape)
 
     def nullspace(self):
         """Columns of the returned matrix form a kernel basis (c x nullity)."""

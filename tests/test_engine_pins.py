@@ -24,7 +24,6 @@ import json
 import os
 import sys
 
-import numpy as np
 import pytest
 
 from colorlie.algebra import ColorAlgebra, make_gl
@@ -35,6 +34,7 @@ from colorlie.field import Field
 from colorlie.groups import (Bicharacter, GradedGroup, super_bicharacter,
                              trivial_bicharacter)
 from colorlie.repmod import PCharacter, _cartan_terms, fp_order, pchar_zero
+from test_envelope import gram_codes
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PINS = os.path.join(HERE, "pins", "engine.json")
@@ -97,8 +97,7 @@ def _products(name):
             items = sorted(eng.times_letter(m, j).items())
             h.update(json.dumps([list(m), j, [[list(k), int(c)]
                                               for k, c in items]]).encode())
-    G = frobenius_gram(spec)["gram"]
-    codes = np.ascontiguousarray(A.F.array_to_codes(G.a), dtype=np.int64)
+    codes = gram_codes(A.F, frobenius_gram(spec))
     return {"monomials": len(mons), "products": h.hexdigest(),
             "gram": hashlib.sha256(codes.tobytes()).hexdigest()}
 

@@ -37,6 +37,19 @@ from colorlie.repmod import PCharacter, PowerClass, pchar_zero
 F5 = Field(5)
 
 
+def gram_codes(F, res):
+    """The dense (dim, dim) codes of the Gram matrix `frobenius_gram`
+    returns as its nonzero cells, once the cells are checked to be nonzero
+    and in column-major order."""
+    rows, cols, digits = res["cells"]
+    dim = res["dimension"]
+    assert np.all(np.diff(cols * dim + rows) > 0)
+    codes = np.zeros((dim, dim), dtype=np.int64)
+    codes[rows, cols] = F.array_to_codes(digits)
+    assert np.all(codes[rows, cols] != 0)
+    return codes
+
+
 def gl2():
     return make_gl(trivial_bicharacter(GradedGroup([]), F5), {(): 2})
 
@@ -629,10 +642,11 @@ def test_gram_line_algebra():
     A = abelian_line([], ())
     res = frobenius_gram(chi_reduce(A, pchar_zero(A)))
     assert res["dimension"] == 5 and res["tau"] == (4,)
+    G = gram_codes(A.F, res)
     for i in range(5):
         for j in range(5):
             want = 1 if i + j == 4 else 0
-            assert res["gram"].entry(i, j) == want
+            assert G[i, j] == want
     assert res["nondegenerate"] and res["color_symmetric"]
 
 
@@ -670,9 +684,10 @@ def test_gram_super_case_against_closed_form():
     mons = res["monomials"]
     idx = {m: t for t, m in enumerate(mons)}
     tau = res["tau"]
+    G = gram_codes(A.F, res)
     for a in mons:
         bcomp = tuple(t - x for x, t in zip(a, tau))
-        assert res["gram"].entry(idx[a], idx[bcomp]) == top_coeff_product(A, a, bcomp)
+        assert G[idx[a], idx[bcomp]] == top_coeff_product(A, a, bcomp)
     # same total degree but off the complement pairs to zero
     rng = random.Random(4)
     checked = 0
@@ -681,7 +696,7 @@ def test_gram_super_case_against_closed_form():
         ab = tuple(x + y for x, y in zip(a, b))
         if sum(ab) != sum(tau) or ab == tau:
             continue
-        assert res["gram"].entry(idx[a], idx[b]) == 0
+        assert G[idx[a], idx[b]] == 0
         checked += 1
 
 
@@ -731,7 +746,7 @@ def test_gram_matches_entrywise_top_coefficient(name, symmetric):
     assert res["dimension"] == len(mons)
     assert res["monomials"] == mons and res["tau"] == tau
     want = [[_top_coeff(eng, tau, mu, mv) for mv in mons] for mu in mons]
-    assert res["gram"].to_codes().tolist() == want
+    assert gram_codes(A.F, res).tolist() == want
     rank = Mat.from_codes(A.F, want).rank()
     assert res["rank"] == rank
     assert res["nondegenerate"] == (rank == len(mons))
@@ -755,15 +770,15 @@ def test_gram_sampled_against_top_coefficient_f25():
     pairs = [(rng.randrange(625), rng.randrange(625)) for _ in range(2000)]
     pairs += [(t, idx[tuple(c - a for a, c in zip(m, tau))])
               for t, m in enumerate(mons)]
-    codes = res["gram"].to_codes().tolist()
+    codes = gram_codes(A.F, res).tolist()
     for u, v in pairs:
         assert codes[u][v] == _top_coeff(eng, tau, mons[u], mons[v]), (u, v)
     assert res["rank"] == 625 and res["nondegenerate"]
     assert res["color_symmetric"] == _color_symmetric_pairwise(A, mons, codes)
 
 
-def _gram_outputs(res):
-    return (res["gram"].to_codes().tolist(), res["rank"],
+def _gram_outputs(F, res):
+    return (gram_codes(F, res).tolist(), res["rank"],
             res["nondegenerate"], res["color_symmetric"])
 
 
@@ -774,9 +789,9 @@ def test_gram_slab_cuts_keep_the_outputs(monkeypatch, name, slab):
     # the walk's slabs hold whole source columns, so each slab's sums are
     # final: any slab size gives the same Gram matrix, rank and flags
     A, chi = _file_spec(name)
-    want = _gram_outputs(frobenius_gram(chi_reduce(A, chi)))
+    want = _gram_outputs(A.F, frobenius_gram(chi_reduce(A, chi)))
     monkeypatch.setattr(envelope, "_SLAB", slab)
-    assert _gram_outputs(frobenius_gram(chi_reduce(A, chi))) == want
+    assert _gram_outputs(A.F, frobenius_gram(chi_reduce(A, chi))) == want
 
 
 def _column_products(spec, res):
@@ -787,7 +802,7 @@ def _column_products(spec, res):
     eng = engine_for(A, spec)
     mons = res["monomials"]
     index = {m: t for t, m in enumerate(mons)}
-    live = res["gram"].to_codes() != 0
+    live = gram_codes(A.F, res) != 0
     counts, stride = [], 1
     for i in range(A.dim - 1, -1, -1):
         size = np.bincount(_basis_table(eng, mons, index, i)[0],
@@ -839,7 +854,7 @@ def test_color_symmetric_reads_planted_entries():
     F = A.F
     res = frobenius_gram(chi_reduce(A, chi))
     mons = res["monomials"]
-    G = res["gram"].to_codes()
+    G = gram_codes(F, res)
     dim = len(mons)
     _classes, cls = _degree_classes(A, mons)
     # the odd monomials: eps(deg u, deg u) = -1, and -1 on any two of them
@@ -927,6 +942,22 @@ def test_gram_too_large():
     assert peak < 1 << 20
     # the guard runs before any engine or table is built
     assert getattr(spec, "_engines", {}) == {}
+
+
+def test_gram_is_never_dense():
+    # gl(2)/F_7, 2,401 dims: the walk, the peel and the verdict together
+    # take less than a dense G of dim^2 digit cells of 8 bytes would
+    A = make_gl(trivial_bicharacter(GradedGroup([]), Field(7)), {(): 2})
+    spec = chi_reduce(A, pchar_zero(A))
+    tracemalloc.start()
+    try:
+        res = frobenius_gram(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = res["dimension"]
+    assert dim == 2401 and res["rank"] == dim and res["nondegenerate"]
+    assert peak < dim * dim * A.F.k * 8
 
 
 _CHAIN = """

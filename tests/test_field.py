@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -143,6 +144,33 @@ def test_artin_schreier_without_tables():
         assert F.artin_schreier_solutions(c) == _artin_schreier_scalar(F, c)
     assert len(F.artin_schreier_solutions(full)) == 7
     assert F.artin_schreier_solutions(F.one) == []
+
+
+# the first 16 hex digits of the sha256 of the add, mul, neg and inv code
+# tables, in that order, as int64 bytes, of every tabled field the tests
+# build, recorded from int64 tables
+TABLE_DIGESTS = {
+    (5, 1, None): "d6413da6d0dbab94",
+    (7, 1, None): "b32ce630ab973836",
+    (13, 1, None): "8960b49061a4a5d6",
+    (5, 2, None): "1e04d7bbc5c48732",
+    (5, 2, (3, 0, 1)): "744b3a40ba4c5280",
+    (7, 2, None): "9cfac4da00410418",
+    (5, 3, None): "016135e187772bf6",
+    (7, 3, None): "96c7774e53d7ac76",
+    (43, 2, None): "563465a3ae2b4d2d",
+}
+
+
+@pytest.mark.parametrize("p, k, modulus", sorted(TABLE_DIGESTS, key=str))
+def test_int16_code_tables_keep_every_code(p, k, modulus):
+    # every code is below LUT_LIMIT, so int16 tables hold every code
+    F = Field(p, k, modulus)
+    h = hashlib.sha256()
+    for t in (F._add, F._mul, F._neg, F._inv):
+        assert t.format == np.dtype(np.int16).char
+        h.update(np.asarray(t, dtype=np.int64).tobytes())
+    assert h.hexdigest()[:16] == TABLE_DIGESTS[p, k, modulus]
 
 
 @pytest.mark.parametrize("p, k", [(5, 2), (7, 4)], ids=["f25", "f2401"])

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from colorlie import linalg
 from colorlie.field import Field, digit_product, nonzero_digits
-from colorlie.linalg import Echelon, Mat, _forward, _peel, batch_rref
+from colorlie.linalg import (Echelon, Mat, _forward, _peel, batch_rref,
+                             entry_rank)
 
 
 F5 = Field(5)
@@ -173,6 +174,19 @@ def _peel_cases(F, rng):
     gaps = shuffle(border)
     gaps[[2, 9, 20]] = 0
     gaps[:, [0, 7]] = 0
+
+    def bordered():
+        # a 12 x 12 block of rank 5 bordered by 6 single columns, whose
+        # rows also meet the block's columns, and by 4 single rows, whose
+        # columns also meet the block's rows: the peel stops at the block
+        a = np.zeros((22, 22, F.k), dtype=np.int64)
+        a[:6, :6] = upper(6, 6) * np.eye(6, dtype=np.int64)[..., None]
+        a[:6, 6:18] = uniform(6, 12)
+        a[6:18, 6:18] = low_rank(12, 12, 5)
+        a[18:, 18:] = upper(4, 4) * np.eye(4, dtype=np.int64)[..., None]
+        a[6:18, 18:] = uniform(12, 4, low=1)
+        return shuffle(a)
+
     return {
         "triangular": (shuffle(upper(30, 30)), 30),
         "bidiagonal": (shuffle(bidiagonal), 40),  # one pivot per round
@@ -186,6 +200,8 @@ def _peel_cases(F, rng):
         "zero": (np.zeros((6, 9, F.k), dtype=np.int64), 0),
         "no_rows": (np.zeros((0, 5, F.k), dtype=np.int64), 0),
         "no_cols": (np.zeros((5, 0, F.k), dtype=np.int64), 0),
+        "empty": (np.zeros((0, 0, F.k), dtype=np.int64), 0),
+        "bordered": (bordered(), 10),
     }
 
 
@@ -199,17 +215,31 @@ def test_peeled_rank_matches_forward_elimination(F, monkeypatch):
 
     monkeypatch.setattr(linalg, "_forward", spy)
     rng = np.random.default_rng(F.q)
+    stopped = set()
     for name, (a, peels) in _peel_cases(F, rng).items():
         want = _forward(F, a[None].copy())[1].shape[1]
         cores.clear()
         assert Mat(F, a).rank() == want, name
-        rows, cols, peeled = _peel(nonzero_digits(a))
+        rows, cols = np.nonzero(nonzero_digits(a))
+        left_rows, left_cols, peeled = _peel(rows, cols, a.shape[:2])
         if peels is not None:
             assert peeled == peels, name
         # a fully peeled matrix costs no elimination
         assert (cores == []) == (peeled == want), name
         if cores:
-            assert cores == [(1, rows.size, cols.size, F.k)]
+            assert cores == [(1, left_rows.size, left_cols.size, F.k)], name
+            stopped.add(name)
+        # the same entries in a shuffled order: the same peel and rank
+        order = rng.permutation(rows.size)
+        rows, cols = rows[order], cols[order]
+        got = _peel(rows, cols, a.shape[:2])
+        assert got[2] == peeled, name
+        assert np.array_equal(got[0], left_rows), name
+        assert np.array_equal(got[1], left_cols), name
+        cores.clear()
+        assert entry_rank(F, rows, cols, a[rows, cols], a.shape[:2]) == want
+        assert (cores == []) == (peeled == want), name
+    assert {"bordered", "border", "dense"} <= stopped
 
 
 def _batch_items(F, r, c, rng):
